@@ -16,7 +16,7 @@ from scipy import linalg as sla
 
 from . import kernels
 from .exceptions import DimensionMismatch
-from .gpcore import FullModel, SubModelBank, fill_expert_cross_cov
+from .gpcore import FullModel, SubModelBank
 from .linalg import factor_spd, solve, solve_weights
 
 
@@ -83,23 +83,11 @@ class AggregatedProcess:
     def _stats(self, Z):
         """Per-point weighted expert loadings V_i and covariance rows C_i."""
         bank = self.bank
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        m, p = Z.shape[0], bank.p
-        A, C = [], []
-        kM = np.empty((m, p))
-        KM = np.empty((m, p, p))
-        C_all = kernels.cross_matrix(bank.kernel, bank._Xc, Z)
-        for g, ((lo, hi), fac) in enumerate(zip(bank._spans, bank.factors)):
-            Cg = C_all[lo:hi]
-            Ag = solve(fac, Cg)
-            A.append(Ag)
-            C.append(Cg)
-            kM[:, g] = np.sum(Ag * Cg, axis=0)
-            KM[:, g, g] = kM[:, g]
-        fill_expert_cross_cov(bank.kernel, bank._Xc, bank._starts, A, KM)
-        alpha, _ = solve_weights(KM, kM)
-        V = [A[g] * alpha[:, g] for g in range(p)]
-        return V, C
+        C, A = bank.group_weights(Z)
+        L1 = bank.statistics(C, A)
+        alpha, _ = solve_weights(L1.K, L1.k)
+        V = [A[lo:hi] * alpha[:, g] for g, (lo, hi) in enumerate(bank.spans)]
+        return V, [C[lo:hi] for lo, hi in bank.spans]
 
     def prior_cov(self, Za, Zb) -> np.ndarray:
         """Prior covariance matrix of the aggregated process, (ma, mb)."""
@@ -112,8 +100,8 @@ class AggregatedProcess:
         else:
             Vb, Cb = self._stats(Zb)
         quad = np.zeros((Za.shape[0], Zb.shape[0]))
-        for g, sg in enumerate(bank._spans):
-            for h, sh in enumerate(bank._spans):
+        for g, sg in enumerate(bank.spans):
+            for h, sh in enumerate(bank.spans):
                 B = kernels.cross_matrix(bank.kernel, bank._Xc[sg[0]:sg[1]],
                                          bank._Xc[sh[0]:sh[1]])
                 quad += Va[g].T @ B @ Vb[h]
@@ -191,7 +179,8 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x) -> DiagnosticsVs
     Requires interpolating linear experts (simple Kriging on a partition).
     """
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    L1 = bank.layer1(x2)
+    C, A = bank.group_weights(x2)
+    L1 = bank.statistics(C, A)
     M, kM, KM = L1.M[0], L1.k[0], L1.K[0]
     kxx = bank.kernel.variance
     alpha, _ = solve_weights(KM, kM)
@@ -207,9 +196,8 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x) -> DiagnosticsVs
     # full-design weight vectors of both predictors
     lam_full = solve(full.factor, kernels.cross_matrix(full.kernel, full.X, x2))[:, 0]
     lam_agg = np.zeros(bank.n)
-    for g, (idx, fac) in enumerate(zip(bank.groups, bank.factors)):
-        a = solve(fac, kernels.cross_matrix(bank.kernel, bank.X[idx], x2))[:, 0]
-        lam_agg[idx] = alpha[g] * a
+    for g, (lo, hi) in enumerate(bank.spans):
+        lam_agg[bank.point_order[lo:hi]] = alpha[g] * A[lo:hi, 0]
 
     L = full.factor.lower
     diff = L.T @ (lam_agg - lam_full)

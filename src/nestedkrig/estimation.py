@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import DimensionMismatch
-from .gpcore import fill_expert_cross_cov
+from .gpcore import SubModelBank
 from .kernels import KernelSpec
 from .linalg import factor_spd, solve
 from .tree import AggregationTree, run_layers
@@ -45,10 +45,15 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
                 indices=None) -> list:
     """Exact leave-one-out nested predictions at the requested indices.
 
-    For each index only the sub-model owning the deleted point is rebuilt
-    (one group refactorization); every other expert, the group layout and
-    the tree are left untouched.  Indices whose group would become empty
-    are skipped with a warning.
+    Deleting a point from its group has closed-form Kriging weights, the
+    virtual cross-validation identity (Dubrule 1983): with Q = K_g^-1, the
+    remaining points of the group weigh in with -Q[:, j] / Q[j, j].  Q is
+    read through the bank's inverse Cholesky factor, Q[:, j] = R_g' R_g[:, j]
+    and Q[j, j] = |R_g[:, j]|^2, so no group is refactored.  When the group
+    factor needed jitter, the identity applies to the jittered group
+    matrix.  Every other expert, the group layout and the tree are left
+    untouched.  Indices whose group would become empty are skipped with a
+    warning.
     """
     X, y = dataset.X, dataset.y
     n = X.shape[0]
@@ -58,14 +63,8 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
         indices = np.arange(n)
     indices = np.asarray(indices, dtype=int)
 
-    groups = partition.groups()
-    group_of = np.empty(n, dtype=int)
-    pos_in_group = np.empty(n, dtype=int)
-    for g, idx in enumerate(groups):
-        group_of[idx] = g
-        pos_in_group[idx] = np.arange(len(idx))
-
-    keep = np.array([len(groups[group_of[i]]) > 1 for i in indices])
+    labels = partition.labels
+    keep = np.bincount(labels, minlength=partition.p)[labels[indices]] > 1
     if not np.all(keep):
         skipped = indices[~keep].tolist()
         warnings.warn(
@@ -75,61 +74,28 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     if indices.size == 0:
         return []
 
-    m_loo, v_unit = _loo_batch(kernel, X, y, groups, group_of, pos_in_group,
-                               tree, indices)
-    return [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
-            for i, m, v in zip(indices, m_loo, v_unit)]
-
-
-def _loo_batch(kernel, X, y, groups, group_of, pos_in_group, tree, indices):
-    """Batched leave-one-out engine; cross-covariances shared across the batch."""
-    p = len(groups)
-    q = indices.shape[0]
-    Xb = X[indices]
-    order = np.concatenate(groups)
-    Xcat = np.ascontiguousarray(X[order])
-    sizes = np.array([len(g) for g in groups])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-
-    factors = []
-    for g in range(p):
-        lo, hi = starts[g], starts[g] + sizes[g]
-        factors.append(factor_spd(
-            kernels.cross_matrix(kernel, Xcat[lo:hi], Xcat[lo:hi])))
-
-    # full-size weight columns; the deleted point's own group gets the
-    # downdated weights embedded with a zero in the deleted slot, which
-    # makes every later product skip that row without slicing
-    C_all = kernels.cross_matrix(kernel, Xcat, Xb)
-    A = []
-    for g in range(p):
-        lo, hi = starts[g], starts[g] + sizes[g]
-        A.append(solve(factors[g], C_all[lo:hi]))
+    bank = SubModelBank(kernel, X, y, partition)
+    C, A = bank.group_weights(X[indices])
+    # group-major row of every design point
+    row = np.empty(n, dtype=int)
+    row[bank.point_order] = np.arange(n)
     for t, i in enumerate(indices):
-        g = group_of[i]
-        idx = groups[g]
-        sub = idx[idx != i]
-        Ksub = kernels.cross_matrix(kernel, X[sub], X[sub])
-        csub = kernels.cross_matrix(kernel, X[sub], X[i:i + 1])
-        a = solve(factor_spd(Ksub), csub)[:, 0]
-        col = np.zeros(len(idx))
-        col[np.arange(len(idx)) != pos_in_group[i]] = a
-        A[g][:, t] = col
+        g = labels[i]
+        lo, hi = bank.spans[g]
+        R = bank.inv_factors[g]
+        j = row[i] - lo
+        # Q[:, j] from the nonzero part of column j of R; the deleted slot
+        # gets a zero weight, so every later product skips that row
+        r = R[j:, j]
+        A[lo:hi, t] = -(R[j:].T @ r) / (r @ r)
+        A[row[i], t] = 0.0
 
-    M = np.empty((q, p))
-    kM = np.empty((q, p))
-    K = np.empty((q, p, p))
-    for g, idx in enumerate(groups):
-        lo, hi = starts[g], starts[g] + sizes[g]
-        M[:, g] = A[g].T @ y[idx]
-        kM[:, g] = np.sum(A[g] * C_all[lo:hi], axis=0)
-        K[:, g, g] = kM[:, g]
-    fill_expert_cross_cov(kernel, Xcat, starts, A, K)
-
-    mean, root_cov = run_layers(M, kM, K, tree)
+    L1 = bank.statistics(C, A)
+    m_loo, root_cov = run_layers(L1.M, L1.k, L1.K, tree)
     v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
                         LOO_VARIANCE_FLOOR)
-    return mean, v_unit
+    return [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
+            for i, m, v in zip(indices, m_loo, v_unit)]
 
 
 def loo_criterion(records, y) -> float:
@@ -198,8 +164,9 @@ def sgd_fit(dataset, partition, tree: AggregationTree, cfg: SgdConfig,
     replacement, a Rademacher direction h, and move the log length-scales
     against the central finite difference of the subset criterion along h.
     The subset, direction and hence the whole trajectory are reproducible
-    from ``cfg.seed``.  A non-finite criterion evaluation rejects the step
-    and halves the step-size scale once.
+    from ``cfg.seed``.  A non-finite criterion evaluation, or a step that
+    would leave a length-scale non-finite or zero, rejects the step and
+    halves the step-size scale once.
 
     ``log_fn`` receives one line per iteration.
     """
@@ -224,12 +191,16 @@ def sgd_fit(dataset, partition, tree: AggregationTree, cfg: SgdConfig,
         a_i = a_scale / (cfg.A + it + 1) ** cfg.alpha
         c_plus = criterion(log_theta + delta * h, subset)
         c_minus = criterion(log_theta - delta * h, subset)
-        if not (np.isfinite(c_plus) and np.isfinite(c_minus)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = (c_plus - c_minus) / (2.0 * delta)
+            step = log_theta - a_i * grad * h
+            theta = np.exp(step)
+        valid = np.all(np.isfinite(theta) & (theta > 0.0))
+        if not (np.isfinite(c_plus) and np.isfinite(c_minus) and valid):
             a_scale *= 0.5
             estimate = np.nan
         else:
-            grad = (c_plus - c_minus) / (2.0 * delta)
-            log_theta = log_theta - a_i * grad * h
+            log_theta = step
             estimate = 0.5 * (c_plus + c_minus)
         history.append((it, estimate, tuple(np.exp(log_theta))))
         if log_fn is not None:

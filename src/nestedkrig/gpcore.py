@@ -1,9 +1,10 @@
 """Exact full Gaussian-process conditioning, Kriging sub-models and sampling.
 
 The full model is the O(n^3) oracle every aggregation method is judged
-against.  The sub-model bank holds the per-group Cholesky factors and
-Kriging weights of the p experts and evaluates, at any query point, the
-expert means together with all expert/process cross-covariances.
+against.  The sub-model bank holds one inverse Cholesky factor per group
+and is the only place that turns a design into expert statistics: Kriging
+weight columns at any batch of points, and from them the expert means
+together with all expert/process cross-covariances.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out):
     """Fill the off-diagonal expert covariances a_g' k(X_g, X_h) a_h.
 
     ``Xcat`` holds the design points in group-major order, ``starts`` the p
-    block starts, ``weights`` one (c_g, q) weight matrix per group and
-    ``out`` is the (q, p, p) target whose diagonal is already set.  Groups
-    are processed one block row at a time: a single covariance block
-    against all earlier groups, one matrix product and one segmented
+    block starts, ``weights`` the (n, q) weight columns in the same row
+    order and ``out`` is the (q, p, p) target whose diagonal is already
+    set.  Groups are processed one block row at a time: a single covariance
+    block against all earlier groups, one matrix product and one segmented
     reduction, so the Python overhead is linear in p while the arithmetic
     stays at sum c_g c_h q.  Query-major layout with fixed scratch pools
     keeps every pass streaming over the same contiguous pages.
@@ -50,8 +51,8 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out):
     p = len(starts)
     if p <= 1:
         return
-    q = weights[0].shape[1]
-    stackedT = np.ascontiguousarray(np.vstack(weights).T)
+    q = weights.shape[1]
+    stackedT = np.ascontiguousarray(weights.T)
     bounds = np.concatenate([starts, [Xcat.shape[0]]])
     c_max = int(np.diff(bounds).max())
     m_max = int(starts[-1])
@@ -65,7 +66,7 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out):
         S = spool[:c * stop].reshape(c, stop)
         kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B, S)
         W = wpool[:q * stop].reshape(q, stop)
-        np.matmul(weights[g].T, B, out=W)
+        np.matmul(weights[stop:stop + c].T, B, out=W)
         W *= stackedT[:, :stop]
         seg = np.add.reduceat(W, starts[:g], axis=1)
         out[:, g, :g] = seg
@@ -123,9 +124,13 @@ class FullModel:
 class SubModelBank:
     """Simple-Kriging sub-models over the groups of a partition.
 
-    Stores one Cholesky factor and one weight vector per group; never
-    forms any matrix across the full design.  Internally the design is
-    kept in group-major order so per-group data are contiguous slices.
+    Stores one inverse Cholesky factor R_g = L_g^-1 per group, where
+    L_g L_g' is the (possibly jittered) group covariance K_g, so that
+    K_g^-1 = R_g' R_g; never forms any matrix across the full design.
+    The design is kept in group-major order (``point_order``) so per-group
+    data are contiguous slices: group g owns rows ``spans[g]``.
+    ``group_weights`` and ``statistics`` are the only code that builds
+    expert weights and expert statistics.
     """
 
     def __init__(self, kernel: KernelSpec, X, y, partition):
@@ -139,20 +144,18 @@ class SubModelBank:
         self.groups = partition.groups()
         self.point_order = np.concatenate(self.groups)
         self._Xc = np.ascontiguousarray(self.X[self.point_order])
+        self._yc = self.y[self.point_order]
         sizes = np.array([len(g) for g in self.groups])
         self._starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self._spans = [(int(s), int(s + c)) for s, c in zip(self._starts, sizes)]
-        self.factors = []
-        self.weights = []
-        self.inverses = []
-        for lo, hi in self._spans:
+        self.spans = [(int(s), int(s + c)) for s, c in zip(self._starts, sizes)]
+        # the explicit inverse of the triangular factor, not of K_g: weights
+        # from R_g' (R_g C) keep the variance sandwich on ill-conditioned
+        # groups, where products with K_g^-1 break it
+        self.inv_factors = []
+        for lo, hi in self.spans:
             Kg = kernels.cross_matrix(kernel, self._Xc[lo:hi], self._Xc[lo:hi])
-            fac = factor_spd(Kg)
-            self.factors.append(fac)
-            self.weights.append(solve(fac, self.y[self.point_order[lo:hi]]))
-            # explicit inverse turns per-query weight solves into one
-            # batched matrix product across equal-sized groups
-            self.inverses.append(solve(fac, np.eye(hi - lo)))
+            self.inv_factors.append(sla.solve_triangular(
+                factor_spd(Kg).lower, np.eye(hi - lo), lower=True))
 
     @property
     def p(self) -> int:
@@ -162,64 +165,46 @@ class SubModelBank:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def _check_query(self, Xq) -> np.ndarray:
+    def group_weights(self, Xq):
+        """Covariances C = k(X, Xq) and Kriging weight columns A, both (n, q).
+
+        Rows follow the group-major design order; the rows of group g hold
+        a_g = K_g^-1 C_g = R_g' (R_g C_g).  One covariance evaluation against
+        the whole design (n x q, never n x n) serves every group.
+        """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         if Xq.shape[1] != self.kernel.dim:
             raise DimensionMismatch("query dimension does not match the kernel")
-        return Xq
+        C = kernels.cross_matrix(self.kernel, self._Xc, Xq)
+        A = np.empty_like(C)
+        for (lo, hi), R in zip(self.spans, self.inv_factors):
+            A[lo:hi] = R.T @ (R @ C[lo:hi])
+        return C, A
 
-    def group_weights(self, Xq) -> list:
-        """Kriging weight matrices a_i = k(X_i, X_i)^-1 k(X_i, Xq), one (c_i, q) per group.
+    def statistics(self, C, A) -> Layer1:
+        """Expert statistics from the output (C, A) of ``group_weights``.
 
-        Weight rows follow the index order of ``groups[i]``.
+        M = a_g' y_g, k = a_g' C_g and K_gh = a_g' k(X_g, X_h) a_h.  The
+        diagonal K_gg equals k for Kriging weights, so only the off-diagonal
+        blocks are filled, one block row at a time: the peak footprint stays
+        at O(n q) plus the (q, p, p) output.
         """
-        Xq = self._check_query(Xq)
-        # one covariance evaluation against the whole design (n x q, never
-        # n x n), sliced per group
-        C_all = kernels.cross_matrix(self.kernel, self._Xc, Xq)
-        return [inv @ C_all[lo:hi]
-                for (lo, hi), inv in zip(self._spans, self.inverses)]
+        p, q = self.p, C.shape[1]
+        M = np.empty((p, q))
+        kM = np.empty((p, q))
+        # a loop over groups: np.add.reduceat along the rows is ten times slower
+        for g, (lo, hi) in enumerate(self.spans):
+            M[g] = self._yc[lo:hi] @ A[lo:hi]
+            kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
+        M, kM = M.T, kM.T
+        K = np.empty((q, p, p))
+        K[:, np.arange(p), np.arange(p)] = kM
+        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, A, K)
+        return Layer1(M=M, k=kM, K=K)
 
     def layer1(self, Xq) -> Layer1:
-        """Expert means and cross-covariances at a batch of query points.
-
-        Group pairs are visited one block row at a time, so the peak
-        footprint stays at O(n q) plus the (q, p, p) output; nothing of
-        size n x n is ever allocated.  Equal-sized groups share one batched
-        matrix product.
-        """
-        Xq = self._check_query(Xq)
-        q, p = Xq.shape[0], self.p
-        M = np.empty((q, p))
-        kM = np.empty((q, p))
-        K = np.empty((q, p, p))
-        weights: list = [None] * p
-        C_all = kernels.cross_matrix(self.kernel, self._Xc, Xq)
-        by_size: dict = {}
-        for g, (lo, hi) in enumerate(self._spans):
-            by_size.setdefault(hi - lo, []).append(g)
-        diag = np.arange(p)
-        for size, members in by_size.items():
-            runs = members[0] + np.arange(len(members))
-            contiguous = np.array_equal(members, runs)
-            if contiguous:
-                lo = self._spans[members[0]][0]
-                C_st = C_all[lo:lo + size * len(members)].reshape(
-                    len(members), size, q)
-            else:
-                C_st = np.stack([C_all[slice(*self._spans[g])] for g in members])
-            I_st = np.stack([self.inverses[g] for g in members])
-            A_st = np.matmul(I_st, C_st)
-            w_st = np.stack([self.weights[g] for g in members])
-            M[:, members] = np.einsum("gcq,gc->qg", C_st, w_st)
-            k_blk = np.sum(A_st * C_st, axis=1)
-            kM[:, members] = k_blk.T
-            for j, g in enumerate(members):
-                weights[g] = A_st[j]
-        # Cov(M_g, M_g) equals Cov(M_g, Y) for Kriging experts
-        K[:, diag, diag] = kM
-        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, weights, K)
-        return Layer1(M=M, k=kM, K=K)
+        """Expert means and cross-covariances at a batch of query points."""
+        return self.statistics(*self.group_weights(Xq))
 
 
 def submodel_predict(bank: SubModelBank, x):

@@ -48,13 +48,20 @@ class TestLooPredict:
 
     def test_matches_refit_on_random_instances(self):
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            kern, X, f, part = random_instance(rng)
+        for case in range(8):
+            if case < 5:
+                kern, X, f, part = random_instance(rng)
+                tree = AggregationTree.flat(X.shape[0], part.p)
+            else:
+                # equilibrated height-3 trees over 6-9 experts of 2-3 points
+                n = int(rng.integers(16, 27))
+                plan = nk.plan_tree(n, "equilibrated", 3)
+                kern, X, f, part = random_instance(rng, n=n, p=plan.p)
+                tree = plan.tree
             sizes = np.array([len(g) for g in part.groups()])
             if sizes.min() < 2:
                 continue
             ds = nk.Dataset(X=X, y=f)
-            tree = AggregationTree.flat(X.shape[0], part.p)
             i = int(rng.integers(X.shape[0]))
             rec = loo_predict(ds, part, tree, kern, [i])[0]
             keep = np.arange(X.shape[0]) != i
@@ -193,6 +200,16 @@ class TestSgd:
         cfg = SgdConfig(theta0=(0.3,), a=30.0, alpha=0.2, q=n, n_iter=60, seed=1)
         res = sgd_fit(ds, part, tree, cfg, family="matern52")
         assert full_crit(float(res.theta[0])) <= full_crit(0.3)
+
+    def test_overflowing_step_rejected(self):
+        X = np.linspace(0, 1, 40).reshape(-1, 1)
+        ds = nk.Dataset(X=X, y=np.sin(7 * X[:, 0]))
+        part = nk.partition_consecutive(X, 4)
+        tree = AggregationTree.flat(40, 4)
+        cfg = SgdConfig(a=1e8, c=0.3, alpha=0.2, q=20, n_iter=5, seed=0)
+        res = sgd_fit(ds, part, tree, cfg, family="matern52")
+        assert np.all(np.isfinite(res.theta)) and np.all(res.theta > 0.0)
+        assert any(np.isnan(crit) for _, crit, _ in res.history)
 
     def test_two_phase_runs(self):
         ds = ex1_dataset()

@@ -69,6 +69,13 @@ class TestBenchmark:
         again = run_benchmark_51([1, 2, 3])
         assert reports == again
 
+    def test_grid_point_next_to_design_point_scored(self):
+        # grid points within 3e-5 of a design point get variances clamped
+        # at zero; the floored variances still give a finite score
+        reports = run_benchmark_51([1348, 1498, 1632])
+        assert len(reports) == 3 * len(BENCH_METHODS)
+        assert all(np.isfinite(r.mnlp) for r in reports)
+
     def test_summaries(self):
         reports = run_benchmark_51([5, 6])
         med = summarize_medians(reports)

@@ -116,6 +116,21 @@ class TestNestedPredict:
             assert np.all(v_nested >= v_full - 1e-8)
             assert np.all(v_nested <= kern.variance + 1e-12)
 
+    def test_variance_sandwich_ill_conditioned_groups(self):
+        # dense uniform design: some groups are nearly singular, where
+        # weights built from the explicit inverse of K_g break the sandwich
+        rng = np.random.default_rng(5)
+        n = 200
+        kern = nk.KernelSpec("matern52", 1.0, (0.05,))
+        X = rng.uniform(0, 1, (n, 1))
+        f = nk.sample_paths(kern, X, 1, 0)[0]
+        bank = SubModelBank(kern, X, f, nk.partition_consecutive(X, 20))
+        Xq = np.vstack([X + 1e-4, rng.uniform(0, 1, (300, 1))])
+        _, v_full = FullModel(kern, X, f).predict(Xq)
+        _, v_nested = nested_predict_batch(
+            bank, AggregationTree.flat(n, 20), Xq)
+        assert np.min(v_nested - v_full) >= -1e-6
+
     def test_distinct_layer1_covariances_honored(self):
         # experts whose covariance with the process differs from their own
         # variance (noisy regression experts): the first aggregation must
