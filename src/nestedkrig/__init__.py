@@ -8,9 +8,7 @@ estimation and the benchmark harnesses comparing all of them.
 """
 
 from .aggregation import (AggregatedPrediction, AggregatedProcess, aggregate,
-                          aggregate_process_cov, aggregated_posterior,
-                          diagnostics_vs_full)
-from .baselines import BaselineResult, bcm, gpoe, poe, rbcm, spv
+                          aggregated_posterior, diagnostics_vs_full)
 from .data import (CsvSchema, Dataset, Partition, load_csv, partition_consecutive,
                    partition_kmeans, partition_random)
 from .estimation import (LooRecord, SgdConfig, estimate_sigma2,
@@ -28,15 +26,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedPrediction", "AggregatedProcess", "AggregationTree",
-    "BaselineResult", "CsvSchema", "Dataset", "FullModel", "KernelSpec",
-    "LooRecord", "Partition", "SgdConfig", "SpdFactor", "SubModelBank",
-    "aggregate", "aggregate_process_cov", "aggregated_posterior", "bcm",
-    "complexity_estimate", "criteria", "cross_matrix", "diagnostics_vs_full",
-    "estimate_sigma2", "factor_spd", "gpoe", "grid_profile_loglik",
-    "load_csv", "loo_criterion",
-    "loo_predict", "nested_predict", "nested_predict_batch",
-    "partition_consecutive", "partition_kmeans", "partition_random", "poe",
-    "pseudo_solve", "rbcm", "run_benchmark_51", "run_consistency_demo",
-    "sample_conditional", "sample_paths", "sgd_fit", "sgd_fit_two_phase",
-    "solve", "spv", "submodel_predict", "plan_tree",
+    "CsvSchema", "Dataset", "FullModel", "KernelSpec", "LooRecord",
+    "Partition", "SgdConfig", "SpdFactor", "SubModelBank", "aggregate",
+    "aggregated_posterior", "complexity_estimate", "criteria", "cross_matrix",
+    "diagnostics_vs_full", "estimate_sigma2", "factor_spd",
+    "grid_profile_loglik", "load_csv", "loo_criterion", "loo_predict",
+    "nested_predict", "nested_predict_batch", "partition_consecutive",
+    "partition_kmeans", "partition_random", "pseudo_solve", "run_benchmark_51",
+    "run_consistency_demo", "sample_conditional", "sample_paths", "sgd_fit",
+    "sgd_fit_two_phase", "solve", "submodel_predict", "plan_tree",
 ]

@@ -137,11 +137,6 @@ class AggregatedProcess:
         return means, 0.5 * (cov + cov.T)
 
 
-def aggregate_process_cov(bank: SubModelBank, x, x2) -> float:
-    """Prior covariance of the aggregated process between two points."""
-    return AggregatedProcess(bank).cov(x, x2)
-
-
 def aggregated_posterior(bank: SubModelBank, Xq, X=None, f=None):
     """Gaussian conditioning of the aggregated-process prior on the data.
 

@@ -1,15 +1,15 @@
-"""Literature expert-fusion rules in Gaussian closed form.
+"""Literature expert-fusion rules in Gaussian closed form, over query batches.
 
-Each rule merges p expert predictions (mean M_i, variance V_i) into one
-mean and variance.  For Gaussian experts every density product reduces to
-precision weighting, which is what is implemented here, so all rules are a
-few arithmetic operations.  These rules ignore expert cross-correlations;
-they serve as comparison points for the covariance-aware aggregation.
+Each rule merges, at every query point, p expert predictions (mean M_i,
+variance V_i) into one mean and variance.  For Gaussian experts every
+density product reduces to precision weighting, which is what is
+implemented here, so every rule is a few array operations over a (q, p)
+batch.  These rules ignore expert cross-covariances; they read only the
+expert means and variances (``SubModelBank.moments``) and serve as
+comparison points for the covariance-aware aggregation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,152 +22,67 @@ DEGENERATE_RTOL = 1e-12
 PRECISION_FLOOR_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    mean: float
-    variance: float
-    method: str
-    weights: np.ndarray | None = None
-    degenerate: bool = False
+def evaluate(method: str, M, V, prior_var: float):
+    """Fuse (q, p) expert means ``M`` and variances ``V`` row by row.
 
+    Returns (q,) means and variances.  ``V`` may also be one (p,) row
+    shared by every query, and a (p,) ``M`` is one query.  The rules:
 
-def _as_experts(M, V):
-    M = np.asarray(M, dtype=float).reshape(-1)
-    V = np.asarray(V, dtype=float).reshape(-1)
-    if M.shape != V.shape or M.size == 0:
-        raise ValueError("expert means and variances must be equal-length, nonempty")
+    - ``poe``: precisions add up; p identical experts shrink the variance
+      to V/p, the well-known overconfidence of this rule.
+    - ``gpoe1``: generalised product of experts with exponents
+      beta_i = max(0, (log prior_var - log V_i) / 2), the differential
+      entropy weights; if every exponent is zero the prior (0, prior_var)
+      is returned.
+    - ``gpoe2``: exponents 1/p; the factor cancels from the mean, which is
+      the ``poe`` mean bit for bit, and the variance is p times the ``poe`` one.
+    - ``bcm``: the ``poe`` precision corrected by (p - 1) prior precisions.
+    - ``rbcm``: ``bcm`` tempered by the ``gpoe1`` exponents.
+    - ``spv``: the expert with the smallest variance, ties toward the
+      lowest index.
+
+    A ``bcm`` or ``rbcm`` precision that turns nonpositive is floored at
+    PRECISION_FLOOR_RTOL / prior_var.  Under every rule a row whose
+    smallest variance is at most DEGENERATE_RTOL * prior_var holds an
+    exact interpolator and returns that expert as-is.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown baseline {method!r}; choose from {METHODS}")
+    if not prior_var > 0.0:
+        raise ValueError("prior variance must be positive")
+    # row-major copies: numpy sums each row of a row-major array pairwise,
+    # exactly as it sums a lone (p,) row, but sums the rows of a
+    # column-major array in sequence, which changes the last bits
+    M = np.ascontiguousarray(np.atleast_2d(np.asarray(M, dtype=float)))
+    V = np.ascontiguousarray(np.broadcast_to(np.asarray(V, dtype=float), M.shape))
+    if M.ndim != 2 or M.shape[1] == 0:
+        raise ValueError("expert means must be a nonempty (q, p) array")
+    q, p = M.shape
     if np.any(V <= 0.0):
         raise ValueError("expert variances must be positive")
-    return M, V
-
-
-def _interpolating_expert(M, V, prior_var, method):
-    """Short-circuit on a numerically exact expert, else None."""
-    floor = DEGENERATE_RTOL * (prior_var if prior_var else max(V.max(), 1.0))
-    if V.min() <= floor:
-        k = int(np.argmin(V))
-        return BaselineResult(mean=float(M[k]), variance=float(V[k]),
-                              method=method, degenerate=True)
-    return None
-
-
-def poe(M, V, prior_var: float | None = None) -> BaselineResult:
-    """Product of experts: precisions add up.
-
-    With p identical experts the variance shrinks to V/p, the well-known
-    overconfidence of this rule; it is returned as-is.
-    """
-    M, V = _as_experts(M, V)
-    hit = _interpolating_expert(M, V, prior_var, "poe")
-    if hit is not None:
-        return hit
-    tau = float(np.sum(1.0 / V))
-    mean = float(np.sum(M / V)) / tau
-    return BaselineResult(mean=mean, variance=1.0 / tau, method="poe")
-
-
-def gpoe(M, V, prior_var: float, weighting: str = "uniform_1_over_p") -> BaselineResult:
-    """Generalised product of experts with tempered densities.
-
-    ``weighting`` selects the exponents: "uniform_1_over_p" uses 1/p for
-    every expert (their sum is one, which repairs the product-of-experts
-    variance collapse); "differential_entropy" uses half the log ratio of
-    prior to expert variance, clamped at zero from below.  If every weight
-    is zero the prior (0, prior_var) is returned.
-    """
-    M, V = _as_experts(M, V)
-    if not prior_var > 0.0:
-        raise ValueError("prior variance must be positive")
-    method = "gpoe2" if weighting == "uniform_1_over_p" else "gpoe1"
-    hit = _interpolating_expert(M, V, prior_var, method)
-    if hit is not None:
-        return hit
-    p = M.shape[0]
-    if weighting == "uniform_1_over_p":
-        # the common factor 1/p cancels from the mean, so compute it exactly
-        # as the product-of-experts mean
-        tau = float(np.sum(1.0 / V))
-        mean = float(np.sum(M / V)) / tau
-        beta = np.full(p, 1.0 / p)
-        return BaselineResult(mean=mean, variance=p / tau, method=method,
-                              weights=beta)
-    if weighting != "differential_entropy":
-        raise ValueError(f"unknown weighting {weighting!r}")
-    beta = np.maximum(0.5 * (np.log(prior_var) - np.log(V)), 0.0)
-    tau = float(np.sum(beta / V))
-    if tau <= 0.0:
-        return BaselineResult(mean=0.0, variance=prior_var, method=method,
-                              weights=beta, degenerate=True)
-    mean = float(np.sum(beta * M / V)) / tau
-    return BaselineResult(mean=mean, variance=1.0 / tau, method=method,
-                          weights=beta)
-
-
-def bcm(M, V, prior_var: float) -> BaselineResult:
-    """Bayesian committee machine: product of experts corrected by the prior."""
-    M, V = _as_experts(M, V)
-    if not prior_var > 0.0:
-        raise ValueError("prior variance must be positive")
-    hit = _interpolating_expert(M, V, prior_var, "bcm")
-    if hit is not None:
-        return hit
-    p = M.shape[0]
-    tau = float(np.sum(1.0 / V)) - (p - 1) / prior_var
-    degenerate = tau <= 0.0
-    if degenerate:
-        tau = PRECISION_FLOOR_RTOL / prior_var
-    mean = float(np.sum(M / V)) / tau
-    return BaselineResult(mean=mean, variance=1.0 / tau, method="bcm",
-                          degenerate=degenerate)
-
-
-def rbcm(M, V, prior_var: float, beta=None) -> BaselineResult:
-    """Robust Bayesian committee machine with entropy-based tempering.
-
-    ``beta`` defaults to half the log ratio of prior to expert variance;
-    with all exponents equal to one this reduces exactly to :func:`bcm`.
-    """
-    M, V = _as_experts(M, V)
-    if not prior_var > 0.0:
-        raise ValueError("prior variance must be positive")
-    hit = _interpolating_expert(M, V, prior_var, "rbcm")
-    if hit is not None:
-        return hit
-    if beta is None:
-        beta = np.maximum(0.5 * (np.log(prior_var) - np.log(V)), 0.0)
-    else:
-        beta = np.asarray(beta, dtype=float).reshape(-1)
-    tau = float(np.sum(beta / V)) + (1.0 - float(np.sum(beta))) / prior_var
-    degenerate = tau <= 0.0
-    if degenerate:
-        tau = PRECISION_FLOOR_RTOL / prior_var
-    mean = float(np.sum(beta * M / V)) / tau
-    return BaselineResult(mean=mean, variance=1.0 / tau, method="rbcm",
-                          weights=beta, degenerate=degenerate)
-
-
-def spv(M, V) -> BaselineResult:
-    """Return the single expert with the smallest prediction variance.
-
-    Ties break toward the lowest expert index.
-    """
-    M, V = _as_experts(M, V)
-    k = int(np.argmin(V))
-    return BaselineResult(mean=float(M[k]), variance=float(V[k]), method="spv")
-
-
-def evaluate(method: str, M, V, prior_var: float) -> BaselineResult:
-    """Dispatch on a method selector string."""
-    if method == "poe":
-        return poe(M, V, prior_var)
-    if method == "gpoe1":
-        return gpoe(M, V, prior_var, weighting="differential_entropy")
-    if method == "gpoe2":
-        return gpoe(M, V, prior_var, weighting="uniform_1_over_p")
-    if method == "bcm":
-        return bcm(M, V, prior_var)
-    if method == "rbcm":
-        return rbcm(M, V, prior_var)
+    best = np.argmin(V, axis=1)
+    m_best, v_best = M[np.arange(q), best], V[np.arange(q), best]
     if method == "spv":
-        return spv(M, V)
-    raise ValueError(f"unknown baseline {method!r}; choose from {METHODS}")
+        return m_best, v_best
+    if method in ("gpoe1", "rbcm"):
+        beta = np.maximum(0.5 * (np.log(prior_var) - np.log(V)), 0.0)
+        num = (beta * M / V).sum(axis=1)
+        tau = (beta / V).sum(axis=1)
+        if method == "rbcm":
+            tau += (1.0 - beta.sum(axis=1)) / prior_var
+    else:
+        num = (M / V).sum(axis=1)
+        tau = (1.0 / V).sum(axis=1)
+        if method == "bcm":
+            tau -= (p - 1) / prior_var
+    floored = tau <= 0.0
+    tau[floored] = PRECISION_FLOOR_RTOL / prior_var
+    means = num / tau
+    variances = (p if method == "gpoe2" else 1.0) / tau
+    if method == "gpoe1":
+        means[floored] = 0.0
+        variances[floored] = prior_var
+    exact = v_best <= DEGENERATE_RTOL * prior_var
+    means[exact] = m_best[exact]
+    variances[exact] = v_best[exact]
+    return means, variances

@@ -1,9 +1,10 @@
 """Self-contained model bundles: versioned JSON, portable across machines.
 
-A bundle stores everything prediction needs: kernel parameters, the design
-and responses, group labels, the aggregation tree, the fitted process
-variance and a fingerprint of the training data.  The fingerprint is
-recomputed at load time so corrupted or hand-edited bundles are flagged.
+A bundle stores everything prediction needs: kernel parameters (the
+fitted process variance among them), the design and responses, group
+labels, the aggregation tree and a fingerprint of the training data.  The
+fingerprint is recomputed at load time so corrupted or hand-edited bundles
+are flagged.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def data_fingerprint(X, y) -> str:
 
 
 def save_bundle(path, *, kernel: KernelSpec, X, y, partition: Partition,
-                tree: AggregationTree, sigma2: float, y_offset: float = 0.0,
+                tree: AggregationTree, y_offset: float = 0.0,
                 config_echo=(), force: bool = False):
     """Write a model bundle; refuses to overwrite unless ``force``."""
     if os.path.exists(path) and not force:
@@ -47,7 +48,6 @@ def save_bundle(path, *, kernel: KernelSpec, X, y, partition: Partition,
             "variance": kernel.variance,
             "lengthscales": list(kernel.lengthscales),
         },
-        "sigma2": float(sigma2),
         "y_offset": float(y_offset),
         "labels": partition.labels.tolist(),
         "p": partition.p,
@@ -70,6 +70,8 @@ def load_bundle(path) -> dict:
     """Read a bundle back; returns a dict of reconstructed objects.
 
     Warns when the stored fingerprint does not match the embedded data.
+    A ``sigma2`` field, which older bundles repeat from the kernel
+    variance, is ignored.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -99,7 +101,6 @@ def load_bundle(path) -> dict:
         "y": y,
         "partition": partition,
         "tree": tree,
-        "sigma2": payload["sigma2"],
         "y_offset": payload["y_offset"],
         "config": payload.get("config", []),
     }

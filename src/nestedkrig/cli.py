@@ -31,6 +31,7 @@ from .exceptions import (CapExceeded, ConfigError, DimensionMismatch, EmptyFile,
                          OutputExists, ParseError)
 from .gpcore import FullModel, SubModelBank, sample_paths
 from .kernels import KernelSpec
+from .metrics import _fmt
 from .tree import AggregationTree, nested_predict_batch, plan_tree
 
 EXIT_OK = 0
@@ -52,10 +53,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def _thread_count(flag_value, cfg: RunConfig) -> int:
@@ -130,16 +127,13 @@ def cmd_fit(args) -> int:
                         log_fn=lambda line: print(line))
         kernel = kernel.with_lengthscales(result.theta)
         records = loo_predict(dataset, part, tree, kernel)
-        sigma2 = estimate_sigma2(records, dataset.y)
-        kernel = kernel.with_variance(sigma2)
-    sigma2 = kernel.variance
+        kernel = kernel.with_variance(estimate_sigma2(records, dataset.y))
 
     save_bundle(args.out, kernel=kernel, X=dataset.X, y=dataset.y,
-                partition=part, tree=tree, sigma2=sigma2,
-                y_offset=dataset.y_offset, config_echo=cfg.echo(),
-                force=args.force)
+                partition=part, tree=tree, y_offset=dataset.y_offset,
+                config_echo=cfg.echo(), force=args.force)
     print(f"wrote {args.out} (n={dataset.n}, d={dataset.d}, p={part.p}, "
-          f"height={tree.height}, sigma2={sigma2:.6g})")
+          f"height={tree.height}, sigma2={kernel.variance:.6g})")
     return EXIT_OK
 
 
@@ -167,17 +161,11 @@ def _predict_arrays(bundle, method, Xq, threads, full_cap):
                 return nested_predict_batch(bank, tree, chunk)
         else:
             def evaluate(chunk):
-                L1 = bank.layer1(chunk)
-                expert_vars = np.maximum(kernel.variance - L1.k,
+                M, k = bank.moments(*bank.group_weights(chunk))
+                expert_vars = np.maximum(kernel.variance - k,
                                          metrics.EXPERT_VARIANCE_FLOOR)
-                means = np.empty(chunk.shape[0])
-                variances = np.empty(chunk.shape[0])
-                for t in range(chunk.shape[0]):
-                    r = baselines.evaluate(method, L1.M[t], expert_vars[t],
-                                           kernel.variance)
-                    means[t] = r.mean
-                    variances[t] = r.variance
-                return means, variances
+                return baselines.evaluate(method, M, expert_vars,
+                                          kernel.variance)
 
     q = Xq.shape[0]
     means = np.empty(q)

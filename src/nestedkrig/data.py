@@ -87,34 +87,23 @@ class CsvSchema:
     center_response: bool = False
 
 
-def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
-    """Load a headed CSV file into a Dataset.
+def _read_columns(path, select) -> np.ndarray:
+    """Parse chosen columns of a headed CSV file into a (rows, k) array.
 
-    Raises :class:`ParseError` with 1-based line/column positions on any
-    cell that does not parse to a finite number, and :class:`EmptyFile`
-    when there are no data rows.
+    ``select(header)`` returns the indices of the k columns to parse, in
+    output order; no other cell is parsed.  Blank lines are skipped.
+    Raises :class:`ParseError` with 1-based line/column positions on a
+    short or long row and on any selected cell that does not parse to a
+    finite number, and :class:`EmptyFile` when there are no data rows.
     """
-    schema = schema or CsvSchema()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        response = schema.response if schema.response is not None else header[-1]
-        if response not in header:
-            raise ParseError(1, 0, f"response column {response!r} not in header")
-        features = schema.features
-        if features is None:
-            features = [h for h in header if h != response]
-        for name in features:
-            if name not in header:
-                raise ParseError(1, 0, f"feature column {name!r} not in header")
-        fidx = [header.index(name) for name in features]
-        ridx = header.index(response)
-
-        rows_x, rows_y = [], []
+        cols = select(header)
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -122,7 +111,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
                 raise ParseError(lineno, len(row),
                                  f"expected {len(header)} columns, got {len(row)}")
             parsed = []
-            for col in fidx + [ridx]:
+            for col in cols:
                 cell = row[col].strip()
                 try:
                     value = float(cell)
@@ -133,13 +122,37 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
                     raise ParseError(lineno, col + 1,
                                      f"non-finite value {cell!r}")
                 parsed.append(value)
-            rows_x.append(parsed[:-1])
-            rows_y.append(parsed[-1])
-
-    if not rows_x:
+            rows.append(parsed)
+    if not rows:
         raise EmptyFile(f"{path} contains no data rows")
-    X = np.asarray(rows_x, dtype=float)
-    y = np.asarray(rows_y, dtype=float)
+    return np.asarray(rows, dtype=float)
+
+
+def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
+    """Load a headed CSV file into a Dataset.
+
+    Only the feature and response columns are parsed.  Raises
+    :class:`ParseError` with 1-based line/column positions on any of their
+    cells that does not parse to a finite number, and :class:`EmptyFile`
+    when there are no data rows.
+    """
+    schema = schema or CsvSchema()
+
+    def columns(header):
+        response = schema.response if schema.response is not None else header[-1]
+        if response not in header:
+            raise ParseError(1, 0, f"response column {response!r} not in header")
+        features = schema.features
+        if features is None:
+            features = [h for h in header if h != response]
+        for name in features:
+            if name not in header:
+                raise ParseError(1, 0, f"feature column {name!r} not in header")
+        return [header.index(name) for name in features] + [header.index(response)]
+
+    data = _read_columns(path, columns)
+    X = np.ascontiguousarray(data[:, :-1])
+    y = data[:, -1].copy()
     offset = 0.0
     if schema.center_response:
         offset = float(np.mean(y))
@@ -149,33 +162,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
 
 def load_points_csv(path) -> np.ndarray:
     """Load a headed CSV of bare points (every column is a coordinate)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(lineno, len(row),
-                                 f"expected {len(header)} columns, got {len(row)}")
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell.strip())
-                except ValueError:
-                    raise ParseError(lineno, col + 1,
-                                     f"cannot parse {cell!r} as a number") from None
-                if not np.isfinite(value):
-                    raise ParseError(lineno, col + 1, f"non-finite value {cell!r}")
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
-        raise EmptyFile(f"{path} contains no data rows")
-    return np.asarray(rows, dtype=float)
+    return _read_columns(path, lambda header: range(len(header)))
 
 
 def _check_group_count(n: int, p: int):

@@ -3,8 +3,8 @@
 The full model is the O(n^3) oracle every aggregation method is judged
 against.  The sub-model bank holds one inverse Cholesky factor per group
 and is the only place that turns a design into expert statistics: Kriging
-weight columns at any batch of points, and from them the expert means
-together with all expert/process cross-covariances.
+weight columns at any batch of points, and from them the expert means and
+expert/process covariances, alone or with all expert cross-covariances.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class SubModelBank:
     K_g^-1 = R_g' R_g; never forms any matrix across the full design.
     The design is kept in group-major order (``point_order``) so per-group
     data are contiguous slices: group g owns rows ``spans[g]``.
-    ``group_weights`` and ``statistics`` are the only code that builds
-    expert weights and expert statistics.
+    ``group_weights``, ``moments`` and ``statistics`` are the only code
+    that builds expert weights and expert statistics.
     """
 
     def __init__(self, kernel: KernelSpec, X, y, partition):
@@ -181,13 +181,12 @@ class SubModelBank:
             A[lo:hi] = R.T @ (R @ C[lo:hi])
         return C, A
 
-    def statistics(self, C, A) -> Layer1:
-        """Expert statistics from the output (C, A) of ``group_weights``.
+    def moments(self, C, A):
+        """Expert means M = a_g' y_g and covariances k = a_g' C_g, both (q, p).
 
-        M = a_g' y_g, k = a_g' C_g and K_gh = a_g' k(X_g, X_h) a_h.  The
-        diagonal K_gg equals k for Kriging weights, so only the off-diagonal
-        blocks are filled, one block row at a time: the peak footprint stays
-        at O(n q) plus the (q, p, p) output.
+        ``(C, A)`` is the output of ``group_weights``; k(x) is also
+        Var M_g(x), so k(x, x) - k is each expert's prediction variance.
+        Both arrays are transposed views of (p, q) buffers (column-major).
         """
         p, q = self.p, C.shape[1]
         M = np.empty((p, q))
@@ -196,7 +195,18 @@ class SubModelBank:
         for g, (lo, hi) in enumerate(self.spans):
             M[g] = self._yc[lo:hi] @ A[lo:hi]
             kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
-        M, kM = M.T, kM.T
+        return M.T, kM.T
+
+    def statistics(self, C, A) -> Layer1:
+        """Expert statistics from the output (C, A) of ``group_weights``.
+
+        ``moments`` gives M and k; K_gh = a_g' k(X_g, X_h) a_h.  The
+        diagonal K_gg equals k for Kriging weights, so only the off-diagonal
+        blocks are filled, one block row at a time: the peak footprint stays
+        at O(n q) plus the (q, p, p) output.
+        """
+        M, kM = self.moments(C, A)
+        q, p = M.shape
         K = np.empty((q, p, p))
         K[:, np.arange(p), np.arange(p)] = kM
         fill_expert_cross_cov(self.kernel, self._Xc, self._starts, A, K)

@@ -25,7 +25,7 @@ from .kernels import KernelSpec
 from .linalg import factor_spd, solve
 from .tree import AggregationTree, nested_predict_batch
 
-BENCH_METHODS = ("nested", "poe", "gpoe1", "gpoe2", "bcm", "rbcm", "spv")
+BENCH_METHODS = ("nested",) + baselines.METHODS
 
 # simulated-comparison scenario: Matern 5/2, unit variance, length-scale
 # 0.05, 30 uniform points on [0,1], 15 experts of two consecutive points,
@@ -115,26 +115,17 @@ def benchmark_instance(seed):
     tree = AggregationTree.flat(BENCH_N, BENCH_P)
     m_nested, v_nested = nested_predict_batch(bank, tree, grid)
 
-    L1 = bank.layer1(grid)
-    expert_vars = np.maximum(BENCH_KERNEL.variance - L1.k,
-                             EXPERT_VARIANCE_FLOOR)
+    M, k = bank.moments(*bank.group_weights(grid))
+    expert_vars = np.maximum(BENCH_KERNEL.variance - k, EXPERT_VARIANCE_FLOOR)
     # criteria needs positive variances, and at a grid point next to a
     # design point the full and nested predictors clamp the variance at zero
     results = {
         "full": (m_full, np.maximum(v_full, EXPERT_VARIANCE_FLOOR)),
         "nested": (m_nested, np.maximum(v_nested, EXPERT_VARIANCE_FLOOR)),
     }
-    for method in BENCH_METHODS:
-        if method == "nested":
-            continue
-        means = np.empty(grid.shape[0])
-        variances = np.empty(grid.shape[0])
-        for t in range(grid.shape[0]):
-            r = baselines.evaluate(method, L1.M[t], expert_vars[t],
-                                   BENCH_KERNEL.variance)
-            means[t] = r.mean
-            variances[t] = r.variance
-        results[method] = (means, variances)
+    for method in baselines.METHODS:
+        results[method] = baselines.evaluate(method, M, expert_vars,
+                                             BENCH_KERNEL.variance)
     return grid, f_grid, results
 
 
@@ -236,19 +227,19 @@ def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
         else:
             bank = SubModelBank(kernel, X, np.zeros(X.shape[0]), part)
             C, A = bank.group_weights(x0.reshape(1, -1))
-            L1 = bank.statistics(C, A)
-            kM, KM = L1.k[0], L1.K[0]
+            # expert means of every replicate path, (replicates, p)
             M = np.empty((replicates, bank.p))
             for g, (lo, hi) in enumerate(bank.spans):
                 M[:, g] = fX[:, bank.point_order[lo:hi]] @ A[lo:hi, 0]
             if method == "nested":
-                agg = aggregate(kernel.variance, np.zeros(bank.p), kM, KM)
+                L1 = bank.statistics(C, A)
+                agg = aggregate(kernel.variance, np.zeros(bank.p), L1.k[0],
+                                L1.K[0])
                 preds = M @ agg.weights
             else:
+                kM = bank.moments(C, A)[1][0]
                 V = np.maximum(kernel.variance - kM, EXPERT_VARIANCE_FLOOR)
-                preds = np.array([
-                    baselines.evaluate(method, M[r], V, kernel.variance).mean
-                    for r in range(replicates)])
+                preds = baselines.evaluate(method, M, V, kernel.variance)[0]
         out.append((int(n), float(np.mean((preds - y0) ** 2))))
     return out
 

@@ -5,8 +5,7 @@ from conftest import dense_aggregate, dense_expert_stats, random_instance
 import nestedkrig as nk
 from nestedkrig import kernels
 from nestedkrig.aggregation import (AggregatedProcess, aggregate,
-                                    aggregate_process_cov, aggregated_posterior,
-                                    diagnostics_vs_full)
+                                    aggregated_posterior, diagnostics_vs_full)
 from nestedkrig.gpcore import FullModel, SubModelBank, sample_conditional, submodel_predict
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
@@ -161,20 +160,20 @@ class TestProcessView:
     def test_variance_preserved_exactly(self):
         bank = ex1_bank()
         for x in (0.13, 0.3, 0.77):
-            assert aggregate_process_cov(bank, [x], [x]) == EX1_KERNEL.variance
+            assert AggregatedProcess(bank).cov([x], [x]) == EX1_KERNEL.variance
 
     def test_design_pairs_match_original_kernel(self):
         bank = ex1_bank()
         for xa in EX1_X[:, 0]:
             for xb in EX1_X[:, 0]:
-                got = aggregate_process_cov(bank, [xa], [xb])
+                got = AggregatedProcess(bank).cov([xa], [xb])
                 want = kernels.eval(EX1_KERNEL, [xa], [xb])
                 assert got == pytest.approx(want, abs=1e-8)
 
     def test_against_dense_oracle_on_sweep(self):
         bank = ex1_bank()
         for xb in np.linspace(0.0, 1.0, 21):
-            got = aggregate_process_cov(bank, [0.3], [xb])
+            got = AggregatedProcess(bank).cov([0.3], [xb])
             want = dense_process_cov(EX1_KERNEL, EX1_X, EX1_PART.groups(),
                                      [0.3], [xb])
             assert got == pytest.approx(want, abs=1e-10)
@@ -186,14 +185,14 @@ class TestProcessView:
             bank = SubModelBank(kern, X, f, part)
             xa = rng.uniform(0, 1, X.shape[1])
             xb = rng.uniform(0, 1, X.shape[1])
-            got = aggregate_process_cov(bank, xa, xb)
+            got = AggregatedProcess(bank).cov(xa, xb)
             want = dense_process_cov(kern, X, part.groups(), xa, xb)
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_symmetry(self):
         bank = ex1_bank()
-        a = aggregate_process_cov(bank, [0.22], [0.61])
-        b = aggregate_process_cov(bank, [0.61], [0.22])
+        a = AggregatedProcess(bank).cov([0.22], [0.61])
+        b = AggregatedProcess(bank).cov([0.61], [0.22])
         assert a == pytest.approx(b, abs=1e-12)
 
 

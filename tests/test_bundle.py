@@ -13,7 +13,7 @@ def make_bundle(path, force=False):
     tree = nk.AggregationTree.flat(3, 2)
     kernel = nk.KernelSpec("matern32", 1.5, (0.2,))
     save_bundle(path, kernel=kernel, X=X, y=y, partition=part, tree=tree,
-                sigma2=1.5, y_offset=0.25, config_echo=["kernel.family=matern32"],
+                y_offset=0.25, config_echo=["kernel.family=matern32"],
                 force=force)
     return X, y
 
@@ -26,11 +26,27 @@ class TestBundle:
         np.testing.assert_array_equal(loaded["X"], X)
         np.testing.assert_array_equal(loaded["y"], y)
         assert loaded["kernel"] == nk.KernelSpec("matern32", 1.5, (0.2,))
-        assert loaded["sigma2"] == 1.5
         assert loaded["y_offset"] == 0.25
         assert loaded["tree"].layer_sizes == [2, 1]
         assert loaded["partition"].p == 2
         assert loaded["config"] == ["kernel.family=matern32"]
+
+    def test_reads_bundle_with_sigma2_field(self, tmp_path):
+        import json
+        import warnings
+
+        path = tmp_path / "m.json"
+        make_bundle(path)
+        payload = json.loads(path.read_text())
+        assert "sigma2" not in payload
+        # bundles of the same version written before the field was dropped
+        payload["sigma2"] = 1.5
+        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_bundle(path)
+        assert loaded["kernel"].variance == 1.5
+        assert "sigma2" not in loaded
 
     def test_refuses_overwrite(self, tmp_path):
         path = tmp_path / "m.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nestedkrig as nk
+from nestedkrig import baselines, metrics
 from nestedkrig.cli import main
 
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -69,6 +70,32 @@ class TestFitPredict:
         m, v = nk.nested_predict_batch(bank, tree, [[0.6], [0.25]])
         np.testing.assert_allclose(got[:, 0], m, atol=1e-12)
         np.testing.assert_allclose(got[:, 1], v, atol=1e-12)
+
+    def test_baselines_roundtrip_reproduces_library_values(self, ex1_files):
+        tmp, train, config = ex1_files
+        bundle = tmp / "model.json"
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(bundle)]) == 0
+        xs = np.linspace(0, 1, 37)
+        query = tmp / "query.csv"
+        write_query(query, xs)
+
+        kern = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
+        bank = nk.SubModelBank(kern, EX1_X, EX1_F,
+                               nk.partition_consecutive(EX1_X, 2))
+        M, k = bank.moments(*bank.group_weights(xs.reshape(-1, 1)))
+        V = np.maximum(kern.variance - k, metrics.EXPERT_VARIANCE_FLOOR)
+        for method in baselines.METHODS:
+            out = tmp / f"{method}.csv"
+            assert main(["predict", "--bundle", str(bundle), "--query",
+                         str(query), "--out", str(out), "--method", method,
+                         "--with-variance"]) == 0
+            rows = [r for r in out.read_text().splitlines()
+                    if not r.startswith("#")]
+            got = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+            m, v = baselines.evaluate(method, M, V, kern.variance)
+            np.testing.assert_array_equal(got[:, 0], m)
+            np.testing.assert_array_equal(got[:, 1], v)
 
     def test_training_points_interpolated(self, ex1_files):
         tmp, train, config = ex1_files
@@ -212,11 +239,14 @@ class TestDeterminism:
               "--out", str(bundle)])
         query = tmp / "q.csv"
         write_query(query, np.linspace(0, 1, 1500))
-        for threads, name in ((1, "t1.csv"), (4, "t4.csv")):
-            main(["predict", "--bundle", str(bundle), "--query", str(query),
-                  "--out", str(tmp / name), "--with-variance",
-                  "--threads", str(threads), "--method", "nested"])
-        assert (tmp / "t1.csv").read_bytes() == (tmp / "t4.csv").read_bytes()
+        for method in ("nested",) + baselines.METHODS:
+            for threads, name in ((1, "t1.csv"), (4, "t4.csv")):
+                assert main(["predict", "--bundle", str(bundle), "--query",
+                             str(query), "--out", str(tmp / name),
+                             "--with-variance", "--threads", str(threads),
+                             "--method", method]) == 0
+            assert ((tmp / "t1.csv").read_bytes()
+                    == (tmp / "t4.csv").read_bytes()), method
 
     def test_simulate_deterministic_and_shaped(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -31,25 +31,36 @@ class TestLoadCsv:
     def test_nan_in_response(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n0.1,1.0\n0.2,nan\n")
-        with pytest.raises(ParseError) as err:
-            load_csv(path)
-        assert err.value.line == 3
+        for load in (load_csv, load_points_csv):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert err.value.line == 3 and err.value.column == 2
 
     def test_garbage_cell_position(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n0.1,1.0\nabc,2.0\n")
-        with pytest.raises(ParseError) as err:
-            load_csv(path)
-        assert err.value.line == 3 and err.value.column == 1
+        for load in (load_csv, load_points_csv):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert err.value.line == 3 and err.value.column == 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("")
-        with pytest.raises(EmptyFile):
+        for load in (load_csv, load_points_csv):
+            for text in ("", "x,y\n", "x,y\n\n  ,  \n"):
+                path.write_text(text)
+                with pytest.raises(EmptyFile):
+                    load(path)
+
+    def test_unselected_column_not_parsed(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x,y\nfirst,0.1,1.0\nsecond,0.2,2.0\n")
+        ds = load_csv(path, CsvSchema(features=["x"]))
+        np.testing.assert_array_equal(ds.X, [[0.1], [0.2]])
+        np.testing.assert_array_equal(ds.y, [1.0, 2.0])
+        with pytest.raises(ParseError) as err:
             load_csv(path)
-        path.write_text("x,y\n")
-        with pytest.raises(EmptyFile):
-            load_csv(path)
+        assert err.value.line == 2 and err.value.column == 1
 
     def test_large_shape_and_response_selection(self, tmp_path):
         rng = np.random.default_rng(0)
