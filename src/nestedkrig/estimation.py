@@ -20,7 +20,7 @@ from .exceptions import DimensionMismatch
 from .gpcore import SubModelBank
 from .kernels import KernelSpec
 from .linalg import factor_spd, solve
-from .tree import AggregationTree, run_layers
+from .tree import AggregationTree, stream_layers
 
 # floor for unit-scale leave-one-out variances; the deleted point is absent
 # from every group so the true value is positive
@@ -75,10 +75,25 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
         return []
 
     bank = SubModelBank(kernel, X, y, partition)
-    C, A = bank.group_weights(X[indices])
+    C, A = loo_weights(bank, labels, indices)
+    m_loo, root_cov = stream_layers(bank, tree, C, A)
+    v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
+                        LOO_VARIANCE_FLOOR)
+    return [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
+            for i, m, v in zip(indices, m_loo, v_unit)]
+
+
+def loo_weights(bank: SubModelBank, labels, indices):
+    """``group_weights`` at the design points ``indices``, each deleted from its group.
+
+    Returns (C, A) as ``bank.group_weights(X[indices])`` does, with the
+    deleted point's group column replaced by its virtual cross-validation
+    weights (see :func:`loo_predict`).
+    """
+    C, A = bank.group_weights(bank.X[indices])
     # group-major row of every design point
-    row = np.empty(n, dtype=int)
-    row[bank.point_order] = np.arange(n)
+    row = np.empty(bank.n, dtype=int)
+    row[bank.point_order] = np.arange(bank.n)
     for t, i in enumerate(indices):
         g = labels[i]
         lo, hi = bank.spans[g]
@@ -89,13 +104,7 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
         r = R[j:, j]
         A[lo:hi, t] = -(R[j:].T @ r) / (r @ r)
         A[row[i], t] = 0.0
-
-    L1 = bank.statistics(C, A)
-    m_loo, root_cov = run_layers(L1.M, L1.k, L1.K, tree)
-    v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
-                        LOO_VARIANCE_FLOOR)
-    return [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
-            for i, m, v in zip(indices, m_loo, v_unit)]
+    return C, A
 
 
 def loo_criterion(records, y) -> float:
@@ -108,10 +117,21 @@ def loo_criterion(records, y) -> float:
 
 
 def estimate_sigma2(records, y) -> float:
-    """Process variance making the normalized leave-one-out errors unit-variance."""
+    """Process variance making the normalized leave-one-out errors unit-variance.
+
+    Warns (RuntimeWarning) when some records carry a variance clamped at
+    ``LOO_VARIANCE_FLOOR``: their squared errors are divided by the floor,
+    so a small error there can dominate the estimate.
+    """
     if not records:
         raise ValueError("no leave-one-out records")
     y = np.asarray(y, dtype=float)
+    floored = [r.index for r in records if r.v_loo <= LOO_VARIANCE_FLOOR]
+    if floored:
+        warnings.warn(
+            f"{len(floored)} leave-one-out variances clamped at "
+            f"{LOO_VARIANCE_FLOOR:g} enter the variance estimate "
+            f"(indices {floored})", RuntimeWarning)
     ratios = np.array([(y[r.index] - r.m_loo) ** 2 / r.v_loo for r in records])
     return float(np.mean(ratios))
 

@@ -24,11 +24,15 @@ DEGENERATE_VAR_RTOL = 1e-12
 
 
 class Layer1(NamedTuple):
-    """Expert statistics at a batch of query points.
+    """Expert statistics at a batch of query points, fully materialised.
 
     M : (q, p) expert means
     k : (q, p) covariances Cov(M_i(x), Y(x))
     K : (q, p, p) cross-covariances Cov(M_i(x), M_j(x))
+
+    This is the input of ``tree.run_layers`` and of the modified-prior and
+    diagnostic tools; the nested predictor never builds it
+    (``tree.stream_layers`` consumes the rows of K as they are filled).
     """
 
     M: np.ndarray
@@ -36,41 +40,56 @@ class Layer1(NamedTuple):
     K: np.ndarray
 
 
-def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out):
-    """Fill the off-diagonal expert covariances a_g' k(X_g, X_h) a_h.
+def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
+                          diag, row_done=None):
+    """Fill the expert covariances a_g' k(X_g, X_h) a_h, one block row at a time.
 
     ``Xcat`` holds the design points in group-major order, ``starts`` the p
     block starts, ``weights`` the (n, q) weight columns in the same row
-    order and ``out`` is the (q, p, p) target whose diagonal is already
-    set.  Groups are processed one block row at a time: a single covariance
-    block against all earlier groups, one matrix product and one segmented
-    reduction, so the Python overhead is linear in p while the arithmetic
-    stays at sum c_g c_h q.  Query-major layout with fixed scratch pools
-    keeps every pass streaming over the same contiguous pages.
+    order and ``diag`` the (q, p) diagonal K_gg.  ``out`` is a (q, w, p)
+    window of the (q, p, p) matrix K: row g, that is K[:, g, :g+1], goes to
+    ``out[:, g % w]``.  With w = p, ``out`` is all of K and the mirrored
+    column K[:, :g, g] is written too.  ``row_done(g)``, if given, runs as
+    soon as row g is in, for g = 0 .. p-1; the scratch pools are released
+    before its last call.
+
+    Each block row is a single covariance block against all earlier
+    groups, one matrix product and one segmented reduction, so the Python
+    overhead is linear in p while the arithmetic stays at sum c_g c_h q.
+    Query-major layout with fixed scratch pools keeps every pass streaming
+    over the same contiguous pages.
     """
     p = len(starts)
-    if p <= 1:
-        return
-    q = weights.shape[1]
-    stackedT = np.ascontiguousarray(weights.T)
-    bounds = np.concatenate([starts, [Xcat.shape[0]]])
-    c_max = int(np.diff(bounds).max())
-    m_max = int(starts[-1])
-    bpool = np.empty(c_max * m_max)
-    spool = np.empty(c_max * m_max)
-    wpool = np.empty(q * m_max)
-    for g in range(1, p):
-        stop = int(starts[g])
-        c = int(bounds[g + 1] - bounds[g])
-        B = bpool[:c * stop].reshape(c, stop)
-        S = spool[:c * stop].reshape(c, stop)
-        kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B, S)
-        W = wpool[:q * stop].reshape(q, stop)
-        np.matmul(weights[stop:stop + c].T, B, out=W)
-        W *= stackedT[:, :stop]
-        seg = np.add.reduceat(W, starts[:g], axis=1)
-        out[:, g, :g] = seg
-        out[:, :g, g] = seg
+    q, window = weights.shape[1], out.shape[1]
+    if p > 1:
+        stackedT = np.ascontiguousarray(weights.T)
+        bounds = np.concatenate([starts, [Xcat.shape[0]]])
+        c_max = int(np.diff(bounds).max())
+        m_max = int(starts[-1])
+        bpool = np.empty(c_max * m_max)
+        spool = np.empty(c_max * m_max)
+        wpool = np.empty(q * m_max)
+    for g in range(p):
+        row = out[:, g % window]
+        row[:, g] = diag[:, g]
+        if g > 0:
+            stop = int(starts[g])
+            c = int(bounds[g + 1] - bounds[g])
+            B = bpool[:c * stop].reshape(c, stop)
+            S = spool[:c * stop].reshape(c, stop)
+            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B, S)
+            W = wpool[:q * stop].reshape(q, stop)
+            np.matmul(weights[stop:stop + c].T, B, out=W)
+            W *= stackedT[:, :stop]
+            seg = np.add.reduceat(W, starts[:g], axis=1)
+            row[:, :g] = seg
+            if window == p:
+                out[:, :g, g] = seg
+            if g == p - 1:
+                # the consumer's last step is often its largest (a root solve)
+                del stackedT, bpool, spool, wpool, B, S, W
+        if row_done is not None:
+            row_done(g)
 
 
 class FullModel:
@@ -129,8 +148,8 @@ class SubModelBank:
     K_g^-1 = R_g' R_g; never forms any matrix across the full design.
     The design is kept in group-major order (``point_order``) so per-group
     data are contiguous slices: group g owns rows ``spans[g]``.
-    ``group_weights``, ``moments`` and ``statistics`` are the only code
-    that builds expert weights and expert statistics.
+    ``group_weights``, ``moments``, ``cross_cov_rows`` and ``statistics``
+    are the only code that builds expert weights and expert statistics.
     """
 
     def __init__(self, kernel: KernelSpec, X, y, partition):
@@ -197,19 +216,28 @@ class SubModelBank:
             kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
         return M.T, kM.T
 
-    def statistics(self, C, A) -> Layer1:
-        """Expert statistics from the output (C, A) of ``group_weights``.
+    def cross_cov_rows(self, A, kM, out, row_done=None):
+        """Expert cross-covariances from the weight columns ``A``, row by row.
 
-        ``moments`` gives M and k; K_gh = a_g' k(X_g, X_h) a_h.  The
-        diagonal K_gg equals k for Kriging weights, so only the off-diagonal
-        blocks are filled, one block row at a time: the peak footprint stays
-        at O(n q) plus the (q, p, p) output.
+        ``kM`` is the (q, p) diagonal from ``moments``; ``out`` and
+        ``row_done`` are as in :func:`fill_expert_cross_cov`, which a
+        (q, w, p) window with w < p turns into a streamed fill.
+        """
+        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, A, out,
+                              kM, row_done)
+
+    def statistics(self, C, A) -> Layer1:
+        """Materialised expert statistics from the output (C, A) of ``group_weights``.
+
+        ``moments`` gives M and k; K_gh = a_g' k(X_g, X_h) a_h, with the
+        diagonal K_gg equal to k for Kriging weights.  K is filled one
+        block row at a time, so the peak footprint stays at O(n q) plus the
+        (q, p, p) output; ``tree.stream_layers`` avoids that output.
         """
         M, kM = self.moments(C, A)
         q, p = M.shape
         K = np.empty((q, p, p))
-        K[:, np.arange(p), np.arange(p)] = kM
-        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, A, K)
+        self.cross_cov_rows(A, kM, K)
         return Layer1(M=M, k=kM, K=K)
 
     def layer1(self, Xq) -> Layer1:

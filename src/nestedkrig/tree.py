@@ -3,7 +3,10 @@
 Aggregated values can themselves be aggregated.  A tree assigns each node
 of layer v a set of children in layer v-1; the engine propagates expert
 means and cross-covariances up the layers, so the prediction at the root
-never touches any matrix larger than the widest layer.
+never touches any matrix larger than the widest layer.  Prediction streams
+the first aggregation layer (``stream_layers``): its nodes are finished
+while the expert cross-covariance is filled, so on a multi-layer tree only
+a band of that (q, p, p) array is ever held.
 """
 
 from __future__ import annotations
@@ -81,13 +84,85 @@ class AggregationTree:
         return sizes
 
 
+class _Layer:
+    """One aggregation layer, computed node by node.
+
+    ``M`` and ``kvec`` are the (q, n_prev) means and process covariances of
+    the previous layer and ``K`` its cross-covariances: the whole
+    (q, n_prev, n_prev) array, or with ``window`` = w a (q, w, n_prev)
+    window whose slot r % w holds row r of K up to its diagonal.
+    ``finish(i)`` computes node i's weights, mean and covariance, and its
+    cross terms with every node finished before it, in which the node with
+    the larger index gives the rows.  Every node's arithmetic is the same
+    whichever order the nodes finish in.
+    """
+
+    def __init__(self, level, M, kvec, K, window=None):
+        self.children = [np.asarray(node, dtype=int) for node in level]
+        n_prev = M.shape[1]
+        self.whole = [c.shape[0] == n_prev and np.array_equal(c, np.arange(n_prev))
+                      for c in self.children]
+        self.M_prev, self.kvec, self.K_prev = M, kvec, K
+        self.slot = None if window is None else np.arange(n_prev) % window
+        q, n = M.shape[0], len(level)
+        self.M = np.empty((q, n))
+        self.K = np.empty((q, n, n))
+        self.alphas = [None] * n
+        self.done = []
+
+    def _block(self, ci, cj):
+        """Previous-layer cross-covariances K[:, ci, cj], (q, |ci|, |cj|)."""
+        if self.slot is None:
+            return self.K_prev[:, ci[:, None], cj[None, :]]
+        return self.K_prev[:, self.slot[np.maximum.outer(ci, cj)],
+                           np.minimum.outer(ci, cj)]
+
+    def finish(self, i):
+        ci = self.children[i]
+        if self.whole[i]:
+            # node over every child: no sub-block extraction needed
+            Ksub, ksub, Msub = self.K_prev, self.kvec, self.M_prev
+        else:
+            Ksub = self._block(ci, ci)
+            ksub = self.kvec[:, ci]
+            Msub = self.M_prev[:, ci]
+        a, _ = solve_weights(Ksub, ksub)
+        self.alphas[i] = a
+        self.M[:, i] = np.sum(a * Msub, axis=1)
+        self.K[:, i, i] = np.sum(a * ksub, axis=1)
+        for j in self.done:
+            r, c = max(i, j), min(i, j)
+            block = self._block(self.children[r], self.children[c])
+            e = np.sum(self.alphas[r] * (block @ self.alphas[c][:, :, None])[:, :, 0],
+                       axis=1)
+            self.K[:, r, c] = e
+            self.K[:, c, r] = e
+        self.done.append(i)
+
+
+def _propagate(M, K, levels, kvec=None):
+    """Aggregate materialised statistics over ``levels``: (root_mean, root_cov).
+
+    ``kvec`` stands in for the diagonal of ``K`` on the first of them.
+    """
+    for level in levels:
+        if kvec is None:
+            kvec = np.einsum("qii->qi", K)
+        layer = _Layer(level, M, kvec, K)
+        for i in range(len(level)):
+            layer.finish(i)
+        M, K, kvec = layer.M, layer.K, None
+    return M[:, 0], K[:, 0, 0]
+
+
 def run_layers(M1, k1, K1, tree: AggregationTree):
-    """Propagate expert statistics up the tree; the layered engine itself.
+    """Propagate materialised expert statistics up the tree.
 
     ``M1``/``k1`` have shape (q, p) and ``K1`` shape (q, p, p) for a batch
     of q prediction points.  Returns (root_mean, root_cov), both (q,):
     the root aggregated value and its covariance with the latent process,
-    from which the prediction error is k(x,x) - root_cov.
+    from which the prediction error is k(x,x) - root_cov.  The result is
+    bit-identical to :func:`stream_layers`, which never holds ``K1``.
 
     Layer-1 experts may have Cov(M_i, Y) different from Var(M_i) (noisy or
     non-Kriging covariates): the distinct ``k1`` vector is honored at the
@@ -101,46 +176,52 @@ def run_layers(M1, k1, K1, tree: AggregationTree):
         raise DimensionMismatch("layer-1 statistics have inconsistent shapes")
     if M.shape[-1] != tree.n_layer1:
         raise InvalidTree("tree width does not match the number of experts")
+    return _propagate(M, K, tree.levels, kvec=k)
 
-    for depth, level in enumerate(tree.levels):
-        q, n_new = M.shape[0], len(level)
-        n_prev = M.shape[1]
-        kvec = k if depth == 0 else np.einsum("qii->qi", K)
-        M_new = np.empty((q, n_new))
-        K_new = np.empty((q, n_new, n_new))
-        alphas = []
-        children = [np.asarray(node, dtype=int) for node in level]
-        for i, ci in enumerate(children):
-            if ci.shape[0] == n_prev and np.array_equal(ci, np.arange(n_prev)):
-                # node over every child: no sub-block extraction needed
-                Ksub, ksub, Msub = K, kvec, M
-            else:
-                Ksub = K[:, ci[:, None], ci[None, :]]
-                ksub = kvec[:, ci]
-                Msub = M[:, ci]
-            a, _ = solve_weights(Ksub, ksub)
-            alphas.append(a)
-            M_new[:, i] = np.sum(a * Msub, axis=1)
-            K_new[:, i, i] = np.sum(a * ksub, axis=1)
-        for i, ci in enumerate(children):
-            for j in range(i):
-                cj = children[j]
-                block = K[:, ci[:, None], cj[None, :]]
-                e = np.sum(alphas[i] * (block @ alphas[j][:, :, None])[:, :, 0],
-                           axis=1)
-                K_new[:, i, j] = e
-                K_new[:, j, i] = e
-        M, K = M_new, K_new
-    return M[:, 0], K[:, 0, 0]
+
+def stream_layers(bank: SubModelBank, tree: AggregationTree, C, A):
+    """(root_mean, root_cov) of the nested predictor from ``group_weights`` output.
+
+    The first aggregation layer consumes the rows of the expert
+    cross-covariance as ``bank.cross_cov_rows`` fills them, holding only
+    the rows at or above the smallest child index of any unfinished
+    first-layer node: one (q, c_2, p) band on the trees of height >= 3
+    that ``plan_tree`` builds, all of (q, p, p) on a flat tree.  A node is
+    finished as soon as its last child's row is in.  ``C`` is released once
+    the expert means and covariances are formed.
+    """
+    if tree.n_layer1 != bank.p:
+        raise InvalidTree(
+            f"tree expects {tree.n_layer1} sub-models, bank holds {bank.p}")
+    M, k = bank.moments(C, A)
+    del C
+    q, p = M.shape
+    level = tree.levels[0]
+    finishing = [[] for _ in range(p)]
+    for i, node in enumerate(level):
+        finishing[max(node)].append(i)
+    # when row g arrives, every row from the smallest first child of the
+    # nodes finishing at g or later is still needed
+    window, lowest = 1, p
+    for g in reversed(range(p)):
+        for i in finishing[g]:
+            lowest = min(lowest, min(level[i]))
+        window = max(window, g - lowest + 1)
+    layer = _Layer(level, M, k, np.empty((q, window, p)), window)
+
+    def row_done(g):
+        for i in finishing[g]:
+            layer.finish(i)
+
+    bank.cross_cov_rows(A, k, layer.K_prev, row_done)
+    M2, K2 = layer.M, layer.K
+    del layer
+    return _propagate(M2, K2, tree.levels[1:])
 
 
 def nested_predict_batch(bank: SubModelBank, tree: AggregationTree, Xq):
     """Nested prediction at a batch of points: (means, variances), each (q,)."""
-    if tree.n_layer1 != bank.p:
-        raise InvalidTree(
-            f"tree expects {tree.n_layer1} sub-models, bank holds {bank.p}")
-    L1 = bank.layer1(Xq)
-    mean, root_cov = run_layers(L1.M, L1.k, L1.K, tree)
+    mean, root_cov = stream_layers(bank, tree, *bank.group_weights(Xq))
     variances = np.maximum(bank.kernel.variance - root_cov, 0.0)
     return mean, variances
 

@@ -273,6 +273,21 @@ def test_c08_complexity_scaling_and_memory():
                        np.log([float(peaks[n]) for n in sorted(peaks)]), 1)[0]
     assert s_mem < 1.6
 
+    # on a height-3 tree the first aggregation layer streams the expert
+    # cross-covariance rows: no (q, p, p) array is ever held
+    bank, _, Xq = setups[2000]
+    deep = plan_tree(2000, "equilibrated", height=3)
+    assert deep.p == 154
+    X = bank.X
+    bank = SubModelBank(kern, X, bank.y, nk.partition_consecutive(X, deep.p))
+    nested_predict_batch(bank, deep.tree, Xq)
+    tracemalloc.start()
+    nested_predict_batch(bank, deep.tree, Xq)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    q = Xq.shape[0]
+    assert peak < q * deep.p ** 2 * 8, f"peak {peak} bytes, p={deep.p}, q={q}"
+
 
 def _estimation_dataset(seed):
     rng = np.random.default_rng([9000, seed])

@@ -6,7 +6,8 @@ import pytest
 
 import nestedkrig as nk
 from nestedkrig import baselines, metrics
-from nestedkrig.cli import main
+from nestedkrig.bundle import load_bundle
+from nestedkrig.cli import PREDICT_CHUNK, main
 
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
 EX1_F = np.sin(2 * np.pi * EX1_X[:, 0]) + EX1_X[:, 0]
@@ -247,6 +248,33 @@ class TestDeterminism:
                              "--method", method]) == 0
             assert ((tmp / "t1.csv").read_bytes()
                     == (tmp / "t4.csv").read_bytes()), method
+
+    def test_threads_do_not_change_streamed_height_three_output(self, tmp_path):
+        # chunks run on a thread pool: scratch kept on the bank or the
+        # module instead of per call would mix the chunks' streamed rows
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0, 1, (300, 2))
+        y = np.sin(5.0 * X[:, 0]) + X[:, 1]
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,y\n" + "".join(
+            f"{a!r},{b!r},{c!r}\n" for (a, b), c in zip(X.tolist(), y.tolist())))
+        config = tmp_path / "run.cfg"
+        config.write_text("[kernel]\nfamily = matern52\nlengthscales = 0.3, 0.3\n"
+                          "[tree]\nmode = equilibrated\nheight = 3\n")
+        bundle = tmp_path / "model.json"
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(bundle)]) == 0
+        assert load_bundle(str(bundle))["tree"].height == 3
+        Q = rng.uniform(0, 1, (2 * PREDICT_CHUNK + 77, 2))
+        query = tmp_path / "q.csv"
+        query.write_text("x1,x2\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in Q.tolist()))
+        for threads in (1, 4):
+            assert main(["predict", "--bundle", str(bundle), "--query",
+                         str(query), "--out", str(tmp_path / f"t{threads}.csv"),
+                         "--with-variance", "--threads", str(threads)]) == 0
+        assert ((tmp_path / "t1.csv").read_bytes()
+                == (tmp_path / "t4.csv").read_bytes())
 
     def test_simulate_deterministic_and_shaped(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

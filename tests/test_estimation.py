@@ -1,14 +1,17 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_instance
 
 import nestedkrig as nk
-from nestedkrig.estimation import (LooRecord, SgdConfig, estimate_sigma2,
-                                   grid_profile_loglik, loo_criterion,
-                                   loo_predict, sgd_fit, sgd_fit_two_phase)
-from nestedkrig.tree import AggregationTree
+from nestedkrig.estimation import (LOO_VARIANCE_FLOOR, LooRecord, SgdConfig,
+                                   estimate_sigma2, grid_profile_loglik,
+                                   loo_criterion, loo_predict, loo_weights,
+                                   sgd_fit, sgd_fit_two_phase)
+from nestedkrig.gpcore import SubModelBank
+from nestedkrig.tree import AggregationTree, plan_tree, run_layers
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -70,6 +73,28 @@ class TestLooPredict:
             m, v = nk.nested_predict(bank, tree, X[i])
             assert rec.m_loo == pytest.approx(m, abs=1e-9)
             assert rec.v_loo == pytest.approx(v / kern.variance, abs=1e-9)
+
+    def test_height_three_tree_matches_materialised_engine(self):
+        # the streamed first layer gives the bits of run_layers on the
+        # materialised leave-one-out statistics
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, (400, 2))
+        f = np.sin(5.0 * X[:, 0]) * np.cos(3.0 * X[:, 1])
+        kern = nk.KernelSpec("matern52", 1.0, (0.2, 0.3))
+        plan = plan_tree(400, "equilibrated", height=3)
+        part = nk.partition_kmeans(X, plan.p, seed=2)
+        keep = np.bincount(part.labels)[part.labels] > 1
+        indices = np.flatnonzero(keep)[::3]
+        records = loo_predict(nk.Dataset(X=X, y=f), part, plan.tree, kern,
+                              indices)
+        bank = SubModelBank(kern, X, f, part)
+        C, A = loo_weights(bank, part.labels, indices)
+        m, root_cov = run_layers(*bank.statistics(C, A), plan.tree)
+        v = np.maximum((kern.variance - root_cov) / kern.variance,
+                       LOO_VARIANCE_FLOOR)
+        assert [r.index for r in records] == indices.tolist()
+        assert np.array_equal([r.m_loo for r in records], m)
+        assert np.array_equal([r.v_loo for r in records], v)
 
     def test_singleton_group_skipped_with_warning(self):
         X = np.array([[0.1], [0.5], [0.9]])
@@ -145,7 +170,8 @@ class TestCriteria:
         se = np.std(estimates) / np.sqrt(len(estimates))
         assert abs(np.mean(estimates) - full_crit) <= 3.0 * se
 
-    def test_sigma2_recovers_scale(self):
+    @staticmethod
+    def scale_setup():
         rng = np.random.default_rng(3)
         n = 200
         sigma2_true = 2.3
@@ -157,8 +183,32 @@ class TestCriteria:
         tree = AggregationTree.flat(n, 20)
         records = loo_predict(ds, part, tree,
                               nk.KernelSpec("matern52", 1.0, (0.08,)))
-        est = estimate_sigma2(records, f)
+        return records, f, sigma2_true
+
+    def test_sigma2_recovers_scale(self):
+        records, f, sigma2_true = self.scale_setup()
+        with pytest.warns(RuntimeWarning):
+            est = estimate_sigma2(records, f)
         assert 0.5 * sigma2_true <= est <= 2.0 * sigma2_true
+
+    def test_floored_variances_reported(self):
+        # near-duplicate design points leave three leave-one-out variances
+        # on the floor; the estimate still divides by it, but says so
+        records, f, _ = self.scale_setup()
+        with pytest.warns(RuntimeWarning) as caught:
+            est = estimate_sigma2(records, f)
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith(
+            f"3 leave-one-out variances clamped at {LOO_VARIANCE_FLOOR:g}")
+        assert str(caught[0].message).endswith("(indices [94, 171, 198])")
+        ratios = [(f[r.index] - r.m_loo) ** 2 / r.v_loo for r in records]
+        assert est == float(np.mean(ratios))
+
+    def test_no_warning_without_floored_variances(self):
+        records = [LooRecord(0, 0.5, 0.25), LooRecord(1, -1.0, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_sigma2(records, [1.0, 0.0]) == 1.0
 
 
 class TestSgd:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nestedkrig import kernels
 from nestedkrig.exceptions import DimensionMismatch
 from nestedkrig.kernels import FAMILIES, KernelSpec, cross_matrix, eval
 from nestedkrig.linalg import factor_spd
@@ -97,6 +100,33 @@ class TestCrossMatrix:
             A = rng.uniform(0, 1, (30, 1))
             K = cross_matrix(spec, A, A) + 1e-10 * np.eye(30)
             factor_spd(K)  # must not raise
+
+    def test_tiled_rows_equal_one_row_calls(self):
+        # 101 rows of 997 columns span four row tiles, the last one shorter
+        rng = np.random.default_rng(5)
+        A = rng.uniform(0, 1, (101, 3))
+        B = rng.uniform(0, 1, (997, 3))
+        assert A.shape[0] * B.shape[0] > 3 * kernels.TILE_ENTRIES
+        for family in FAMILIES:
+            spec = KernelSpec(family, 1.3, (0.2, 0.5, 0.8))
+            K = cross_matrix(spec, A, B)
+            for i in range(A.shape[0]):
+                assert np.array_equal(K[i], cross_matrix(spec, A[i:i + 1], B)[0])
+
+    def test_no_allocation_with_scratch(self):
+        rng = np.random.default_rng(6)
+        A = rng.uniform(0, 1, (200, 3))
+        B = rng.uniform(0, 1, (1000, 3))
+        out = np.empty((200, 1000))
+        scratch = np.empty_like(out)
+        for family in FAMILIES:
+            spec = KernelSpec(family, 1.0, (0.3, 0.4, 0.5))
+            tracemalloc.start()
+            kernels.cross_matrix_into(spec, A, B, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < out.nbytes, family
+            assert np.array_equal(out, cross_matrix(spec, A, B))
 
     def test_dimension_mismatch(self):
         spec = KernelSpec("matern32", 1.0, (0.1, 0.2))

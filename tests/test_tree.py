@@ -8,7 +8,7 @@ from nestedkrig.exceptions import InvalidHeight, InvalidTree
 from nestedkrig.gpcore import FullModel, SubModelBank, submodel_predict
 from nestedkrig.tree import (AggregationTree, complexity_estimate,
                              nested_predict, nested_predict_batch, plan_tree,
-                             run_layers)
+                             run_layers, stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -166,6 +166,87 @@ class TestNestedPredict:
         tree = AggregationTree.flat(5, 3)
         with pytest.raises(InvalidTree):
             nested_predict(bank, tree, [0.5])
+
+
+def assert_stream_matches_materialised(bank, tree, Xq):
+    """Streamed prediction is bit-equal to run_layers on materialised statistics."""
+    means, variances = nested_predict_batch(bank, tree, Xq)
+    root_mean, root_cov = run_layers(*bank.layer1(Xq), tree)
+    assert np.array_equal(means, root_mean)
+    assert np.array_equal(variances,
+                          np.maximum(bank.kernel.variance - root_cov, 0.0))
+
+
+class TestStreamedFirstLayer:
+    def test_planned_trees_on_kmeans_partitions(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(0, 1, (700, 2))
+        f = np.sin(6.0 * X[:, 0]) + np.cos(4.0 * X[:, 1])
+        kern = nk.KernelSpec("matern52", 1.7, (0.3, 0.2))
+        Xq = rng.uniform(0, 1, (90, 2))
+        plans = [plan_tree(700, "two_layer_sqrt"),
+                 plan_tree(700, "equilibrated", height=3),
+                 plan_tree(700, "equilibrated", height=4),
+                 plan_tree(700, "optimal", height=3)]
+        for plan in plans:
+            part = nk.partition_kmeans(X, plan.p, seed=3)
+            sizes = np.bincount(part.labels)
+            assert sizes.min() < sizes.max()
+            bank = SubModelBank(kern, X, f, part)
+            trees = [plan.tree]
+            if plan.tree.height == 2:
+                trees.append(AggregationTree.flat(700, plan.p))
+            for tree in trees:
+                assert_stream_matches_materialised(bank, tree, Xq)
+
+    def test_random_two_child_trees(self):
+        rng = np.random.default_rng(2)
+        for _ in range(8):
+            kern, X, f, part = random_instance(rng, p=int(rng.integers(4, 7)))
+            bank = SubModelBank(kern, X, f, part)
+            mid = [tuple(range(i, min(i + 2, part.p)))
+                   for i in range(0, part.p, 2)]
+            tree = AggregationTree(n_leaves=X.shape[0], n_layer1=part.p,
+                                   levels=(tuple(mid),
+                                           (tuple(range(len(mid))),)))
+            Xq = np.vstack([X, rng.uniform(0, 1, (20, X.shape[1]))])
+            assert_stream_matches_materialised(bank, tree, Xq)
+
+    def test_overlapping_and_out_of_order_children(self):
+        rng = np.random.default_rng(6)
+        kern, X, f, _ = random_instance(rng, d=1, n=8)
+        bank3 = SubModelBank(kern, X, f, nk.partition_consecutive(X, 3))
+        overlapping = AggregationTree(n_leaves=8, n_layer1=3,
+                                      levels=(((0, 1), (1, 2)), ((0, 1),)))
+        bank4 = SubModelBank(kern, X, f, nk.partition_consecutive(X, 4))
+        # node 1 finishes before node 0, so their cross term is formed
+        # when node 0 completes
+        interleaved = AggregationTree(n_leaves=8, n_layer1=4,
+                                      levels=(((0, 3), (1, 2)), ((0, 1),)))
+        Xq = np.vstack([X, rng.uniform(0, 1, (30, 1))])
+        assert_stream_matches_materialised(bank3, overlapping, Xq)
+        assert_stream_matches_materialised(bank4, interleaved, Xq)
+
+    def test_window_of_planned_tree_is_one_band(self):
+        # the first layer's rows reach the fill through a (q, w, p) window;
+        # on a planned height-3 tree w is the widest first-layer node
+        rng = np.random.default_rng(7)
+        X = np.sort(rng.uniform(0, 1, 300)).reshape(-1, 1)
+        plan = plan_tree(300, "equilibrated", height=3)
+        bank = SubModelBank(nk.KernelSpec("matern32", 1.0, (0.1,)), X,
+                            np.sin(9.0 * X[:, 0]),
+                            nk.partition_consecutive(X, plan.p))
+        windows = []
+        fill = bank.cross_cov_rows
+
+        def spy(A, kM, out, row_done=None):
+            windows.append(out.shape)
+            return fill(A, kM, out, row_done)
+
+        bank.cross_cov_rows = spy
+        stream_layers(bank, plan.tree, *bank.group_weights(X[:5]))
+        widest = max(len(node) for node in plan.tree.levels[0])
+        assert windows == [(5, widest, plan.p)]
 
 
 class TestPlanTree:
