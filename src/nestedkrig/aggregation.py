@@ -178,9 +178,8 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x) -> DiagnosticsVs
     L1 = bank.statistics(C, A)
     M, kM, KM = L1.M[0], L1.k[0], L1.K[0]
     kxx = bank.kernel.variance
-    alpha, _ = solve_weights(KM, kM)
-    m_A = float(alpha @ M)
-    v_A = max(float(kxx - alpha @ kM), 0.0)
+    agg = aggregate(kxx, M, kM, KM)
+    alpha, m_A, v_A = agg.weights, agg.mean, agg.variance
 
     m_full, v_full = full.predict(x2)
     m_full, v_full = float(m_full[0]), float(v_full[0])

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -110,6 +111,19 @@ def _sgd_config(cfg: RunConfig, dataset, partition=None) -> SgdConfig:
                      n_iter=est.n_iter, seed=est.seed)
 
 
+def _estimate(cfg: RunConfig, dataset, part, tree, kernel: KernelSpec):
+    """Two-step estimation: length-scales by gradient descent, then the
+    process variance from leave-one-out predictions under ``kernel`` with
+    those length-scales.  Returns (that kernel, sigma2)."""
+    sgd_cfg = _sgd_config(cfg, dataset, part)
+    fit_fn = sgd_fit_two_phase if cfg.estimation.two_phase else sgd_fit
+    result = fit_fn(dataset, part, tree, sgd_cfg, family=kernel.family,
+                    log_fn=print)
+    kernel = kernel.with_lengthscales(result.theta)
+    records = loo_predict(dataset, part, tree, kernel)
+    return kernel, estimate_sigma2(records, dataset.y)
+
+
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     dataset = load_csv(args.train, _schema(cfg))
@@ -121,13 +135,8 @@ def cmd_fit(args) -> int:
         raise DimensionMismatch("kernel dimension does not match the data")
 
     if cfg.estimation.enabled:
-        sgd_cfg = _sgd_config(cfg, dataset, part)
-        fit_fn = sgd_fit_two_phase if cfg.estimation.two_phase else sgd_fit
-        result = fit_fn(dataset, part, tree, sgd_cfg, family=kernel.family,
-                        log_fn=lambda line: print(line))
-        kernel = kernel.with_lengthscales(result.theta)
-        records = loo_predict(dataset, part, tree, kernel)
-        kernel = kernel.with_variance(estimate_sigma2(records, dataset.y))
+        kernel, sigma2 = _estimate(cfg, dataset, part, tree, kernel)
+        kernel = kernel.with_variance(sigma2)
 
     save_bundle(args.out, kernel=kernel, X=dataset.X, y=dataset.y,
                 partition=part, tree=tree, y_offset=dataset.y_offset,
@@ -277,20 +286,13 @@ def cmd_loo_estimate(args) -> int:
     cfg = load_config(args.config)
     dataset = load_csv(args.train, _schema(cfg))
     part, tree = _build_layout(cfg, dataset)
-    sgd_cfg = _sgd_config(cfg, dataset, part)
-    fit_fn = sgd_fit_two_phase if cfg.estimation.two_phase else sgd_fit
-    result = fit_fn(dataset, part, tree, sgd_cfg, family=cfg.kernel.family,
-                    log_fn=lambda line: print(line))
-    kernel = KernelSpec(cfg.kernel.family, 1.0, tuple(result.theta))
-    records = loo_predict(dataset, part, tree, kernel)
-    sigma2 = estimate_sigma2(records, dataset.y)
-    theta_txt = ",".join(_fmt(t) for t in result.theta)
+    kernel, sigma2 = _estimate(cfg, dataset, part, tree,
+                               KernelSpec(cfg.kernel.family, 1.0))
+    theta_txt = ",".join(_fmt(t) for t in kernel.lengthscales)
     print(f"theta={theta_txt} sigma2={_fmt(sigma2)}")
     if args.out:
-        import json
-
         with open(args.out, "w") as fh:
-            json.dump({"theta": [float(t) for t in result.theta],
+            json.dump({"theta": list(kernel.lengthscales),
                        "sigma2": float(sigma2),
                        "family": cfg.kernel.family}, fh, sort_keys=True)
             fh.write("\n")

@@ -65,7 +65,6 @@ class DataConfig:
 
 @dataclass
 class RunSettings:
-    seed: int = 0
     threads: int = 0  # 0: NESTEDKRIG_THREADS or 1
     full_cap: int = 5000
 
@@ -114,7 +113,6 @@ _PARSERS = {
     ("estimation", "grid_start"): "bool",
     ("data", "response"): str,
     ("data", "center_response"): "bool",
-    ("run", "seed"): int,
     ("run", "threads"): int,
     ("run", "full_cap"): int,
 }

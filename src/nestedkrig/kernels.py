@@ -76,12 +76,10 @@ def _correlation(family: str, h: np.ndarray) -> np.ndarray:
 def _corr_2d(family: str, h: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """One-dimensional correlation factor, in place on h >= 0.
 
+    Covers the exponential and Matern families; :func:`_tile_into` sums the
+    squared-exponential family's squares and exponentiates once instead.
     ``poly`` is same-shape scratch for the polynomial part.
     """
-    if family == "squared-exponential":
-        np.multiply(h, h, out=h)
-        np.multiply(h, -0.5, out=h)
-        return np.exp(h, out=h)
     if family == "exponential":
         np.negative(h, out=h)
         return np.exp(h, out=h)

@@ -137,15 +137,31 @@ def pseudo_solve(matrix, rhs, rank_tol=DEFAULT_RANK_TOL):
         v @ ((inv / w_safe) * (v.T @ b))
 
 
+def _cholesky_solve(K, k):
+    """Cholesky solve of ``K w = k`` over any batch.
+
+    Raises ``LinAlgError`` unless the factorization succeeds and every
+    weight is finite.
+    """
+    L = np.linalg.cholesky(K)
+    z = np.linalg.solve(L, k[..., None])
+    w = np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
+    if not np.all(np.isfinite(w)):
+        raise np.linalg.LinAlgError("non-finite weights")
+    return w
+
+
 def solve_weights(kmat, kvec):
     """Solve ``K w = k`` for symmetric PSD ``K``, batched, with graceful fallback.
 
     The workhorse behind every aggregation-weight solve.  ``kmat`` has shape
-    (..., p, p) and ``kvec`` shape (..., p).  The system is Jacobi-scaled
-    (divide rows/columns by sqrt(diag)) before the Cholesky solve; this keeps
-    sub-model covariance matrices with widely different expert scales
-    solvable.  When the scaled Cholesky fails for any batch element the
-    affected elements are recomputed with :func:`pseudo_solve`.
+    (..., p, p) and ``kvec`` shape (..., p).  The system is always
+    Jacobi-scaled (divide rows/columns by sqrt(diag)) before the Cholesky
+    solve; this keeps sub-model covariance matrices with widely different
+    expert scales solvable.  When the batch solve fails, every element is
+    solved alone through the same arithmetic, and the elements that still
+    fail are recomputed with :func:`pseudo_solve`.  Each element's weights
+    are therefore the same bits whatever other elements share its batch.
 
     Returns
     -------
@@ -159,47 +175,26 @@ def solve_weights(kmat, kvec):
         raise DimensionMismatch(
             f"incompatible shapes {K.shape} and {k.shape}")
     d = np.einsum("...ii->...i", K)
-    dmax = d.max(initial=0.0)
-    dmin = d.min(initial=0.0)
+    s = np.where(d > 0.0, d, 1.0) ** -0.5
+    Ks = K * s[..., :, None] * s[..., None, :]
+    ks = k * s
     degenerate = np.zeros(k.shape[:-1], dtype=bool)
-    # the scaling only matters when expert variances span decades
-    if dmin > 0.0 and dmax < 1e4 * dmin:
+    try:
+        return _cholesky_solve(Ks, ks) * s, degenerate
+    except np.linalg.LinAlgError:
+        pass
+    # per-element retry, falling back to the minimum-norm solution; the
+    # output is C-ordered like the batch result, since callers' sums over
+    # the weights add in memory order
+    p = k.shape[-1]
+    flat = zip(K.reshape(-1, p, p), k.reshape(-1, p), Ks.reshape(-1, p, p),
+               ks.reshape(-1, p), s.reshape(-1, p))
+    out = np.empty(k.shape)
+    w, deg = out.reshape(-1, p), degenerate.reshape(-1)
+    for i, (Ki, ki, Ksi, ksi, si) in enumerate(flat):
         try:
-            L = np.linalg.cholesky(K)
-            z = np.linalg.solve(L, k[..., None])
-            w = np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
-            if np.all(np.isfinite(w)):
-                return w, degenerate
+            w[i] = _cholesky_solve(Ksi, ksi) * si
         except np.linalg.LinAlgError:
-            pass
-    else:
-        s = np.where(d > 0.0, d, 1.0) ** -0.5
-        Ks = K * s[..., :, None] * s[..., None, :]
-        ks = k * s
-        try:
-            L = np.linalg.cholesky(Ks)
-            z = np.linalg.solve(L, ks[..., None])
-            w = np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
-            if np.all(np.isfinite(w)):
-                return w * s, degenerate
-        except np.linalg.LinAlgError:
-            pass
-    # per-element retry, falling back to the minimum-norm solution
-    flatK = K.reshape(-1, K.shape[-1], K.shape[-1])
-    flatk = k.reshape(-1, k.shape[-1])
-    out = np.empty_like(flatk)
-    deg = degenerate.reshape(-1)
-    for i in range(flatK.shape[0]):
-        di = np.diag(flatK[i])
-        si = np.where(di > 0.0, di, 1.0) ** -0.5
-        try:
-            Li = np.linalg.cholesky(flatK[i] * si[:, None] * si[None, :])
-            yi = sla.solve_triangular(Li, flatk[i] * si, lower=True)
-            xi = sla.solve_triangular(Li, yi, lower=True, trans="T")
-            out[i] = xi * si
-            if not np.all(np.isfinite(out[i])):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            out[i] = pseudo_solve(flatK[i], flatk[i])
+            w[i] = pseudo_solve(Ki, ki)
             deg[i] = True
-    return out.reshape(k.shape), deg.reshape(k.shape[:-1])
+    return out, degenerate

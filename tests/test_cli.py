@@ -190,12 +190,13 @@ class TestErrors:
                      "--out", str(tmp / "o.csv"), "--method", "votes"]) == 1
 
     def test_unknown_config_key_is_io_error(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[kernel]\nfamly = matern52\n")
         train = tmp_path / "t.csv"
         write_train(train)
-        assert main(["fit", "--config", str(cfg), "--train", str(train),
-                     "--out", str(tmp_path / "m.json")]) == 2
+        cfg = tmp_path / "bad.cfg"
+        for text in ("[kernel]\nfamly = matern52\n", "[run]\nseed = 1\n"):
+            cfg.write_text(text)
+            assert main(["fit", "--config", str(cfg), "--train", str(train),
+                         "--out", str(tmp_path / "m.json")]) == 2
 
     def test_full_cap_refusal(self, ex1_files):
         tmp, train, config = ex1_files

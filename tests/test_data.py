@@ -157,6 +157,19 @@ class TestKmeans:
         with pytest.raises(InvalidGroupCount):
             partition_kmeans(np.zeros((3, 1)), 4, seed=0)
 
+    def test_more_groups_than_distinct_points(self):
+        # three distinct points, four copies each: seeding repeats centroids
+        # and Lloyd's step leaves clusters empty until they are repaired
+        X = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0)
+        for p in range(4, 7):
+            for seed in range(3):
+                part = partition_kmeans(X, p, seed=seed)
+                assert part.p == p
+                assert np.array_equal(np.bincount(part.labels, minlength=p) > 0,
+                                      np.ones(p, dtype=bool))
+                again = partition_kmeans(X, p, seed=seed)
+                np.testing.assert_array_equal(part.labels, again.labels)
+
 
 class TestRandomConsecutive:
     def test_random_balanced(self):

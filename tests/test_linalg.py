@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestedkrig.exceptions import DimensionMismatch, NotFactorizable
 from nestedkrig.linalg import (factor_spd, logdet, pseudo_solve, solve,
@@ -147,6 +149,27 @@ class TestSolveWeights:
         w, deg = solve_weights(K, k)
         assert not deg
         np.testing.assert_allclose(K @ w, k, rtol=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 12), batch=st.integers(1, 40), data=st.data())
+    def test_weights_do_not_depend_on_batch_mates(self, p, batch, data):
+        # healthy systems with expert scales spanning 1e-6..1e5, mixed with
+        # singular all-ones systems at random batch positions
+        singular = np.array(data.draw(st.lists(st.booleans(), min_size=batch,
+                                               max_size=batch)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        B = rng.standard_normal((batch, p, p))
+        K = B @ np.swapaxes(B, 1, 2) + 0.5 * np.eye(p)
+        scales = 10.0 ** rng.uniform(-6.0, 5.0, (batch, p))
+        K *= scales[:, :, None] * scales[:, None, :]
+        k = rng.standard_normal((batch, p)) * scales
+        K[singular] = 1.0
+        w, deg = solve_weights(K, k)
+        # a 1x1 all-ones system is regular
+        np.testing.assert_array_equal(deg, singular & (p > 1))
+        for i in range(batch):
+            alone, _ = solve_weights(K[i], k[i])
+            assert np.array_equal(w[i], alone)
 
 
 def test_logdet():

@@ -167,6 +167,26 @@ class TestNestedPredict:
         with pytest.raises(InvalidTree):
             nested_predict(bank, tree, [0.5])
 
+    def test_singular_query_leaves_chunk_mates_unchanged(self):
+        # X[0] is repeated in groups 0 and 1, so K_M at that point is
+        # singular; moving query 0 onto it must not change the other 511
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0, 1, (400, 2))
+        X[399] = X[0]
+        labels = np.arange(400) // 20
+        labels[20], labels[399] = 19, 1
+        f = np.sin(5.0 * X[:, 0]) + np.cos(3.0 * X[:, 1])
+        bank = SubModelBank(nk.KernelSpec("matern52", 1.0, (0.3, 0.3)), X, f,
+                            nk.Partition(labels=labels, p=20))
+        tree = AggregationTree.flat(400, 20)
+        Xq = rng.uniform(0, 1, (512, 2))
+        means, variances = nested_predict_batch(bank, tree, Xq)
+        Xq[0] = X[0]
+        means0, variances0 = nested_predict_batch(bank, tree, Xq)
+        assert np.array_equal(means0[1:], means[1:])
+        assert np.array_equal(variances0[1:], variances[1:])
+        assert means0[0] == pytest.approx(f[0], abs=1e-10)
+
 
 def assert_stream_matches_materialised(bank, tree, Xq):
     """Streamed prediction is bit-equal to run_layers on materialised statistics."""
