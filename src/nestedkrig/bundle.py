@@ -61,8 +61,11 @@ def save_bundle(path, *, kernel: KernelSpec, X, y, partition: Partition,
         "fingerprint": data_fingerprint(X, y),
         "config": list(config_echo),
     }
+    # json.dumps encodes in C; json.dump would stream through the
+    # pure-Python encoder and write the same text
+    text = json.dumps(payload, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import EmptyFile, InvalidGroupCount, ParseError
+from .kernels import TILE_ENTRIES
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-8
@@ -170,12 +171,71 @@ def _check_group_count(n: int, p: int):
         raise InvalidGroupCount(f"cannot split {n} points into {p} groups")
 
 
+def _sq_diff(x, c, out):
+    """``out[i, k] = (x[i] - c[k]) ** 2`` for one coordinate column."""
+    np.subtract(x[:, None], c, out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _sq_distances(X, C):
+    """Squared distances from the rows of ``X`` to the rows of ``C``, by block.
+
+    Yields ``(lo, D)`` with ``D[i, k] = sum_j (X[lo + i, j] - C[k, j]) ** 2``
+    over blocks of ``max(1, TILE_ENTRIES // len(C))`` rows (fewer in the
+    last); ``D`` is a view of one buffer that the next block overwrites.
+    Coordinate columns are squared one at a time and added in the order
+    numpy's ``sum(axis=-1)`` adds up to 128 of them: left to right below 8
+    columns, otherwise into eight interleaved lanes combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+    leftover columns left to right.  Up to d = 128, ``D`` therefore equals
+    ``np.sum((X[:, None, :] - C[None]) ** 2, axis=2)`` bit for bit.
+    """
+    n, d = X.shape
+    p = C.shape[0]
+    rows = min(n, max(1, TILE_ENTRIES // p))
+    lanes = 8 if d >= 8 else 1
+    stop = d - d % 8 if d >= 8 else 1
+    buf = np.empty((lanes + 1, rows, p))
+    for lo in range(0, n, rows):
+        block = X[lo:lo + rows]
+        r = list(buf[:, :block.shape[0]])
+        tile = r.pop()
+        for j in range(lanes):
+            _sq_diff(block[:, j], C[:, j], r[j])
+        for j in range(lanes, stop):
+            r[j % 8] += _sq_diff(block[:, j], C[:, j], tile)
+        if lanes == 8:
+            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+                r[a] += r[b]
+        for j in range(stop, d):
+            r[0] += _sq_diff(block[:, j], C[:, j], tile)
+        yield lo, r[0]
+
+
+def _lower_to_point(d2, X, c):
+    """``d2 = min(d2, squared distances from the rows of X to the point c)``."""
+    for lo, D in _sq_distances(X, c[None]):
+        seg = d2[lo:lo + D.shape[0]]
+        np.minimum(seg, D[:, 0], out=seg)
+    return d2
+
+
 def partition_kmeans(X, p: int, seed: int = 0) -> Partition:
     """Lloyd's algorithm with k-means++ seeding.
 
     Deterministic given ``seed``; at most 100 iterations or until the
     largest centroid movement drops below 1e-8.  Empty clusters are
     repaired by stealing the farthest point from the largest cluster.
+
+    Seeding, Lloyd steps and the repair share one distance helper, which
+    evaluates squared distances in row blocks of about ``TILE_ENTRIES``
+    entries: besides copies of ``X``, memory stays O(TILE_ENTRIES + n),
+    and no (n, p) or (n, p, d) array is formed.  The helper adds the
+    coordinates in numpy's ``sum(axis=-1)`` order, and each centroid is
+    the ``mean(axis=0)`` of its group's rows in index order, so for d up
+    to 128 the labels equal, bit for bit, those of the direct formula
+    ``np.sum((X[:, None, :] - centroids[None]) ** 2, axis=2)`` with
+    centroids ``X[labels == k].mean(axis=0)``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -185,31 +245,37 @@ def partition_kmeans(X, p: int, seed: int = 0) -> Partition:
     # k-means++ seeding
     centroids = np.empty((p, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    d2 = np.full(n, np.inf)
     for k in range(1, p):
+        _lower_to_point(d2, X, centroids[k - 1])
         total = d2.sum()
         if total <= 0.0:
             centroids[k] = X[rng.integers(n)]
         else:
             centroids[k] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centroids[k]) ** 2, axis=1))
 
-    labels = np.zeros(n, dtype=int)
+    labels = np.empty(n, dtype=np.intp)
+    bounds = np.zeros(p + 1, dtype=np.intp)
     for _ in range(KMEANS_MAX_ITER):
-        dist = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(dist, axis=1)
+        for lo, D in _sq_distances(X, centroids):
+            np.argmin(D, axis=1, out=labels[lo:lo + D.shape[0]])
         counts = np.bincount(labels, minlength=p)
         for empty in np.flatnonzero(counts == 0):
             donor = int(np.argmax(counts))
             members = np.flatnonzero(labels == donor)
-            far = members[np.argmax(
-                np.sum((X[members] - centroids[donor]) ** 2, axis=1))]
+            far = members[np.argmax(_lower_to_point(
+                np.full(members.shape[0], np.inf), X[members], centroids[donor]))]
             labels[far] = empty
             counts[donor] -= 1
             counts[empty] += 1
-        new_centroids = np.empty_like(centroids)
+        # each group's rows in index order as one contiguous slice, summed
+        # and divided by the count, which is what X[labels == k].mean(0) does
+        Xs = X[np.argsort(labels, kind="stable")]
+        np.cumsum(counts, out=bounds[1:])
+        sums = np.empty_like(centroids)
         for k in range(p):
-            new_centroids[k] = X[labels == k].mean(axis=0)
+            np.add.reduce(Xs[bounds[k]:bounds[k + 1]], axis=0, out=sums[k])
+        new_centroids = sums / counts[:, None]
         move = np.max(np.abs(new_centroids - centroids))
         centroids = new_centroids
         if move < KMEANS_TOL:

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,22 @@ def make_bundle(path, force=False):
 
 
 class TestBundle:
+    def test_bytes_equal_streamed_encoder(self, tmp_path):
+        # the text json.dump streams out, for values that stress float repr
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        X[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+        y = rng.standard_normal(50)
+        part = nk.Partition(labels=rng.permutation(np.arange(50) % 7), p=7)
+        path = tmp_path / "m.json"
+        save_bundle(path, kernel=nk.KernelSpec("matern52", 0.1, (0.3, 2.0, 1e-5)),
+                    X=X, y=y, partition=part, tree=nk.AggregationTree.flat(50, 7),
+                    y_offset=-1.5, config_echo=["tree.mode=flat"])
+        written = path.read_bytes()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed, sort_keys=True)
+        assert written == (streamed.getvalue() + "\n").encode()
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
         X, y = make_bundle(path)
@@ -32,7 +51,6 @@ class TestBundle:
         assert loaded["config"] == ["kernel.family=matern32"]
 
     def test_reads_bundle_with_sigma2_field(self, tmp_path):
-        import json
         import warnings
 
         path = tmp_path / "m.json"
@@ -56,8 +74,6 @@ class TestBundle:
         make_bundle(path, force=True)
 
     def test_tamper_warns(self, tmp_path):
-        import json
-
         path = tmp_path / "m.json"
         make_bundle(path)
         # swap in a different response vector without refreshing the hash

@@ -1,10 +1,61 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nestedkrig import data
 from nestedkrig.data import (CsvSchema, Dataset, Partition, load_csv,
                              load_points_csv, partition_consecutive,
                              partition_kmeans, partition_random)
 from nestedkrig.exceptions import EmptyFile, InvalidGroupCount, ParseError
+
+
+def reference_kmeans(X, p, seed=0):
+    """The direct k-means: (labels, number of empty-cluster repairs).
+
+    Every Lloyd step forms the (n, p, d) difference array and sums its
+    squares over the last axis, and every centroid is the mean of a boolean
+    mask over all n points.  ``partition_kmeans`` must return these labels
+    bit for bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((p, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    for k in range(1, p):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[k] = X[rng.integers(n)]
+        else:
+            centroids[k] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((X - centroids[k]) ** 2, axis=1))
+
+    repairs = 0
+    for _ in range(data.KMEANS_MAX_ITER):
+        dist = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(dist, axis=1)
+        counts = np.bincount(labels, minlength=p)
+        for empty in np.flatnonzero(counts == 0):
+            donor = int(np.argmax(counts))
+            members = np.flatnonzero(labels == donor)
+            far = members[np.argmax(
+                np.sum((X[members] - centroids[donor]) ** 2, axis=1))]
+            labels[far] = empty
+            counts[donor] -= 1
+            counts[empty] += 1
+            repairs += 1
+        new_centroids = np.empty_like(centroids)
+        for k in range(p):
+            new_centroids[k] = X[labels == k].mean(axis=0)
+        move = np.max(np.abs(new_centroids - centroids))
+        centroids = new_centroids
+        if move < data.KMEANS_TOL:
+            break
+    return labels, repairs
 
 
 class TestDataset:
@@ -135,23 +186,14 @@ class TestKmeans:
         b = partition_kmeans(X, 5, seed=42)
         np.testing.assert_array_equal(a.labels, b.labels)
 
-    def test_objective_never_increases(self):
-        # Lloyd iterations may only improve the within-cluster sum of squares
-        rng = np.random.default_rng(2)
-        X = rng.uniform(0, 1, (60, 2))
-
-        def objective(labels, p):
-            total = 0.0
-            for k in range(p):
-                pts = X[labels == k]
-                total += np.sum((pts - pts.mean(axis=0)) ** 2)
-            return total
-
-        part = partition_kmeans(X, 4, seed=5)
-        final = objective(part.labels, 4)
-        # restarting Lloyd from the solution must not change it
-        again = partition_kmeans(X, 4, seed=5)
-        assert objective(again.labels, 4) == pytest.approx(final)
+    def test_labels_are_a_lloyd_fixed_point(self):
+        # on convergence every point is nearest to the mean of its own group,
+        # so one more Lloyd step would leave the labels unchanged
+        X = np.random.default_rng(2).uniform(0, 1, (60, 2))
+        labels = partition_kmeans(X, 4, seed=5).labels
+        means = np.array([X[labels == k].mean(axis=0) for k in range(4)])
+        dist = np.linalg.norm(X[:, None, :] - means[None, :, :], axis=2)
+        np.testing.assert_array_equal(np.argmin(dist, axis=1), labels)
 
     def test_invalid_group_count(self):
         with pytest.raises(InvalidGroupCount):
@@ -169,6 +211,73 @@ class TestKmeans:
                                       np.ones(p, dtype=bool))
                 again = partition_kmeans(X, p, seed=seed)
                 np.testing.assert_array_equal(part.labels, again.labels)
+                labels, repairs = reference_kmeans(X, p, seed=seed)
+                assert repairs > 0
+                np.testing.assert_array_equal(part.labels, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 16), n=st.integers(1, 200),
+           p_share=st.floats(0.0, 1.0), distinct_share=st.floats(0.0, 1.0),
+           design=st.sampled_from(("scaled", "rounded", "grid")),
+           seed=st.integers(0, 2**32 - 1), data_seed=st.integers(0, 2**32 - 1))
+    @example(d=2, n=12, p_share=1.0, distinct_share=0.25, design="scaled",
+             seed=0, data_seed=0)
+    def test_labels_equal_reference(self, d, n, p_share, distinct_share,
+                                    design, seed, data_seed):
+        # below 8 columns and from 8 on, numpy sums the squares in different
+        # orders; on grid designs many points sit at equal distances from two
+        # centroids, so a last-bit change in a distance or a centroid moves
+        # labels; duplicated points with p up to n leave clusters empty, so
+        # the repair runs
+        rng = np.random.default_rng(data_seed)
+        if design == "grid":
+            X = rng.integers(0, 4, (n, d)) * 0.1
+        else:
+            X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, d)
+            if design == "rounded":
+                X = np.round(X, 1)
+        X = X[rng.integers(0, 1 + int(distinct_share * (n - 1)), n)]
+        p = 1 + int(p_share ** 3 * (n - 1))
+        labels, _ = reference_kmeans(X, p, seed)
+        np.testing.assert_array_equal(partition_kmeans(X, p, seed).labels,
+                                      labels)
+
+    def test_grid_designs_equal_reference(self):
+        # the property above reaches d = 1 grid designs too rarely to catch a
+        # centroid sum in another order, such as np.bincount(weights=), which
+        # adds a group's coordinates one by one where mean() adds pairwise
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 9):
+            for _ in range(40):
+                n = int(rng.integers(50, 150))
+                p = int(rng.integers(2, 12))
+                seed = int(rng.integers(1000))
+                X = rng.integers(0, 4, (n, d)) * 0.1
+                labels, _ = reference_kmeans(X, p, seed)
+                np.testing.assert_array_equal(
+                    partition_kmeans(X, p, seed).labels, labels)
+
+    @pytest.mark.parametrize("rng_seed, n, d, p",
+                             [(1, 6000, 2, 78), (2, 2500, 3, 179)])
+    def test_benchmark_designs_equal_reference(self, rng_seed, n, d, p):
+        X = np.random.default_rng(rng_seed).uniform(0.0, 1.0, (n, d))
+        labels, _ = reference_kmeans(X, p, seed=0)
+        np.testing.assert_array_equal(partition_kmeans(X, p, seed=0).labels,
+                                      labels)
+
+    def test_memory_is_blocked(self, monkeypatch):
+        # the (n, p, d) difference array of the direct formula would take
+        # 192 MB here; every Lloyd step allocates alike, so two show the peak
+        monkeypatch.setattr(data, "KMEANS_MAX_ITER", 2)
+        X = np.random.default_rng(0).uniform(0.0, 1.0, (20000, 6))
+        tracemalloc.start()
+        try:
+            part = partition_kmeans(X, 200, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert part.p == 200
+        assert peak < 8 * 2**20
 
 
 class TestRandomConsecutive:

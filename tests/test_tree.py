@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from conftest import random_instance
+from conftest import random_instance, random_kernel, separated_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestedkrig as nk
 from nestedkrig.aggregation import aggregate
@@ -331,3 +333,66 @@ class TestComplexity:
             a_opt, _, _ = complexity_estimate(opt.tree, 1.0, 1.0)
             a_sqr, _, _ = complexity_estimate(sqr.tree, 1.0, 1.0)
             assert a_opt <= a_sqr
+
+
+@st.composite
+def planned_instances(draw):
+    """A separated design with GP-path responses, a k-means or random
+    partition sized by a planned tree, that tree, and query points."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(12, 30))
+    mode = draw(st.sampled_from(("two_layer_sqrt", "equilibrated", "optimal")))
+    plan = plan_tree(n, mode, height=draw(st.integers(2, 3)))
+    kmeans = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kern = random_kernel(rng, d)
+    X = separated_points(rng, n, d, 0.02 if d == 1 else 0.08)
+    f = nk.sample_paths(kern, X, 1, int(rng.integers(2 ** 31)))[0]
+    seed = int(rng.integers(2 ** 31))
+    part = (nk.partition_kmeans(X, plan.p, seed) if kmeans
+            else nk.partition_random(n, plan.p, seed))
+    return kern, X, f, part, plan.tree, rng.uniform(0.0, 1.0, (20, d))
+
+
+class TestPaperInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(planned_instances())
+    def test_interpolation_at_design_points(self, instance):
+        kern, X, f, part, tree, _ = instance
+        m, v = nested_predict_batch(SubModelBank(kern, X, f, part), tree, X)
+        tol = 1e-6 * kern.variance
+        assert np.abs(m - f).max() <= tol
+        assert v.max() <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(planned_instances())
+    def test_variance_sandwich(self, instance):
+        # 0 <= v_nested - v_full <= v_best - v_full, where v_best is the
+        # smallest prediction variance k(x, x) - k_g(x) of one expert
+        kern, X, f, part, tree, Xq = instance
+        bank = SubModelBank(kern, X, f, part)
+        _, v_full = FullModel(kern, X, f).predict(Xq)
+        _, v_nested = nested_predict_batch(bank, tree, Xq)
+        _, k = bank.moments(*bank.group_weights(Xq))
+        v_best = (kern.variance - k).min(axis=1)
+        gap = v_nested - v_full
+        assert np.all(gap >= -1e-8)
+        assert np.all(gap <= v_best - v_full + 1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planned_instances(), st.data())
+    def test_invariant_under_group_relabelling(self, instance, data):
+        kern, X, f, part, tree, Xq = instance
+        perm = np.array(data.draw(st.permutations(range(part.p))))
+        renamed = AggregationTree(
+            n_leaves=tree.n_leaves, n_layer1=tree.n_layer1,
+            levels=(tuple(tuple(int(perm[g]) for g in node)
+                          for node in tree.levels[0]),) + tree.levels[1:])
+        Xq = np.vstack([Xq, X])
+        m, v = nested_predict_batch(SubModelBank(kern, X, f, part), tree, Xq)
+        m2, v2 = nested_predict_batch(
+            SubModelBank(kern, X, f, nk.Partition(perm[part.labels], part.p)),
+            renamed, Xq)
+        tol = 1e-10 * kern.variance
+        np.testing.assert_allclose(m2, m, rtol=1e-10, atol=tol)
+        np.testing.assert_allclose(v2, v, rtol=1e-10, atol=tol)
