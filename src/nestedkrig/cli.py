@@ -16,16 +16,18 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__, baselines, metrics
 from .bundle import load_bundle, save_bundle
-from .config import RunConfig, load_config, plan_partition_size
+from .config import RunConfig, load_config
 from .data import (CsvSchema, load_csv, load_points_csv, partition_consecutive,
                    partition_kmeans, partition_random)
-from .estimation import (SgdConfig, estimate_sigma2, grid_profile_loglik,
-                         loo_predict, sgd_fit, sgd_fit_two_phase)
+from .estimation import (SgdConfig, SgdSettings, estimate_sigma2,
+                         grid_profile_loglik, loo_predict, sgd_fit,
+                         sgd_fit_two_phase)
 from .exceptions import (CapExceeded, ConfigError, DimensionMismatch, EmptyFile,
                          InvalidGroupCount, InvalidHeight, InvalidTree,
                          NestedKrigError, NonPositiveVariance, NotFactorizable,
@@ -33,7 +35,7 @@ from .exceptions import (CapExceeded, ConfigError, DimensionMismatch, EmptyFile,
 from .gpcore import FullModel, SubModelBank, sample_paths
 from .kernels import KernelSpec
 from .metrics import _fmt
-from .tree import AggregationTree, nested_predict_batch, plan_tree
+from .tree import PREDICT_CHUNK, AggregationTree, nested_predict_batch, plan_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,10 +43,6 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 PREDICT_METHODS = ("nested", "full") + baselines.METHODS
-
-# fixed prediction chunk; independent of the thread count so that the
-# arithmetic (and hence the output bytes) never depends on scheduling
-PREDICT_CHUNK = 512
 
 
 class UsageError(Exception):
@@ -73,7 +71,7 @@ def _build_layout(cfg: RunConfig, dataset):
     """Partition and tree implied by the configuration."""
     n = dataset.n
     if cfg.tree.mode == "flat":
-        p = plan_partition_size(cfg, n)
+        p = cfg.partition.p or max(1, int(round(np.sqrt(n))))
         tree = AggregationTree.flat(n, p)
     else:
         plan = plan_tree(n, cfg.tree.mode, cfg.tree.height)
@@ -92,12 +90,12 @@ def _schema(cfg: RunConfig) -> CsvSchema:
                      center_response=cfg.data.center_response)
 
 
-def _sgd_config(cfg: RunConfig, dataset, partition=None) -> SgdConfig:
+def _sgd_config(cfg: RunConfig, dataset, partition) -> SgdConfig:
     est = cfg.estimation
     theta0 = cfg.kernel.lengthscales
     if len(theta0) == 1 and dataset.d > 1:
         theta0 = theta0 * dataset.d
-    if est.grid_start and partition is not None:
+    if est.grid_start:
         # coarse summed-log-likelihood search seeds the gradient descent
         base = np.asarray(theta0, dtype=float)
         candidates = [tuple(base * s) for s in (0.125, 0.25, 0.5, 1.0, 2.0,
@@ -105,10 +103,8 @@ def _sgd_config(cfg: RunConfig, dataset, partition=None) -> SgdConfig:
         start = grid_profile_loglik(dataset, partition, cfg.kernel.family,
                                     candidates)
         theta0 = start.lengthscales
-    return SgdConfig(theta0=theta0, a=est.a,
-                     A=None if est.A < 0 else est.A, alpha=est.alpha,
-                     c=est.c, gamma=est.gamma, q=min(est.q, dataset.n),
-                     n_iter=est.n_iter, seed=est.seed)
+    settings = {f.name: getattr(est, f.name) for f in fields(SgdSettings)}
+    return SgdConfig(theta0=theta0, **settings)
 
 
 def _estimate(cfg: RunConfig, dataset, part, tree, kernel: KernelSpec):
@@ -240,9 +236,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if args.replications < 1:
+        raise UsageError("--replications must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
-    seeds = [args.seed + rep for rep in range(args.replications)]
-    reports = metrics.run_benchmark_51(seeds)
+    reports = []
+    for rep, seed in enumerate(range(args.seed, args.seed + args.replications)):
+        instance = metrics.benchmark_instance(seed)
+        reports += metrics.replication_reports(rep, seed, instance)
+        if rep == 0:
+            grid, _, results = instance
     header = [f"replications={args.replications}", f"seed={args.seed}"]
     reports_path = os.path.join(args.out_dir, "reports.csv")
     summary_path = os.path.join(args.out_dir, "summary.json")
@@ -251,7 +253,6 @@ def cmd_benchmark(args) -> int:
     metrics.write_summary_json(reports, summary_path,
                                extra={"replications": args.replications,
                                       "seed": args.seed})
-    grid, _, results = metrics.benchmark_instance(seeds[0])
     metrics.write_plot_data(plot_path, grid, results, header_lines=header)
     medians = metrics.summarize_medians(reports)
     for method in sorted(medians):
@@ -339,8 +340,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_benchmark)
 
     p = sub.add_parser("consistency", help="error trend on the clustered design")
-    p.add_argument("--method", default="nested",
-                   choices=("nested", "full") + baselines.METHODS)
+    p.add_argument("--method", default="nested", choices=PREDICT_METHODS)
     p.add_argument("--sizes", default="50,100,200,400")
     p.add_argument("--replicates", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

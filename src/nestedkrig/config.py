@@ -8,10 +8,9 @@ configuration is echoed into the header of every output file.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-import numpy as np
-
+from .estimation import SgdSettings
 from .exceptions import ConfigError
 from .kernels import FAMILIES, KernelSpec
 
@@ -32,7 +31,7 @@ class KernelConfig:
 @dataclass
 class PartitionConfig:
     mode: str = "kmeans"
-    p: int = 0  # 0: let the tree planner decide
+    p: int = 0  # flat trees only; 0: sqrt(n) groups
     seed: int = 0
 
 
@@ -43,16 +42,8 @@ class TreeConfig:
 
 
 @dataclass
-class EstimationConfig:
+class EstimationConfig(SgdSettings):
     enabled: bool = False
-    a: float = 0.1
-    A: float = -1.0  # negative: n_iter / 10
-    alpha: float = 0.602
-    c: float = 0.1
-    gamma: float = 0.101
-    q: int = 100
-    n_iter: int = 500
-    seed: int = 0
     two_phase: bool = False
     grid_start: bool = True
 
@@ -81,78 +72,59 @@ class RunConfig:
     def echo(self) -> list:
         """Deterministic key=value lines for output headers."""
         lines = []
-        for section in ("kernel", "partition", "tree", "estimation", "data", "run"):
-            obj = getattr(self, section)
+        for section in fields(self):
+            obj = getattr(self, section.name)
             for key in sorted(vars(obj)):
                 value = getattr(obj, key)
                 if isinstance(value, tuple):
                     value = ",".join(repr(float(v)) for v in value)
-                lines.append(f"{section}.{key}={value}")
+                lines.append(f"{section.name}.{key}={value}")
         return lines
 
 
-_PARSERS = {
-    ("kernel", "family"): str,
-    ("kernel", "variance"): float,
-    ("kernel", "lengthscales"): "floats",
-    ("partition", "mode"): str,
-    ("partition", "p"): int,
-    ("partition", "seed"): int,
-    ("tree", "mode"): str,
-    ("tree", "height"): int,
-    ("estimation", "enabled"): "bool",
-    ("estimation", "a"): float,
-    ("estimation", "A"): float,
-    ("estimation", "alpha"): float,
-    ("estimation", "c"): float,
-    ("estimation", "gamma"): float,
-    ("estimation", "q"): int,
-    ("estimation", "n_iter"): int,
-    ("estimation", "seed"): int,
-    ("estimation", "two_phase"): "bool",
-    ("estimation", "grid_start"): "bool",
-    ("data", "response"): str,
-    ("data", "center_response"): "bool",
-    ("run", "threads"): int,
-    ("run", "full_cap"): int,
-}
-
-_BOOL = {"true": True, "1": True, "yes": True, "on": True,
-         "false": False, "0": False, "no": False, "off": False}
-
-
-def _parse_value(parser, raw: str):
-    if parser == "bool":
+def _parse(default, raw: str):
+    """``raw`` read as a value of the type of the field default ``default``."""
+    if isinstance(default, bool):
         try:
-            return _BOOL[raw.strip().lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         except KeyError:
             raise ValueError(f"not a boolean: {raw!r}") from None
-    if parser == "floats":
+    if isinstance(default, tuple):
         values = tuple(float(v) for v in raw.split(",") if v.strip())
         if not values:
             raise ValueError("expected at least one value")
         return values
-    return parser(raw)
+    return type(default)(raw)
 
 
 def load_config(path=None) -> RunConfig:
-    """Parse a config file into a RunConfig; missing file sections keep defaults."""
+    """Parse a config file into a RunConfig; missing file sections keep defaults.
+
+    A section's keys are its dataclass fields, each parsed by the type of
+    its default; ``;`` after whitespace starts an inline comment.
+    """
     cfg = RunConfig()
     if path is None:
         return cfg
-    ini = configparser.ConfigParser()
-    read = ini.read(path)
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                    interpolation=None)
+    ini.optionxform = str
+    try:
+        read = ini.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in ini.sections():
-        if not hasattr(cfg, section):
+        if section not in {f.name for f in fields(cfg)}:
             raise ConfigError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
+        defaults = {f.name: f.default for f in fields(target)}
         for key, raw in ini.items(section):
-            if (section, key) not in _PARSERS:
+            if key not in defaults:
                 raise ConfigError(f"unknown config key {section}.{key}")
             try:
-                value = _parse_value(_PARSERS[(section, key)], raw)
+                value = _parse(defaults[key], raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from None
             setattr(target, key, value)
@@ -173,14 +145,16 @@ def _validate(cfg: RunConfig):
         raise ConfigError("tree.height must be at least 2")
     if cfg.partition.p < 0:
         raise ConfigError("partition.p must be nonnegative")
+    if cfg.partition.p > 0 and cfg.tree.mode != "flat":
+        raise ConfigError(
+            f"partition.p applies only to tree.mode = flat; tree.mode = "
+            f"{cfg.tree.mode} takes the group count from the tree planner")
+    try:
+        cfg.estimation.check()
+    except ValueError as exc:
+        raise ConfigError(f"estimation.{exc}") from None
     if cfg.run.threads < 0:
         raise ConfigError("run.threads must be nonnegative")
     if cfg.run.full_cap < 1:
         raise ConfigError("run.full_cap must be positive")
 
-
-def plan_partition_size(cfg: RunConfig, n: int) -> int:
-    """Group count implied by the configuration for n observations."""
-    if cfg.partition.p > 0:
-        return cfg.partition.p
-    return max(1, int(round(np.sqrt(n))))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,8 +225,9 @@ def partition_kmeans(X, p: int, seed: int = 0) -> Partition:
     """Lloyd's algorithm with k-means++ seeding.
 
     Deterministic given ``seed``; at most 100 iterations or until the
-    largest centroid movement drops below 1e-8.  Empty clusters are
-    repaired by stealing the farthest point from the largest cluster.
+    largest centroid movement drops below 1e-8, with a RuntimeWarning when
+    the iterations run out first.  Empty clusters are repaired by stealing
+    the farthest point from the largest cluster.
 
     Seeding, Lloyd steps and the repair share one distance helper, which
     evaluates squared distances in row blocks of about ``TILE_ENTRIES``
@@ -280,6 +282,10 @@ def partition_kmeans(X, p: int, seed: int = 0) -> Partition:
         centroids = new_centroids
         if move < KMEANS_TOL:
             break
+    else:
+        warnings.warn(f"k-means stopped after {KMEANS_MAX_ITER} Lloyd steps "
+                      f"without converging (last centroid movement {move:.3g})",
+                      RuntimeWarning)
     return Partition(labels=labels, p=p)
 
 

@@ -11,7 +11,7 @@ a central finite difference along a Rademacher direction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from . import kernels
 from .exceptions import DimensionMismatch
 from .gpcore import SubModelBank
 from .kernels import KernelSpec
-from .linalg import factor_spd, solve
-from .tree import AggregationTree, stream_layers
+from .linalg import factor_spd, logdet, solve
+from .tree import PREDICT_CHUNK, AggregationTree, stream_layers
 
 # floor for unit-scale leave-one-out variances; the deleted point is absent
 # from every group so the true value is positive
@@ -53,7 +53,8 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     factor needed jitter, the identity applies to the jittered group
     matrix.  Every other expert, the group layout and the tree are left
     untouched.  Indices whose group would become empty are skipped with a
-    warning.
+    warning.  The indices are predicted in chunks of ``PREDICT_CHUNK``, so
+    memory grows with n, not n^2.
     """
     X, y = dataset.X, dataset.y
     n = X.shape[0]
@@ -75,12 +76,16 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
         return []
 
     bank = SubModelBank(kernel, X, y, partition)
-    C, A = loo_weights(bank, labels, indices)
-    m_loo, root_cov = stream_layers(bank, tree, C, A)
-    v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
-                        LOO_VARIANCE_FLOOR)
-    return [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
-            for i, m, v in zip(indices, m_loo, v_unit)]
+    records = []
+    for start in range(0, indices.size, PREDICT_CHUNK):
+        chunk = indices[start:start + PREDICT_CHUNK]
+        m_loo, root_cov = stream_layers(bank, tree,
+                                        *loo_weights(bank, labels, chunk))
+        v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
+                            LOO_VARIANCE_FLOOR)
+        records += [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
+                    for i, m, v in zip(chunk, m_loo, v_unit)]
+    return records
 
 
 def loo_weights(bank: SubModelBank, labels, indices):
@@ -137,19 +142,18 @@ def estimate_sigma2(records, y) -> float:
 
 
 @dataclass
-class SgdConfig:
-    """Settings of the stochastic gradient descent.
+class SgdSettings:
+    """Settings of the stochastic gradient descent, as the config file holds them.
 
     Step sizes follow a_i = a / (A + i + 1)**alpha and the perturbation
     sizes delta_i = c / (i + 1)**gamma; gamma defaults to 0.101 and alpha
-    to 0.602 (0.2 is the gentler alternative for a first phase).  ``A``
-    defaults to a tenth of the iteration count.  Good values of a and c
-    depend on the problem; the defaults suit unit-scale inputs.
+    to 0.602 (0.2 is the gentler alternative for a first phase).  A
+    negative ``A`` stands for a tenth of the iteration count.  Good values
+    of a and c depend on the problem; the defaults suit unit-scale inputs.
     """
 
-    theta0: tuple = (0.1,)
     a: float = 0.1
-    A: float | None = None
+    A: float = -1.0  # negative: n_iter / 10
     alpha: float = 0.602
     c: float = 0.1
     gamma: float = 0.101
@@ -157,17 +161,28 @@ class SgdConfig:
     n_iter: int = 500
     seed: int = 0
 
+    def check(self):
+        """Raise ValueError naming the first setting out of range."""
+        for name in ("a", "c", "gamma", "alpha"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.q < 1 or self.n_iter < 0:
+            raise ValueError("q must be >= 1 and n_iter >= 0")
+
+
+@dataclass
+class SgdConfig(SgdSettings):
+    """SgdSettings plus the start ``theta0``; a negative ``A`` becomes n_iter / 10."""
+
+    theta0: tuple = (0.1,)
+
     def __post_init__(self):
         self.theta0 = tuple(float(t) for t in np.atleast_1d(self.theta0))
         if any(t <= 0 for t in self.theta0):
             raise ValueError("initial lengthscales must be positive")
-        for name in ("a", "c", "gamma", "alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.A is None:
+        self.check()
+        if self.A < 0:
             self.A = self.n_iter / 10.0
-        if self.q < 1 or self.n_iter < 0:
-            raise ValueError("q must be >= 1 and n_iter >= 0")
 
 
 @dataclass
@@ -232,13 +247,10 @@ def sgd_fit(dataset, partition, tree: AggregationTree, cfg: SgdConfig,
 def sgd_fit_two_phase(dataset, partition, tree: AggregationTree, cfg: SgdConfig,
                       family: str = "matern52", log_fn=None) -> SgdResult:
     """Gentle first descent (alpha=0.2) whose end point seeds a second (alpha=0.602)."""
-    first = SgdConfig(theta0=cfg.theta0, a=cfg.a, A=cfg.A, alpha=0.2, c=cfg.c,
-                      gamma=cfg.gamma, q=cfg.q, n_iter=cfg.n_iter // 2,
-                      seed=cfg.seed)
+    first = replace(cfg, alpha=0.2, n_iter=cfg.n_iter // 2)
     res1 = sgd_fit(dataset, partition, tree, first, family, log_fn)
-    second = SgdConfig(theta0=tuple(res1.theta), a=cfg.a, A=cfg.A, alpha=0.602,
-                       c=cfg.c, gamma=cfg.gamma, q=cfg.q,
-                       n_iter=cfg.n_iter - first.n_iter, seed=cfg.seed + 1)
+    second = replace(cfg, theta0=tuple(res1.theta), alpha=0.602,
+                     n_iter=cfg.n_iter - first.n_iter, seed=cfg.seed + 1)
     res2 = sgd_fit(dataset, partition, tree, second, family, log_fn)
     return SgdResult(theta=res2.theta, history=res1.history + res2.history)
 
@@ -259,20 +271,20 @@ def grid_profile_loglik(dataset, partition, family: str, theta_grid) -> KernelSp
             theta = theta * dataset.d
         spec = KernelSpec(family, 1.0, theta)
         quad = 0.0
-        logdet = 0.0
+        log_det = 0.0
         try:
             for idx in groups:
                 R = kernels.cross_matrix(spec, dataset.X[idx], dataset.X[idx])
                 fac = factor_spd(R)
                 z = solve(fac, dataset.y[idx])
                 quad += float(dataset.y[idx] @ z)
-                logdet += 2.0 * float(np.sum(np.log(np.diag(fac.lower))))
+                log_det += logdet(fac)
         except Exception:
             continue
         if quad <= 0.0:
             continue
         sigma2 = quad / n
-        loglik = -0.5 * (n * np.log(sigma2) + logdet + n * (1.0 + np.log(2.0 * np.pi)))
+        loglik = -0.5 * (n * np.log(sigma2) + log_det + n * (1.0 + np.log(2.0 * np.pi)))
         if best is None or loglik > best[0]:
             best = (loglik, KernelSpec(family, sigma2, theta))
     if best is None:

@@ -21,7 +21,7 @@ JITTER_GROWTH = 10.0
 JITTER_ATTEMPTS = 6
 
 SYMMETRY_RTOL = 1e-10
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,16 @@ class SpdFactor:
         return self.lower.shape[0]
 
 
-def factor_spd(matrix, *, jitter_scale=JITTER_SCALE, growth=JITTER_GROWTH,
-               max_attempts=JITTER_ATTEMPTS) -> SpdFactor:
+def factor_spd(matrix) -> SpdFactor:
     """Cholesky-factor a symmetric matrix, escalating diagonal jitter on failure.
 
     Parameters
     ----------
     matrix : (n, n) array_like
-        Symmetric matrix (checked to relative tolerance 1e-10).
-    jitter_scale, growth, max_attempts :
-        Escalation schedule: the first retry adds ``jitter_scale *
-        mean(diag)`` to the diagonal and each further retry multiplies the
-        jitter by ``growth``, for at most ``max_attempts`` retries.
+        Symmetric matrix (checked to relative tolerance 1e-10).  The first
+        retry adds ``JITTER_SCALE * mean(diag)`` to the diagonal and each
+        further retry multiplies the jitter by ``JITTER_GROWTH``, for at
+        most ``JITTER_ATTEMPTS`` retries.
 
     Returns
     -------
@@ -81,16 +79,16 @@ def factor_spd(matrix, *, jitter_scale=JITTER_SCALE, growth=JITTER_GROWTH,
     if mean_diag <= 0.0:
         # all-nonpositive diagonal: fall back to the overall magnitude
         mean_diag = max(scale, 1.0)
-    jitter = jitter_scale * mean_diag
+    jitter = JITTER_SCALE * mean_diag
     eye = np.eye(a.shape[0])
-    for _ in range(max_attempts):
+    for _ in range(JITTER_ATTEMPTS):
         try:
             return SpdFactor(np.linalg.cholesky(a + jitter * eye), jitter)
         except np.linalg.LinAlgError:
-            jitter *= growth
+            jitter *= JITTER_GROWTH
     raise NotFactorizable(
-        f"Cholesky failed after {max_attempts} jitter attempts "
-        f"(last jitter {jitter / growth:.3e})")
+        f"Cholesky failed after {JITTER_ATTEMPTS} jitter attempts "
+        f"(last jitter {jitter / JITTER_GROWTH:.3e})")
 
 
 def solve(factor: SpdFactor, rhs):
@@ -112,11 +110,11 @@ def logdet(factor: SpdFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(factor.lower))))
 
 
-def pseudo_solve(matrix, rhs, rank_tol=DEFAULT_RANK_TOL):
+def pseudo_solve(matrix, rhs):
     """Minimum-norm solution of a symmetric (possibly singular) system.
 
     Uses a symmetric eigendecomposition and zeroes eigenvalues whose
-    magnitude falls below ``rank_tol`` times the largest magnitude.
+    magnitude falls below ``RANK_TOL`` times the largest magnitude.
     Always returns the Moore-Penrose solution; never raises on rank
     deficiency.
     """
@@ -131,8 +129,8 @@ def pseudo_solve(matrix, rhs, rank_tol=DEFAULT_RANK_TOL):
     magmax = np.abs(w).max(initial=0.0)
     if magmax == 0.0:
         return np.zeros_like(b)
-    inv = np.where(np.abs(w) > rank_tol * magmax, 1.0, 0.0)
-    w_safe = np.where(np.abs(w) > rank_tol * magmax, w, 1.0)
+    inv = np.where(np.abs(w) > RANK_TOL * magmax, 1.0, 0.0)
+    w_safe = np.where(np.abs(w) > RANK_TOL * magmax, w, 1.0)
     return v @ ((inv / w_safe)[:, None] * (v.T @ b)) if b.ndim > 1 else \
         v @ ((inv / w_safe) * (v.T @ b))
 

@@ -129,19 +129,21 @@ def benchmark_instance(seed):
     return grid, f_grid, results
 
 
+def replication_reports(rep, seed, instance) -> list:
+    """Per-method reports of replication ``rep`` from its benchmark_instance output."""
+    _, f_grid, results = instance
+    m_full, v_full = results["full"]
+    full_mnlp = criteria(m_full, v_full, m_full, v_full, f_grid).mnlp
+    return [criteria(*results[method], m_full, v_full, f_grid, method=method,
+                     replication=rep, scenario=f"simulated-grid seed={seed}",
+                     full_mnlp=full_mnlp)
+            for method in BENCH_METHODS]
+
+
 def run_benchmark_51(seed_set) -> list:
     """Replicate the simulated comparison; one report per method and replication."""
-    reports = []
-    for rep, seed in enumerate(seed_set):
-        grid, f_grid, results = benchmark_instance(seed)
-        m_full, v_full = results["full"]
-        full_mnlp = criteria(m_full, v_full, m_full, v_full, f_grid).mnlp
-        for method in BENCH_METHODS:
-            m, v = results[method]
-            reports.append(criteria(
-                m, v, m_full, v_full, f_grid, method=method, replication=rep,
-                scenario=f"simulated-grid seed={seed}", full_mnlp=full_mnlp))
-    return reports
+    return [report for rep, seed in enumerate(seed_set)
+            for report in replication_reports(rep, seed, benchmark_instance(seed))]
 
 
 def summarize_medians(reports) -> dict:
@@ -205,12 +207,14 @@ def consistency_design(n: int):
 
 
 def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
-                         seed: int = 0, kernel: KernelSpec = DEMO_KERNEL) -> list:
+                         seed: int = 0) -> list:
     """Mean squared prediction error at the starved point, per design size.
 
     Each design is deterministic; the error is averaged over GP path
-    replicates drawn jointly at the design and the prediction point.
+    replicates drawn jointly at the design and the prediction point, under
+    ``DEMO_KERNEL``.
     """
+    kernel = DEMO_KERNEL
     out = []
     for n in n_sequence:
         X, part, x0 = consistency_design(int(n))

@@ -22,6 +22,10 @@ from .linalg import solve_weights
 PLAN_MODES = ("two_layer_sqrt", "equilibrated", "optimal")
 _DELTA = 1.5  # growth ratio of child counts in the minimal-cost tree
 
+# fixed prediction chunk; independent of the thread count so that the
+# arithmetic (and hence the output bytes) never depends on scheduling
+PREDICT_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class AggregationTree:

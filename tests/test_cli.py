@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nestedkrig as nk
-from nestedkrig import baselines, metrics
+from nestedkrig import baselines, cli, metrics
 from nestedkrig.bundle import load_bundle
 from nestedkrig.cli import PREDICT_CHUNK, main
 
@@ -174,6 +174,25 @@ seed = 9
                 == (tmp / "est_b.json").read_bytes())
 
 
+    def test_fit_with_two_phase_estimation_deterministic(self, ex1_files):
+        tmp, train, config = ex1_files
+        config.write_text(config.read_text() + """
+[estimation]
+enabled = true
+two_phase = true
+n_iter = 5
+q = 4
+seed = 9
+""")
+        for tag in ("a", "b"):
+            assert main(["fit", "--config", str(config), "--train", str(train),
+                         "--out", str(tmp / f"two_{tag}.json")]) == 0
+        assert ((tmp / "two_a.json").read_bytes()
+                == (tmp / "two_b.json").read_bytes())
+        assert "estimation.two_phase=True" in load_bundle(
+            str(tmp / "two_a.json"))["config"]
+
+
 class TestErrors:
     def test_missing_train_is_io_error(self, tmp_path):
         assert main(["fit", "--train", str(tmp_path / "none.csv"),
@@ -197,6 +216,37 @@ class TestErrors:
             cfg.write_text(text)
             assert main(["fit", "--config", str(cfg), "--train", str(train),
                          "--out", str(tmp_path / "m.json")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "a = 1\n[kernel]\n",
+        "[kernel]\nvariance = 1\nvariance = 2\n",
+        "[kernel]\nvariance = 5%\n",
+        "[estimation]\na = -5\n",
+        "[partition]\np = 4\n",
+    ])
+    def test_config_problems_exit_2_before_partitioning(self, tmp_path,
+                                                        monkeypatch, capsys,
+                                                        text):
+        def no_partitioning(*args, **kwargs):
+            raise AssertionError("partitioned before the config was checked")
+
+        monkeypatch.setattr(cli, "partition_kmeans", no_partitioning)
+        train = tmp_path / "t.csv"
+        write_train(train)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        for command in (["fit", "--out", str(tmp_path / "m.json")],
+                        ["loo-estimate"]):
+            capsys.readouterr()
+            assert main(command + ["--config", str(cfg), "--train",
+                                   str(train)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    def test_benchmark_without_replications_is_usage_error(self, tmp_path):
+        assert main(["benchmark", "--replications", "0",
+                     "--out-dir", str(tmp_path / "b")]) == 1
+        assert not (tmp_path / "b").exists()
 
     def test_full_cap_refusal(self, ex1_files):
         tmp, train, config = ex1_files

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,8 +263,18 @@ class TestKmeans:
     def test_benchmark_designs_equal_reference(self, rng_seed, n, d, p):
         X = np.random.default_rng(rng_seed).uniform(0.0, 1.0, (n, d))
         labels, _ = reference_kmeans(X, p, seed=0)
-        np.testing.assert_array_equal(partition_kmeans(X, p, seed=0).labels,
-                                      labels)
+        with warnings.catch_warnings():
+            # both designs converge, so k-means must not warn
+            warnings.simplefilter("error")
+            part = partition_kmeans(X, p, seed=0)
+        np.testing.assert_array_equal(part.labels, labels)
+
+    def test_warns_when_stopped_before_converging(self, monkeypatch):
+        monkeypatch.setattr(data, "KMEANS_MAX_ITER", 1)
+        X = np.random.default_rng(3).uniform(0.0, 1.0, (300, 2))
+        with pytest.warns(RuntimeWarning, match=r"after 1 Lloyd step"):
+            part = partition_kmeans(X, 12, seed=0)
+        assert part.p == 12
 
     def test_memory_is_blocked(self, monkeypatch):
         # the (n, p, d) difference array of the direct formula would take
@@ -272,7 +283,8 @@ class TestKmeans:
         X = np.random.default_rng(0).uniform(0.0, 1.0, (20000, 6))
         tracemalloc.start()
         try:
-            part = partition_kmeans(X, 200, seed=0)
+            with pytest.warns(RuntimeWarning, match="without converging"):
+                part = partition_kmeans(X, 200, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

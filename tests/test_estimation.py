@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -211,6 +212,28 @@ class TestCriteria:
             assert estimate_sigma2(records, [1.0, 0.0]) == 1.0
 
 
+def test_loo_memory_is_chunked():
+    # every index at once would hold two n x n arrays and an (n, p, p)
+    # window: the peak would grow about four times from n = 1000 to 2000
+    peaks = []
+    for n in (1000, 2000):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(0, 1, (n, 2))
+        ds = nk.Dataset(X=X, y=np.sin(6.0 * X[:, 0]) + X[:, 1])
+        p = int(round(np.sqrt(n)))
+        part = nk.partition_random(n, p, seed=0)
+        kern = nk.KernelSpec("matern52", 1.0, (0.2, 0.2))
+        tracemalloc.start()
+        try:
+            records = loo_predict(ds, part, AggregationTree.flat(n, p), kern)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == n
+        peaks.append(peak)
+    assert peaks[1] < 2.5 * peaks[0]
+
+
 class TestSgd:
     def test_zero_iterations_returns_start(self):
         ds = ex1_dataset()
@@ -268,6 +291,26 @@ class TestSgd:
                                 family="squared-exponential")
         assert len(res.history) == 6
         assert res.theta[0] > 0.0
+
+    def test_two_phase_is_two_explicit_descents(self):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0, 1, (40, 1))
+        f = nk.sample_paths(nk.KernelSpec("matern32", 1.0, (0.1,)), X, 1, 3)[0]
+        ds = nk.Dataset(X=X, y=f)
+        part = nk.partition_consecutive(X, 8)
+        tree = AggregationTree.flat(40, 8)
+        cfg = SgdConfig(theta0=(0.2,), a=5.0, q=20, n_iter=9, seed=77)
+        res = sgd_fit_two_phase(ds, part, tree, cfg, family="matern32")
+        # both phases step with the A of the whole descent, n_iter / 10
+        first = SgdConfig(theta0=(0.2,), a=5.0, A=0.9, alpha=0.2, q=20,
+                          n_iter=4, seed=77)
+        res1 = sgd_fit(ds, part, tree, first, family="matern32")
+        second = SgdConfig(theta0=tuple(res1.theta), a=5.0, A=0.9,
+                           alpha=0.602, q=20, n_iter=5, seed=78)
+        res2 = sgd_fit(ds, part, tree, second, family="matern32")
+        assert not any(np.isnan(crit) for _, crit, _ in res.history)
+        np.testing.assert_array_equal(res.theta, res2.theta)
+        assert res.history == res1.history + res2.history
 
     def test_progress_lines_logged(self):
         ds = ex1_dataset()
