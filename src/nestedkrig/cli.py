@@ -90,11 +90,8 @@ def _schema(cfg: RunConfig) -> CsvSchema:
                      center_response=cfg.data.center_response)
 
 
-def _sgd_config(cfg: RunConfig, dataset, partition) -> SgdConfig:
+def _sgd_config(cfg: RunConfig, dataset, partition, theta0) -> SgdConfig:
     est = cfg.estimation
-    theta0 = cfg.kernel.lengthscales
-    if len(theta0) == 1 and dataset.d > 1:
-        theta0 = theta0 * dataset.d
     if est.grid_start:
         # coarse summed-log-likelihood search seeds the gradient descent
         base = np.asarray(theta0, dtype=float)
@@ -110,8 +107,9 @@ def _sgd_config(cfg: RunConfig, dataset, partition) -> SgdConfig:
 def _estimate(cfg: RunConfig, dataset, part, tree, kernel: KernelSpec):
     """Two-step estimation: length-scales by gradient descent, then the
     process variance from leave-one-out predictions under ``kernel`` with
-    those length-scales.  Returns (that kernel, sigma2)."""
-    sgd_cfg = _sgd_config(cfg, dataset, part)
+    those length-scales.  Returns (that kernel, sigma2).  The descent starts
+    from the length-scales of ``kernel``."""
+    sgd_cfg = _sgd_config(cfg, dataset, part, kernel.lengthscales)
     fit_fn = sgd_fit_two_phase if cfg.estimation.two_phase else sgd_fit
     result = fit_fn(dataset, part, tree, sgd_cfg, family=kernel.family,
                     log_fn=print)
@@ -123,12 +121,8 @@ def _estimate(cfg: RunConfig, dataset, part, tree, kernel: KernelSpec):
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     dataset = load_csv(args.train, _schema(cfg))
+    kernel = cfg.kernel.spec().for_dim(dataset.d)
     part, tree = _build_layout(cfg, dataset)
-    kernel = cfg.kernel.spec()
-    if kernel.dim == 1 and dataset.d > 1:
-        kernel = kernel.with_lengthscales(kernel.lengthscales * dataset.d)
-    if kernel.dim != dataset.d:
-        raise DimensionMismatch("kernel dimension does not match the data")
 
     if cfg.estimation.enabled:
         kernel, sigma2 = _estimate(cfg, dataset, part, tree, kernel)
@@ -286,9 +280,10 @@ def cmd_consistency(args) -> int:
 def cmd_loo_estimate(args) -> int:
     cfg = load_config(args.config)
     dataset = load_csv(args.train, _schema(cfg))
+    unit = KernelSpec(cfg.kernel.family, 1.0, cfg.kernel.lengthscales)
+    kernel = unit.for_dim(dataset.d)
     part, tree = _build_layout(cfg, dataset)
-    kernel, sigma2 = _estimate(cfg, dataset, part, tree,
-                               KernelSpec(cfg.kernel.family, 1.0))
+    kernel, sigma2 = _estimate(cfg, dataset, part, tree, kernel)
     theta_txt = ",".join(_fmt(t) for t in kernel.lengthscales)
     print(f"theta={theta_txt} sigma2={_fmt(sigma2)}")
     if args.out:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -79,8 +80,8 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     records = []
     for start in range(0, indices.size, PREDICT_CHUNK):
         chunk = indices[start:start + PREDICT_CHUNK]
-        m_loo, root_cov = stream_layers(bank, tree,
-                                        *loo_weights(bank, labels, chunk))
+        m_loo, root_cov = stream_layers(
+            bank, tree, partial(loo_weights, bank, labels, chunk))
         v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
                             LOO_VARIANCE_FLOOR)
         records += [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
@@ -259,17 +260,15 @@ def grid_profile_loglik(dataset, partition, family: str, theta_grid) -> KernelSp
     """Starting-point convenience: maximize the summed per-group log likelihood.
 
     Plain grid search over candidate length-scale vectors with the process
-    variance profiled out analytically.  Not an estimator of record, just a
-    cheap initializer.
+    variance profiled out analytically; a candidate of one length-scale
+    stands for every input dimension (``KernelSpec.for_dim``).  Not an
+    estimator of record, just a cheap initializer.
     """
     groups = partition.groups()
     n = dataset.n
     best = None
     for theta in theta_grid:
-        theta = tuple(np.atleast_1d(np.asarray(theta, dtype=float)))
-        if len(theta) == 1 and dataset.d > 1:
-            theta = theta * dataset.d
-        spec = KernelSpec(family, 1.0, theta)
+        spec = KernelSpec(family, 1.0, theta).for_dim(dataset.d)
         quad = 0.0
         log_det = 0.0
         try:
@@ -286,7 +285,7 @@ def grid_profile_loglik(dataset, partition, family: str, theta_grid) -> KernelSp
         sigma2 = quad / n
         loglik = -0.5 * (n * np.log(sigma2) + log_det + n * (1.0 + np.log(2.0 * np.pi)))
         if best is None or loglik > best[0]:
-            best = (loglik, KernelSpec(family, sigma2, theta))
+            best = (loglik, spec.with_variance(sigma2))
     if best is None:
         raise ValueError("no candidate length-scale produced a valid likelihood")
     return best[1]

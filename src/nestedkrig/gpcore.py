@@ -45,13 +45,17 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
     """Fill the expert covariances a_g' k(X_g, X_h) a_h, one block row at a time.
 
     ``Xcat`` holds the design points in group-major order, ``starts`` the p
-    block starts, ``weights`` the (n, q) weight columns in the same row
-    order and ``diag`` the (q, p) diagonal K_gg.  ``out`` is a (q, w, p)
-    window of the (q, p, p) matrix K: row g, that is K[:, g, :g+1], goes to
-    ``out[:, g % w]``.  With w = p, ``out`` is all of K and the mirrored
-    column K[:, :g, g] is written too.  ``row_done(g)``, if given, runs as
-    soon as row g is in, for g = 0 .. p-1; the scratch pools are released
-    before its last call.
+    block starts and ``diag`` the (q, p) diagonal K_gg.  ``weights`` is a
+    one-element list holding the weight columns in query-major layout: a
+    C-contiguous (q, n) array whose columns follow the rows of ``Xcat``.
+    The fill takes that array out of the list, so when the caller keeps no
+    other reference, the fill owns the weights and frees them, with its
+    scratch pools, before the callback of row p - 1 (on a flat tree, the
+    root solve).  ``out`` is a (q, w, p) window of the (q, p, p) matrix K:
+    row g, that is K[:, g, :g+1], goes to ``out[:, g % w]``.  With w = p,
+    ``out`` is all of K and the mirrored column K[:, :g, g] is written too.
+    ``row_done``, if given, maps row indices to functions of no arguments;
+    ``row_done[g]()`` runs as soon as row g is in.
 
     Each block row is a single covariance block against all earlier
     groups, one matrix product and one segmented reduction, so the Python
@@ -60,14 +64,18 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
     over the same contiguous pages.
     """
     p = len(starts)
-    q, window = weights.shape[1], out.shape[1]
+    AT = weights.pop()
+    q, window = AT.shape[0], out.shape[1]
+    row_done = row_done or {}
     if p > 1:
-        stackedT = np.ascontiguousarray(weights.T)
         bounds = np.concatenate([starts, [Xcat.shape[0]]])
         c_max = int(np.diff(bounds).max())
         m_max = int(starts[-1])
+        apool = np.empty(c_max * q)
         bpool = np.empty(c_max * m_max)
-        spool = np.empty(c_max * m_max)
+        # kernel scratch for blocks of one tile; a larger block carves its
+        # own tile-sized pair, so a block-sized pool would sit unused
+        spool = np.empty(min(c_max * m_max, kernels.TILE_ENTRIES))
         wpool = np.empty(q * m_max)
     for g in range(p):
         row = out[:, g % window]
@@ -76,20 +84,27 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
             stop = int(starts[g])
             c = int(bounds[g + 1] - bounds[g])
             B = bpool[:c * stop].reshape(c, stop)
-            S = spool[:c * stop].reshape(c, stop)
+            S = spool[:c * stop].reshape(c, stop) if c * stop <= spool.size else None
             kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B, S)
+            # the (c, q) operand gathered into contiguous scratch: its .T is
+            # the operand layout of an (n, q) weight array, and the strided
+            # (q, c) slice of AT would take another BLAS path and change bits
+            Ag = apool[:c * q].reshape(c, q)
+            np.copyto(Ag, AT[:, stop:stop + c].T)
             W = wpool[:q * stop].reshape(q, stop)
-            np.matmul(weights[stop:stop + c].T, B, out=W)
-            W *= stackedT[:, :stop]
+            np.matmul(Ag.T, B, out=W)
+            W *= AT[:, :stop]
             seg = np.add.reduceat(W, starts[:g], axis=1)
             row[:, :g] = seg
             if window == p:
                 out[:, :g, g] = seg
-            if g == p - 1:
-                # the consumer's last step is often its largest (a root solve)
-                del stackedT, bpool, spool, wpool, B, S, W
-        if row_done is not None:
-            row_done(g)
+        if g == p - 1:
+            # the consumer's last step is often its largest (a root solve)
+            del AT
+            if p > 1:
+                del apool, bpool, spool, wpool, Ag, B, S, W
+        if g in row_done:
+            row_done[g]()
 
 
 class FullModel:
@@ -216,15 +231,17 @@ class SubModelBank:
             kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
         return M.T, kM.T
 
-    def cross_cov_rows(self, A, kM, out, row_done=None):
-        """Expert cross-covariances from the weight columns ``A``, row by row.
+    def cross_cov_rows(self, weights, kM, out, row_done=None):
+        """Expert cross-covariances from query-major weights, row by row.
 
-        ``kM`` is the (q, p) diagonal from ``moments``; ``out`` and
-        ``row_done`` are as in :func:`fill_expert_cross_cov`, which a
-        (q, w, p) window with w < p turns into a streamed fill.
+        ``weights`` is a one-element list holding the (q, n) transpose of
+        the weight columns A, which the fill takes over; ``kM`` is the
+        (q, p) diagonal from ``moments``; ``out`` and ``row_done`` are as
+        in :func:`fill_expert_cross_cov`, which a (q, w, p) window with
+        w < p turns into a streamed fill.
         """
-        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, A, out,
-                              kM, row_done)
+        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, weights,
+                              out, kM, row_done)
 
     def statistics(self, C, A) -> Layer1:
         """Materialised expert statistics from the output (C, A) of ``group_weights``.
@@ -237,7 +254,7 @@ class SubModelBank:
         M, kM = self.moments(C, A)
         q, p = M.shape
         K = np.empty((q, p, p))
-        self.cross_cov_rows(A, kM, K)
+        self.cross_cov_rows([np.ascontiguousarray(A.T)], kM, K)
         return Layer1(M=M, k=kM, K=K)
 
     def layer1(self, Xq) -> Layer1:

@@ -57,6 +57,19 @@ class KernelSpec:
     def with_variance(self, variance) -> "KernelSpec":
         return KernelSpec(self.family, float(variance), self.lengthscales)
 
+    def for_dim(self, d: int) -> "KernelSpec":
+        """This kernel on d input dimensions: a single length-scale stands for all.
+
+        Raises DimensionMismatch unless the kernel has one length-scale or d.
+        """
+        if self.dim == d:
+            return self
+        if self.dim == 1:
+            return self.with_lengthscales(self.lengthscales * d)
+        raise DimensionMismatch(
+            f"{self.dim} length-scales for {d} input dimensions; give one "
+            f"for every dimension or a single one for all")
+
 
 def _correlation(family: str, h: np.ndarray) -> np.ndarray:
     """Product correlation over the last axis of scaled distances h >= 0."""

@@ -12,6 +12,7 @@ a band of that (q, p, p) array is ever held.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -87,6 +88,27 @@ class AggregationTree:
         sizes[: self.n_leaves % self.n_layer1] += 1
         return sizes
 
+    @cached_property
+    def first_layer_schedule(self):
+        """When the streamed first aggregation layer finishes its nodes.
+
+        Returns ``(finishing, window)``: ``finishing`` pairs each layer-1
+        row g at which some first-layer node has all its children, in
+        increasing g, with those nodes' indices; ``window`` is the number
+        of expert cross-covariance rows that must be held: when row g
+        arrives, every row from the smallest first child of the nodes
+        finishing at g or later is still needed.  Computed once per tree.
+        """
+        level = self.levels[0]
+        finishing = {}
+        for i, node in enumerate(level):
+            finishing.setdefault(max(node), []).append(i)
+        window, lowest = 1, self.n_layer1
+        for g in sorted(finishing, reverse=True):
+            lowest = min(lowest, *(min(level[i]) for i in finishing[g]))
+            window = max(window, g - lowest + 1)
+        return tuple((g, tuple(finishing[g])) for g in sorted(finishing)), window
+
 
 class _Layer:
     """One aggregation layer, computed node by node.
@@ -95,10 +117,11 @@ class _Layer:
     the previous layer and ``K`` its cross-covariances: the whole
     (q, n_prev, n_prev) array, or with ``window`` = w a (q, w, n_prev)
     window whose slot r % w holds row r of K up to its diagonal.
-    ``finish(i)`` computes node i's weights, mean and covariance, and its
-    cross terms with every node finished before it, in which the node with
-    the larger index gives the rows.  Every node's arithmetic is the same
-    whichever order the nodes finish in.
+    ``finish(nodes)`` computes, for each node i of ``nodes`` in turn, its
+    weights, mean and covariance, and its cross terms with every node
+    finished before it, in which the node with the larger index gives the
+    rows.  Every node's arithmetic is the same whichever order the nodes
+    finish in.
     """
 
     def __init__(self, level, M, kvec, K, window=None):
@@ -121,7 +144,11 @@ class _Layer:
         return self.K_prev[:, self.slot[np.maximum.outer(ci, cj)],
                            np.minimum.outer(ci, cj)]
 
-    def finish(self, i):
+    def finish(self, nodes):
+        for i in nodes:
+            self._finish_node(i)
+
+    def _finish_node(self, i):
         ci = self.children[i]
         if self.whole[i]:
             # node over every child: no sub-block extraction needed
@@ -153,8 +180,7 @@ def _propagate(M, K, levels, kvec=None):
         if kvec is None:
             kvec = np.einsum("qii->qi", K)
         layer = _Layer(level, M, kvec, K)
-        for i in range(len(level)):
-            layer.finish(i)
+        layer.finish(range(len(level)))
         M, K, kvec = layer.M, layer.K, None
     return M[:, 0], K[:, 0, 0]
 
@@ -183,49 +209,44 @@ def run_layers(M1, k1, K1, tree: AggregationTree):
     return _propagate(M, K, tree.levels, kvec=k)
 
 
-def stream_layers(bank: SubModelBank, tree: AggregationTree, C, A):
-    """(root_mean, root_cov) of the nested predictor from ``group_weights`` output.
+def stream_layers(bank: SubModelBank, tree: AggregationTree, make_weights):
+    """(root_mean, root_cov) of the nested predictor at one batch of points.
+
+    ``make_weights()`` returns (C, A) as ``bank.group_weights`` does; it is
+    called here so that this function holds the only references to them.
+    C is freed as soon as the expert means and covariances are formed, and
+    A as soon as it has been transposed to the query-major (q, n) layout
+    that ``bank.cross_cov_rows`` takes over and frees before the last
+    row's callback, so at most two n x q arrays are alive at any time.
 
     The first aggregation layer consumes the rows of the expert
-    cross-covariance as ``bank.cross_cov_rows`` fills them, holding only
-    the rows at or above the smallest child index of any unfinished
-    first-layer node: one (q, c_2, p) band on the trees of height >= 3
-    that ``plan_tree`` builds, all of (q, p, p) on a flat tree.  A node is
-    finished as soon as its last child's row is in.  ``C`` is released once
-    the expert means and covariances are formed.
+    cross-covariance as they are filled, holding only the rows at or above
+    the smallest child index of any unfinished first-layer node: one
+    (q, c_2, p) band on the trees of height >= 3 that ``plan_tree`` builds,
+    all of (q, p, p) on a flat tree.  A node is finished as soon as its
+    last child's row is in (``tree.first_layer_schedule``).
     """
     if tree.n_layer1 != bank.p:
         raise InvalidTree(
             f"tree expects {tree.n_layer1} sub-models, bank holds {bank.p}")
+    C, A = make_weights()
     M, k = bank.moments(C, A)
     del C
+    weights = [np.ascontiguousarray(A.T)]
+    del A
     q, p = M.shape
-    level = tree.levels[0]
-    finishing = [[] for _ in range(p)]
-    for i, node in enumerate(level):
-        finishing[max(node)].append(i)
-    # when row g arrives, every row from the smallest first child of the
-    # nodes finishing at g or later is still needed
-    window, lowest = 1, p
-    for g in reversed(range(p)):
-        for i in finishing[g]:
-            lowest = min(lowest, min(level[i]))
-        window = max(window, g - lowest + 1)
-    layer = _Layer(level, M, k, np.empty((q, window, p)), window)
-
-    def row_done(g):
-        for i in finishing[g]:
-            layer.finish(i)
-
-    bank.cross_cov_rows(A, k, layer.K_prev, row_done)
+    finishing, window = tree.first_layer_schedule
+    layer = _Layer(tree.levels[0], M, k, np.empty((q, window, p)), window)
+    row_done = {g: partial(layer.finish, nodes) for g, nodes in finishing}
+    bank.cross_cov_rows(weights, k, layer.K_prev, row_done)
     M2, K2 = layer.M, layer.K
-    del layer
+    del layer, row_done
     return _propagate(M2, K2, tree.levels[1:])
 
 
 def nested_predict_batch(bank: SubModelBank, tree: AggregationTree, Xq):
     """Nested prediction at a batch of points: (means, variances), each (q,)."""
-    mean, root_cov = stream_layers(bank, tree, *bank.group_weights(Xq))
+    mean, root_cov = stream_layers(bank, tree, partial(bank.group_weights, Xq))
     variances = np.maximum(bank.kernel.variance - root_cov, 0.0)
     return mean, variances
 

@@ -8,6 +8,8 @@ here, not configurable.
 import json
 import time
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 from conftest import random_kernel, separated_points
@@ -19,6 +21,7 @@ except ImportError:  # pragma: no cover - measurement still works, noisier
 
 import nestedkrig as nk
 from nestedkrig import metrics
+from nestedkrig import tree as tree_engine
 from nestedkrig.aggregation import AggregatedProcess, aggregate, diagnostics_vs_full
 from nestedkrig.cli import main
 from nestedkrig.estimation import (SgdConfig, estimate_sigma2,
@@ -287,6 +290,48 @@ def test_c08_complexity_scaling_and_memory():
     tracemalloc.stop()
     q = Xq.shape[0]
     assert peak < q * deep.p ** 2 * 8, f"peak {peak} bytes, p={deep.p}, q={q}"
+
+    # a two-layer tree's root aggregates every expert, so a 512-query chunk
+    # holds all of (q, p, p); beside it at most two n x q arrays are alive
+    # at a time (C and A, then A and its query-major copy, then that copy
+    # and the fill's product W), plus scratch of about c x n
+    bank, flat, _ = setups[4000]
+    n, p, q = bank.n, bank.p, 512
+    Xq = rng.uniform(0, 1, (q, 1))
+    nested_predict_batch(bank, flat, Xq)
+    tracemalloc.start()
+    nested_predict_batch(bank, flat, Xq)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    bound = 3 * n * q * 8 + q * p * p * 8
+    assert peak < bound, f"peak {peak} bytes, bound {bound}, n={n}, p={p}"
+
+    # neither C nor the (n, q) weight columns reach the fill, and the fill's
+    # query-major weights are freed before the root solve
+    refs = {}
+    group_weights, cross_cov_rows = bank.group_weights, bank.cross_cov_rows
+    solves = []
+
+    def weights_spy(points):
+        C, A = group_weights(points)
+        refs["C"], refs["A"] = weakref.ref(C), weakref.ref(A)
+        return C, A
+
+    def fill_spy(weights, kM, out, row_done=None):
+        assert refs["C"]() is None and refs["A"]() is None
+        refs["AT"] = weakref.ref(weights[0])
+        return cross_cov_rows(weights, kM, out, row_done)
+
+    def root_solve_spy(kmat, kvec):
+        assert refs["AT"]() is None
+        solves.append(kmat.shape)
+        return solve_weights(kmat, kvec)
+
+    solve_weights = tree_engine.solve_weights
+    bank.group_weights, bank.cross_cov_rows = weights_spy, fill_spy
+    with mock.patch.object(tree_engine, "solve_weights", root_solve_spy):
+        nested_predict_batch(bank, flat, Xq)
+    assert solves == [(q, p, p)]
 
 
 def _estimation_dataset(seed):

@@ -243,6 +243,27 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("i/o error: ") and "Traceback" not in err
 
+    def test_wrong_lengthscale_count_same_error_on_fit_and_loo_estimate(
+            self, tmp_path, monkeypatch, capsys):
+        def no_partitioning(*args, **kwargs):
+            raise AssertionError("partitioned before the kernel was checked")
+
+        monkeypatch.setattr(cli, "partition_kmeans", no_partitioning)
+        train = tmp_path / "t.csv"
+        train.write_text("x1,x2,y\n0.1,0.2,1.0\n0.3,0.9,0.5\n0.7,0.4,0.2\n"
+                         "0.8,0.6,0.1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[kernel]\nlengthscales = 0.1, 0.2, 0.3\n")
+        errors = []
+        for command in (["fit", "--out", str(tmp_path / "m.json")],
+                        ["loo-estimate"]):
+            capsys.readouterr()
+            assert main(command + ["--config", str(cfg), "--train",
+                                   str(train)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "3 length-scales for 2 input dimensions" in errors[0]
+
     def test_benchmark_without_replications_is_usage_error(self, tmp_path):
         assert main(["benchmark", "--replications", "0",
                      "--out-dir", str(tmp_path / "b")]) == 1

@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import dense_expert_stats, random_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestedkrig as nk
-from nestedkrig import kernels
+from nestedkrig import gpcore, kernels
+from nestedkrig.estimation import loo_predict
 from nestedkrig.exceptions import DimensionMismatch
 from nestedkrig.gpcore import (FullModel, SubModelBank, sample_conditional,
                                sample_gaussian, sample_paths, submodel_predict)
+from nestedkrig.tree import AggregationTree, nested_predict_batch, plan_tree
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -131,6 +137,118 @@ class TestSubModelBank:
         L1 = bank.layer1(Xq)
         expert_mse = kern.variance - L1.k ** 2 / np.einsum("qii->qi", L1.K)
         assert np.all(v_full[:, None] <= expert_mse + 1e-8)
+
+
+def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
+                                    row_done=None):
+    """The fill on (n, q) weight columns that no caller hands over.
+
+    It keeps a transposed copy of ``weights`` next to them and multiplies
+    by ``weights[stop:stop + c].T``, calling ``row_done(g)`` after every
+    row.  ``fill_expert_cross_cov`` must fill the same bits.
+    """
+    p = len(starts)
+    q, window = weights.shape[1], out.shape[1]
+    if p > 1:
+        stackedT = np.ascontiguousarray(weights.T)
+        bounds = np.concatenate([starts, [Xcat.shape[0]]])
+        c_max = int(np.diff(bounds).max())
+        m_max = int(starts[-1])
+        bpool = np.empty(c_max * m_max)
+        spool = np.empty(c_max * m_max)
+        wpool = np.empty(q * m_max)
+    for g in range(p):
+        row = out[:, g % window]
+        row[:, g] = diag[:, g]
+        if g > 0:
+            stop = int(starts[g])
+            c = int(bounds[g + 1] - bounds[g])
+            B = bpool[:c * stop].reshape(c, stop)
+            S = spool[:c * stop].reshape(c, stop)
+            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B, S)
+            W = wpool[:q * stop].reshape(q, stop)
+            np.matmul(weights[stop:stop + c].T, B, out=W)
+            W *= stackedT[:, :stop]
+            seg = np.add.reduceat(W, starts[:g], axis=1)
+            row[:, :g] = seg
+            if window == p:
+                out[:, :g, g] = seg
+        if row_done is not None:
+            row_done(g)
+
+
+def reference_fill(kernel, Xcat, starts, weights, out, diag, row_done=None):
+    """``reference_fill_expert_cross_cov`` behind the fill's interface."""
+    A = np.ascontiguousarray(weights.pop().T)
+    row_done = row_done or {}
+
+    def each_row(g):
+        if g in row_done:
+            row_done[g]()
+
+    reference_fill_expert_cross_cov(kernel, Xcat, starts, A, out, diag, each_row)
+
+
+@st.composite
+def fill_cases(draw):
+    """A random design on an unequal partition, a tree over it and queries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(4, 90))
+    layout = draw(st.sampled_from(("flat", "two_layer_sqrt", "equilibrated",
+                                   "optimal")))
+    if layout == "flat":
+        p = draw(st.integers(1, max(1, n // 3)))
+        tree = AggregationTree.flat(n, p)
+    else:
+        plan = plan_tree(n, layout, draw(st.integers(2, 4)))
+        p, tree = plan.p, plan.tree
+    # every group gets one point, the rest land anywhere: unequal sizes
+    labels = rng.permutation(np.concatenate(
+        [np.arange(p), rng.integers(0, p, n - p)]))
+    family = draw(st.sampled_from(kernels.FAMILIES))
+    kern = nk.KernelSpec(family, float(rng.uniform(0.5, 2.0)),
+                         tuple(rng.uniform(0.1, 0.6, d)))
+    X = rng.uniform(0, 1, (n, d))
+    y = np.sin(4.0 * X.sum(axis=1)) + rng.standard_normal(n) * 0.1
+    q = draw(st.sampled_from((1, 512)) | st.integers(0, 40).map(lambda k: 2 * k + 1))
+    Xq = rng.uniform(0, 1, (q, d))
+    Xq[: q // 4] = X[rng.integers(0, n, q // 4)]
+    return kern, X, y, nk.Partition(labels=labels, p=p), tree, Xq
+
+
+class TestFillReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=fill_cases())
+    def test_fill_and_predictions_equal_reference(self, case):
+        kern, X, y, part, tree, Xq = case
+        bank = SubModelBank(kern, X, y, part)
+        C, A = bank.group_weights(Xq)
+        M, kM = bank.moments(C, A)
+        q, p = M.shape
+        K = np.empty((q, p, p))
+        rows = []
+        weights = [np.ascontiguousarray(A.T)]
+        bank.cross_cov_rows(weights, kM, K, {g: lambda g=g: rows.append(g)
+                                             for g in range(0, p, 2)})
+        assert weights == []
+        assert rows == list(range(0, p, 2))
+        K_ref = np.empty((q, p, p))
+        reference_fill_expert_cross_cov(kern, bank._Xc, bank._starts, A,
+                                        K_ref, kM)
+        assert np.array_equal(K, K_ref)
+
+        sizes = np.bincount(part.labels, minlength=p)
+        deletable = np.flatnonzero(sizes[part.labels] > 1)[:q]
+        ds = nk.Dataset(X=X, y=y)
+        got = nested_predict_batch(bank, tree, Xq)
+        loo = loo_predict(ds, part, tree, kern, deletable)
+        with mock.patch.object(gpcore, "fill_expert_cross_cov", reference_fill):
+            want = nested_predict_batch(bank, tree, Xq)
+            loo_want = loo_predict(ds, part, tree, kern, deletable)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert loo == loo_want
 
 
 class TestSampling:

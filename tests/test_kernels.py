@@ -136,6 +136,17 @@ class TestCrossMatrix:
             cross_matrix(spec, np.zeros((2, 3)), np.zeros((2, 2)))
 
 
+def test_for_dim_broadcasts_a_single_lengthscale():
+    spec = KernelSpec("matern32", 2.0, (0.3,))
+    assert spec.for_dim(1) is spec
+    assert spec.for_dim(3) == KernelSpec("matern32", 2.0, (0.3, 0.3, 0.3))
+    aniso = KernelSpec("matern32", 2.0, (0.1, 0.2))
+    assert aniso.for_dim(2) is aniso
+    for d in (1, 3):
+        with pytest.raises(DimensionMismatch, match="2 length-scales"):
+            aniso.for_dim(d)
+
+
 def test_monotone_decrease_in_each_coordinate():
     rng = np.random.default_rng(3)
     for family in FAMILIES:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from conftest import random_instance, random_kernel, separated_points
@@ -261,14 +263,36 @@ class TestStreamedFirstLayer:
         windows = []
         fill = bank.cross_cov_rows
 
-        def spy(A, kM, out, row_done=None):
+        def spy(weights, kM, out, row_done=None):
             windows.append(out.shape)
-            return fill(A, kM, out, row_done)
+            return fill(weights, kM, out, row_done)
 
         bank.cross_cov_rows = spy
-        stream_layers(bank, plan.tree, *bank.group_weights(X[:5]))
+        stream_layers(bank, plan.tree, partial(bank.group_weights, X[:5]))
         widest = max(len(node) for node in plan.tree.levels[0])
         assert windows == [(5, widest, plan.p)]
+
+    def test_callbacks_only_on_rows_where_nodes_finish(self):
+        rng = np.random.default_rng(9)
+        X = np.sort(rng.uniform(0, 1, 300)).reshape(-1, 1)
+        plan = plan_tree(300, "equilibrated", height=3)
+        flat = AggregationTree.flat(300, plan.p)
+        bank = SubModelBank(nk.KernelSpec("matern32", 1.0, (0.1,)), X,
+                            np.sin(9.0 * X[:, 0]),
+                            nk.partition_consecutive(X, plan.p))
+        rows = []
+        fill = bank.cross_cov_rows
+
+        def spy(weights, kM, out, row_done=None):
+            rows.append(sorted(row_done))
+            return fill(weights, kM, out, row_done)
+
+        bank.cross_cov_rows = spy
+        for tree in (plan.tree, flat, plan.tree):
+            nested_predict_batch(bank, tree, X[:5])
+        last_children = sorted({max(node) for node in plan.tree.levels[0]})
+        assert rows == [last_children, [plan.p - 1], last_children]
+        assert plan.tree.first_layer_schedule is plan.tree.first_layer_schedule
 
 
 class TestPlanTree:
