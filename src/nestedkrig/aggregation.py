@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import kernels
 from .exceptions import DimensionMismatch
 from .gpcore import FullModel, SubModelBank
-from .linalg import factor_spd, solve, solve_weights
+from .linalg import factor_spd, solve, solve_lower, solve_weights
 
 
 @dataclass(frozen=True)
@@ -199,11 +198,11 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x) -> DiagnosticsVs
 
     kXx = kernels.cross_matrix(full.kernel, full.X, x2)[:, 0]
     kAXx = AggregatedProcess(bank).prior_cov(bank.X, x2)[:, 0]
-    u = sla.solve_triangular(L, kXx - kAXx, lower=True)
+    u = solve_lower(L, kXx - kAXx)
     eq_mean_rhs = float(u @ u)
 
-    w_full = sla.solve_triangular(L, kXx, lower=True)
-    w_agg = sla.solve_triangular(L, kAXx, lower=True)
+    w_full = solve_lower(L, kXx)
+    w_agg = solve_lower(L, kAXx)
     eq_var_rhs = float(w_full @ w_full - w_agg @ w_agg)
 
     return DiagnosticsVsFull(

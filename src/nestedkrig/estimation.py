@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, NotFactorizable
 from .gpcore import SubModelBank
 from .kernels import KernelSpec
 from .linalg import factor_spd, logdet, solve
@@ -97,9 +97,7 @@ def loo_weights(bank: SubModelBank, labels, indices):
     weights (see :func:`loo_predict`).
     """
     C, A = bank.group_weights(bank.X[indices])
-    # group-major row of every design point
-    row = np.empty(bank.n, dtype=int)
-    row[bank.point_order] = np.arange(bank.n)
+    row = bank.major_row
     for t, i in enumerate(indices):
         g = labels[i]
         lo, hi = bank.spans[g]
@@ -278,7 +276,7 @@ def grid_profile_loglik(dataset, partition, family: str, theta_grid) -> KernelSp
                 z = solve(fac, dataset.y[idx])
                 quad += float(dataset.y[idx] @ z)
                 log_det += logdet(fac)
-        except Exception:
+        except (NotFactorizable, np.linalg.LinAlgError):
             continue
         if quad <= 0.0:
             continue

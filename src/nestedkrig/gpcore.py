@@ -12,12 +12,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import kernels
 from .exceptions import DimensionMismatch
 from .kernels import KernelSpec
-from .linalg import SpdFactor, factor_spd, solve
+from .linalg import (SpdFactor, factor_spd, factor_spd_stack, solve,
+                     solve_lower)
 
 # variance ratio below which a direction counts as deterministic when sampling
 DEGENERATE_VAR_RTOL = 1e-12
@@ -139,7 +139,7 @@ class FullModel:
         Xq = self._check_query(Xq)
         C = kernels.cross_matrix(self.kernel, self.X, Xq)
         means = C.T @ self.alpha
-        V = sla.solve_triangular(self.factor.lower, C, lower=True)
+        V = solve_lower(self.factor.lower, C)
         variances = np.maximum(self.kernel.variance - np.sum(V * V, axis=0), 0.0)
         return means, variances
 
@@ -147,7 +147,7 @@ class FullModel:
         """Posterior covariance matrix at query points, (q, q)."""
         Xq = self._check_query(Xq)
         C = kernels.cross_matrix(self.kernel, self.X, Xq)
-        V = sla.solve_triangular(self.factor.lower, C, lower=True)
+        V = solve_lower(self.factor.lower, C)
         cov = kernels.cross_matrix(self.kernel, Xq, Xq) - V.T @ V
         return 0.5 * (cov + cov.T)
 
@@ -161,10 +161,21 @@ class SubModelBank:
     Stores one inverse Cholesky factor R_g = L_g^-1 per group, where
     L_g L_g' is the (possibly jittered) group covariance K_g, so that
     K_g^-1 = R_g' R_g; never forms any matrix across the full design.
+    ``applied_jitter`` holds the (p,) diagonal jitter each group's factor
+    needed (zero for a clean factorization).
     The design is kept in group-major order (``point_order``) so per-group
-    data are contiguous slices: group g owns rows ``spans[g]``.
+    data are contiguous slices: group g owns rows ``spans[g]``, and design
+    point i sits on group-major row ``major_row[i]``.
     ``group_weights``, ``moments``, ``cross_cov_rows`` and ``statistics``
     are the only code that builds expert weights and expert statistics.
+
+    The factors are built one group-size class at a time: the groups of
+    size c are gathered into a (G, c, d) stack, their covariances evaluated
+    as one (G, c, c) kernel stack and factored by one batched Cholesky
+    (every group of the class takes :func:`linalg.factor_spd`'s jitter
+    escalation when any of them needs it), and each R_g comes from one
+    LAPACK triangular solve.  Every factor has the bits of a per-group
+    build, and at most two stacks of one class are alive at a time.
     """
 
     def __init__(self, kernel: KernelSpec, X, y, partition):
@@ -177,6 +188,8 @@ class SubModelBank:
             raise DimensionMismatch("partition length does not match X")
         self.groups = partition.groups()
         self.point_order = np.concatenate(self.groups)
+        self.major_row = np.empty(self.n, dtype=int)
+        self.major_row[self.point_order] = np.arange(self.n)
         self._Xc = np.ascontiguousarray(self.X[self.point_order])
         self._yc = self.y[self.point_order]
         sizes = np.array([len(g) for g in self.groups])
@@ -185,11 +198,19 @@ class SubModelBank:
         # the explicit inverse of the triangular factor, not of K_g: weights
         # from R_g' (R_g C) keep the variance sandwich on ill-conditioned
         # groups, where products with K_g^-1 break it
-        self.inv_factors = []
-        for lo, hi in self.spans:
-            Kg = kernels.cross_matrix(kernel, self._Xc[lo:hi], self._Xc[lo:hi])
-            self.inv_factors.append(sla.solve_triangular(
-                factor_spd(Kg).lower, np.eye(hi - lo), lower=True))
+        self.inv_factors = [None] * self.p
+        self.applied_jitter = np.zeros(self.p)
+        for c in np.unique(sizes):
+            members = np.flatnonzero(sizes == c)
+            Xs = self._Xc[self._starts[members, None] + np.arange(c)]
+            K = np.empty((members.size, c, c))
+            kernels.cross_matrix_into(kernel, Xs, Xs, K)
+            L, self.applied_jitter[members] = factor_spd_stack(K)
+            del K
+            np.asarray_chkfinite(L)  # the finiteness check of each solve below
+            eye = np.eye(c)
+            for g, Lg in zip(members, L):
+                self.inv_factors[g] = solve_lower(Lg, eye, check_finite=False)
 
     @property
     def p(self) -> int:

@@ -19,8 +19,8 @@ FAMILIES = ("squared-exponential", "exponential", "matern32", "matern52")
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
 
-# Row-tile size of cross_matrix_into, in entries: a tile and its scratch
-# pair (3 x 256 KiB) stay in a 1-2 MiB L2 cache through every pass.
+# Tile size of cross_matrix_into, in entries: a tile and its scratch pair
+# (3 x 256 KiB) stay in a 1-2 MiB L2 cache through every pass.
 TILE_ENTRIES = 32768
 
 
@@ -150,19 +150,33 @@ def cross_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 
 
 def cross_matrix_into(spec: KernelSpec, Am, Bm, out, scratch=None) -> np.ndarray:
-    """:func:`cross_matrix` into a preallocated C-contiguous buffer.
+    """:func:`cross_matrix` into a preallocated C-contiguous buffer, or a stack of them.
 
-    The output is evaluated in balanced row tiles of about ``TILE_ENTRIES``
-    entries, one input dimension at a time, so the scaled distances never
-    materialize as an (n, m, d) block and every elementwise pass over a
-    tile runs in cache.  A block of one tile is evaluated in place, with
-    the optional same-shape ``scratch`` as its first scratch buffer; a
-    larger block carves one tile-sized scratch pair out of ``scratch``
-    (allocating the pair once per call without it) and reuses it for every
-    tile.  The passes and their order do not depend on the tiling, so every
+    ``Am`` (n, d), ``Bm`` (m, d) and ``out`` (n, m) give one matrix;
+    ``Am`` (G, n, d), ``Bm`` (G, m, d) and ``out`` (G, n, m) give the stack
+    of the G matrices k(Am[i], Bm[i]).  The output is evaluated in balanced
+    tiles of about ``TILE_ENTRIES`` entries, one input dimension at a time,
+    so the scaled distances never materialize as an (n, m, d) block and
+    every elementwise pass over a tile runs in cache.  A matrix tile is a
+    run of rows; a stack tile is a run of whole matrices, and a stacked
+    matrix larger than one tile is evaluated alone in row tiles.  A block
+    of one tile is evaluated in place, with the optional same-shape
+    ``scratch`` as its first scratch buffer; a larger block carves one
+    tile-sized scratch pair out of ``scratch`` (allocating the pair once
+    per call without it) and reuses it for every tile.  The passes and
+    their order do not depend on the tiling or the stacking, so every
     entry has the same bits as in a one-row call.
     """
-    n, m = out.shape
+    if out.ndim == 3 and out.shape[1] * out.shape[2] > TILE_ENTRIES:
+        for a, b, o in zip(Am, Bm, out):
+            _tiled_into(spec, a, b, o, None)
+    else:
+        _tiled_into(spec, Am, Bm, out, scratch)
+    return out
+
+
+def _tiled_into(spec: KernelSpec, Am, Bm, out, scratch) -> None:
+    """:func:`cross_matrix_into` on a matrix or on a stack of one-tile matrices."""
     if out.size <= TILE_ENTRIES:
         h_buf = scratch if scratch is not None else np.empty_like(out)
         # the second buffer is used only by non-SE families with d > 1
@@ -171,29 +185,31 @@ def cross_matrix_into(spec: KernelSpec, Am, Bm, out, scratch=None) -> np.ndarray
         else:
             poly = np.empty_like(out)
         _tile_into(spec, Am, Bm, out, h_buf, poly)
-        return out
+        return
+    stacked = out.ndim == 3
+    unit = out[0].size  # entries of one row, or of one stacked matrix
     tiles = -(-out.size // TILE_ENTRIES)
-    rows = -(-n // tiles)  # balanced: every tile but the last has `rows` rows
-    size = rows * m
+    count = -(-len(out) // tiles)  # balanced: every tile but the last has `count`
+    size = count * unit
     if scratch is not None and scratch.size >= 2 * size:
         pool = scratch.reshape(-1)
     else:
         pool = np.empty(2 * size)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        used = (hi - lo) * m
-        _tile_into(spec, Am[lo:hi], Bm, out[lo:hi],
-                   pool[:used].reshape(hi - lo, m),
-                   pool[size:size + used].reshape(hi - lo, m))
-    return out
+    for lo in range(0, len(out), count):
+        hi = min(lo + count, len(out))
+        used = (hi - lo) * unit
+        shape = (hi - lo,) + out.shape[1:]
+        _tile_into(spec, Am[lo:hi], Bm[lo:hi] if stacked else Bm, out[lo:hi],
+                   pool[:used].reshape(shape),
+                   pool[size:size + used].reshape(shape))
 
 
 def _tile_into(spec: KernelSpec, Am, Bm, out, h_buf, poly) -> None:
-    """One row tile of :func:`cross_matrix_into`, with a same-shape scratch pair."""
+    """One tile of :func:`cross_matrix_into`, with a same-shape scratch pair."""
     se = spec.family == "squared-exponential"
     for j, theta in enumerate(spec.lengthscales):
         h = out if j == 0 else h_buf
-        np.subtract(Am[:, j, None], Bm[None, :, j], out=h)
+        np.subtract(Am[..., :, j, None], Bm[..., None, :, j], out=h)
         np.abs(h, out=h)
         np.multiply(h, 1.0 / theta, out=h)
         if se:

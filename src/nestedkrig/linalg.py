@@ -1,8 +1,9 @@
 """Dense symmetric-positive-definite linear algebra.
 
-Factorization with diagonal-jitter escalation, triangular solves and
-minimum-norm pseudo-inverse solves.  Everything here is a pure function of
-its inputs; factors are immutable and safe to share across threads.
+Factorization with diagonal-jitter escalation (one matrix or a stack of
+equal-sized ones), triangular solves and minimum-norm pseudo-inverse
+solves.  Everything here is a pure function of its inputs; factors are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from .exceptions import DimensionMismatch, NotFactorizable
 
@@ -91,6 +92,68 @@ def factor_spd(matrix) -> SpdFactor:
         f"(last jitter {jitter / JITTER_GROWTH:.3e})")
 
 
+def factor_spd_stack(stack):
+    """Cholesky factors of a stack of symmetric matrices, shape (G, c, c).
+
+    Each matrix passes the symmetry check of :func:`factor_spd`; the whole
+    stack is then factored by one batched Cholesky, which gives every
+    matrix the bits of its own :func:`factor_spd` factor.  When any matrix
+    of the stack needs jitter, every matrix goes through
+    :func:`factor_spd`, jitter escalation included.
+
+    Returns
+    -------
+    (lower, applied_jitter)
+        The (G, c, c) C-ordered lower factors and the (G,) jitter each
+        matrix got (zeros when the batched factorization succeeded).
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(
+            f"expected a stack of square matrices, got shape {a.shape}")
+    scale = np.abs(a).max(axis=(1, 2))
+    asym = a - a.transpose(0, 2, 1)  # in place below: one scratch stack
+    asym = np.abs(asym, out=asym).max(axis=(1, 2))
+    if np.any((scale > 0) & (asym > SYMMETRY_RTOL * scale)):
+        raise ValueError("matrix is not symmetric within tolerance 1e-10")
+    try:
+        return np.linalg.cholesky(a), np.zeros(a.shape[0])
+    except np.linalg.LinAlgError:
+        pass
+    factors = [factor_spd(m) for m in a]
+    return (np.stack([f.lower for f in factors]),
+            np.array([f.applied_jitter for f in factors]))
+
+
+def solve_lower(lower, rhs, trans=0, check_finite=True):
+    """Solve ``L x = rhs`` (``L' x = rhs`` with ``trans=1``) for lower-triangular L.
+
+    The same LAPACK ``trtrs`` call, checks and errors as
+    ``scipy.linalg.solve_triangular(lower, rhs, lower=True, trans=trans,
+    check_finite=check_finite)``, so the result has the same bits, without
+    scipy's per-call wrapper overhead.  A C-ordered L is handed to LAPACK
+    as the upper-triangular F-ordered L' with the transpose flag flipped.
+
+    Raises ValueError on non-finite input (when ``check_finite``) and
+    ``LinAlgError`` when L has a zero on its diagonal.
+    """
+    check = np.asarray_chkfinite if check_finite else np.asarray
+    a, b = check(lower), check(rhs)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"shapes of a {a.shape} and b {b.shape} are incompatible")
+    if a.flags.f_contiguous:
+        x, info = lapack.dtrtrs(a, b, lower=1, trans=trans)
+    else:
+        x, info = lapack.dtrtrs(a.T, b, lower=0, trans=1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def solve(factor: SpdFactor, rhs):
     """Solve ``A x = rhs`` given the Cholesky factor of A.
 
@@ -100,9 +163,8 @@ def solve(factor: SpdFactor, rhs):
     if b.shape[0] != factor.n:
         raise DimensionMismatch(
             f"rhs has leading dimension {b.shape[0]}, factor is {factor.n}")
-    y = sla.solve_triangular(factor.lower, b, lower=True, check_finite=False)
-    return sla.solve_triangular(factor.lower, y, lower=True, trans="T",
-                                check_finite=False)
+    y = solve_lower(factor.lower, b, check_finite=False)
+    return solve_lower(factor.lower, y, trans=1, check_finite=False)
 
 
 def logdet(factor: SpdFactor) -> float:

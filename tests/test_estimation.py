@@ -7,11 +7,14 @@ import pytest
 from conftest import random_instance
 
 import nestedkrig as nk
+from nestedkrig import estimation, kernels
 from nestedkrig.estimation import (LOO_VARIANCE_FLOOR, LooRecord, SgdConfig,
                                    estimate_sigma2, grid_profile_loglik,
                                    loo_criterion, loo_predict, loo_weights,
                                    sgd_fit, sgd_fit_two_phase)
+from nestedkrig.exceptions import NotFactorizable
 from nestedkrig.gpcore import SubModelBank
+from nestedkrig.linalg import factor_spd
 from nestedkrig.tree import AggregationTree, plan_tree, run_layers
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
@@ -322,15 +325,57 @@ class TestSgd:
         assert all("criterion=" in line and "theta=" in line for line in lines)
 
 
-def test_grid_profile_loglik_start():
+def grid_case():
     rng = np.random.default_rng(6)
     n = 80
     kern = nk.KernelSpec("matern52", 1.5, (0.1,))
     X = rng.uniform(0, 1, (n, 1))
     f = nk.sample_paths(kern, X, 1, 13)[0]
-    ds = nk.Dataset(X=X, y=f)
-    part = nk.partition_consecutive(X, 8)
-    spec = grid_profile_loglik(ds, part, "matern52",
-                               [0.01, 0.03, 0.1, 0.3, 1.0])
+    return nk.Dataset(X=X, y=f), nk.partition_consecutive(X, 8)
+
+
+GRID = [0.01, 0.03, 0.1, 0.3, 1.0]
+
+
+def test_grid_profile_loglik_start():
+    ds, part = grid_case()
+    spec = grid_profile_loglik(ds, part, "matern52", GRID)
     assert 0.03 <= spec.lengthscales[0] <= 0.3
     assert 0.3 <= spec.variance <= 7.0
+
+
+@pytest.mark.parametrize("error", [NotFactorizable("exhausted"),
+                                   np.linalg.LinAlgError("singular")])
+def test_grid_profile_loglik_skips_unfactorizable_candidate(monkeypatch, error):
+    ds, part = grid_case()
+    best = grid_profile_loglik(ds, part, "matern52", GRID)
+    spec_in_use = []
+    cross_matrix = kernels.cross_matrix
+
+    def recording_cross_matrix(spec, A, B):
+        spec_in_use[:] = [spec]
+        return cross_matrix(spec, A, B)
+
+    def failing_factor_spd(matrix):
+        if spec_in_use[0].lengthscales == best.lengthscales:
+            raise error
+        return factor_spd(matrix)
+
+    monkeypatch.setattr(kernels, "cross_matrix", recording_cross_matrix)
+    monkeypatch.setattr(estimation, "factor_spd", failing_factor_spd)
+    spec = grid_profile_loglik(ds, part, "matern52", GRID)
+    others = [t for t in GRID if (t,) != best.lengthscales]
+    monkeypatch.undo()
+    assert spec != best
+    assert spec == grid_profile_loglik(ds, part, "matern52", others)
+
+
+def test_grid_profile_loglik_propagates_other_errors(monkeypatch):
+    ds, part = grid_case()
+
+    def broken_factor_spd(matrix):
+        raise RuntimeError("bug inside a candidate")
+
+    monkeypatch.setattr(estimation, "factor_spd", broken_factor_spd)
+    with pytest.raises(RuntimeError, match="bug inside a candidate"):
+        grid_profile_loglik(ds, part, "matern52", GRID)

@@ -2,12 +2,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from conftest import dense_expert_stats, random_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestedkrig as nk
-from nestedkrig import gpcore, kernels
+from nestedkrig import estimation, gpcore, kernels, linalg
 from nestedkrig.estimation import loo_predict
 from nestedkrig.exceptions import DimensionMismatch
 from nestedkrig.gpcore import (FullModel, SubModelBank, sample_conditional,
@@ -249,6 +250,127 @@ class TestFillReference:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert loo == loo_want
+
+
+def reference_group_factors(kernel, Xc, spans):
+    """The per-group bank build: one kernel matrix, factorization and solve each.
+
+    Returns the inverse factors R_g and the jitter of every group;
+    ``SubModelBank`` must give each group the same bits.
+    """
+    inv_factors, jitter = [], []
+    for lo, hi in spans:
+        fac = linalg.factor_spd(kernels.cross_matrix(kernel, Xc[lo:hi], Xc[lo:hi]))
+        inv_factors.append(sla.solve_triangular(fac.lower, np.eye(hi - lo),
+                                                lower=True))
+        jitter.append(fac.applied_jitter)
+    return inv_factors, np.array(jitter)
+
+
+class ReferenceBank(SubModelBank):
+    """A bank whose inverse factors come from the per-group build."""
+
+    def __init__(self, kernel, X, y, partition):
+        super().__init__(kernel, X, y, partition)
+        self.inv_factors, self.applied_jitter = reference_group_factors(
+            kernel, self._Xc, self.spans)
+
+
+def assert_same_factors(bank, inv_factors, jitter):
+    assert len(bank.inv_factors) == len(inv_factors)
+    for R, R_ref in zip(bank.inv_factors, inv_factors):
+        assert np.array_equal(R, R_ref)
+        assert R.flags.f_contiguous == R_ref.flags.f_contiguous
+    assert np.array_equal(bank.applied_jitter, jitter)
+
+
+@st.composite
+def bank_cases(draw):
+    """A random design on a partition whose groups come in mixed size classes.
+
+    Sizes up to 8 repeat freely, size-1 groups always occur, one class of
+    9 to 14 holds a single group, and sometimes one group holds a
+    duplicated design point.  The kernel tile is drawn small enough, at
+    times, that a class stack spans several tiles and a single group
+    matrix spans several row tiles.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=25))
+    sizes += [1, draw(st.integers(9, 14))]
+    p, n = len(sizes), sum(sizes)
+    labels = rng.permutation(np.repeat(np.arange(p), sizes))
+    family = draw(st.sampled_from(kernels.FAMILIES))
+    kern = nk.KernelSpec(family, float(rng.uniform(0.5, 2.0)),
+                         tuple(rng.uniform(0.1, 0.6, d)))
+    X = rng.uniform(0, 1, (n, d))
+    if draw(st.booleans()):
+        i, j = np.flatnonzero(labels == p - 1)[:2]
+        X[j] = X[i]
+    y = np.sin(4.0 * X.sum(axis=1)) + rng.standard_normal(n) * 0.1
+    Xq = rng.uniform(0, 1, (draw(st.integers(1, 20)), d))
+    tile = draw(st.sampled_from((kernels.TILE_ENTRIES, 50, 16)))
+    return kern, X, y, nk.Partition(labels=labels, p=p), Xq, tile
+
+
+class TestBankReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=bank_cases())
+    def test_bank_and_predictions_equal_per_group_build(self, case):
+        kern, X, y, part, Xq, tile = case
+        with mock.patch.object(kernels, "TILE_ENTRIES", tile):
+            bank = SubModelBank(kern, X, y, part)
+            ref = ReferenceBank(kern, X, y, part)
+        assert_same_factors(bank, ref.inv_factors, ref.applied_jitter)
+
+        tree = AggregationTree.flat(part.n, part.p)
+        got = nested_predict_batch(bank, tree, Xq)
+        want = nested_predict_batch(ref, tree, Xq)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+        sizes = np.bincount(part.labels, minlength=part.p)
+        deletable = np.flatnonzero(sizes[part.labels] > 1)[:30]
+        ds = nk.Dataset(X=X, y=y)
+        loo = loo_predict(ds, part, tree, kern, deletable)
+        with mock.patch.object(estimation, "SubModelBank", ReferenceBank):
+            assert loo == loo_predict(ds, part, tree, kern, deletable)
+
+    def test_duplicate_point_in_one_group_of_a_clean_class(self):
+        # four groups of six and two of three; group 2 repeats a point, so
+        # the batched Cholesky of the size-6 class fails
+        rng = np.random.default_rng(4)
+        labels = np.repeat([0, 1, 2, 3, 4, 5], [6, 6, 6, 6, 3, 3])
+        X = rng.uniform(0, 1, (labels.size, 2))
+        X[13] = X[12]
+        y = rng.standard_normal(labels.size)
+        kern = nk.KernelSpec("squared-exponential", 1.0, (0.3, 0.3))
+        part = nk.Partition(labels=labels, p=6)
+        K2 = kernels.cross_matrix(kern, X[12:18], X[12:18])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K2)
+
+        with mock.patch.object(linalg, "factor_spd",
+                               wraps=linalg.factor_spd) as spy:
+            bank = SubModelBank(kern, X, y, part)
+        # the failed class goes through factor_spd, the clean one does not
+        assert spy.call_count == 4
+
+        fac = linalg.factor_spd(K2)
+        assert fac.applied_jitter > 0.0
+        assert bank.applied_jitter[2] == fac.applied_jitter
+        np.testing.assert_array_equal(np.delete(bank.applied_jitter, 2), 0.0)
+        assert np.array_equal(bank.inv_factors[2], sla.solve_triangular(
+            fac.lower, np.eye(6), lower=True))
+        inv_factors, jitter = reference_group_factors(kern, bank._Xc, bank.spans)
+        assert_same_factors(bank, inv_factors, jitter)
+
+    def test_major_row_inverts_point_order(self):
+        rng = np.random.default_rng(5)
+        kern, X, f, part = random_instance(rng)
+        bank = SubModelBank(kern, X, f, part)
+        np.testing.assert_array_equal(bank.point_order[bank.major_row],
+                                      np.arange(bank.n))
 
 
 class TestSampling:

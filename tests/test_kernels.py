@@ -113,6 +113,24 @@ class TestCrossMatrix:
             for i in range(A.shape[0]):
                 assert np.array_equal(K[i], cross_matrix(spec, A[i:i + 1], B)[0])
 
+    @pytest.mark.parametrize("G, n, m", [
+        (5, 4, 4),      # the whole stack in one tile
+        (700, 10, 10),  # whole matrices, three tiles, the last one shorter
+        (3, 200, 190),  # every matrix larger than one tile: row tiles
+        (40, 1, 1),
+    ])
+    def test_stack_equals_per_matrix_calls(self, G, n, m):
+        rng = np.random.default_rng(G + n)
+        for d in (1, 2, 3):
+            A = rng.uniform(0, 1, (G, n, d))
+            B = rng.uniform(0, 1, (G, m, d))
+            for family in FAMILIES:
+                spec = KernelSpec(family, 1.3, tuple(rng.uniform(0.1, 0.8, d)))
+                out = np.empty((G, n, m))
+                assert kernels.cross_matrix_into(spec, A, B, out) is out
+                for a, b, o in zip(A, B, out):
+                    assert np.array_equal(o, cross_matrix(spec, a, b)), family
+
     def test_no_allocation_with_scratch(self):
         rng = np.random.default_rng(6)
         A = rng.uniform(0, 1, (200, 3))

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestedkrig.exceptions import DimensionMismatch, NotFactorizable
-from nestedkrig.linalg import (factor_spd, logdet, pseudo_solve, solve,
-                               solve_weights)
+from nestedkrig.linalg import (factor_spd, factor_spd_stack, logdet,
+                               pseudo_solve, solve, solve_lower, solve_weights)
+
+
+def random_spd(rng, n):
+    w = rng.uniform(1e-3, 1e3, n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = (Q * w) @ Q.T
+    return 0.5 * (A + A.T)
 
 
 class TestFactorSpd:
@@ -52,6 +60,99 @@ class TestFactorSpd:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             factor_spd(np.ones((2, 3)))
+
+
+class TestFactorSpdStack:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 12)])
+    def test_equals_factor_spd_per_matrix(self, shape):
+        rng = np.random.default_rng(shape[0])
+        stack = np.stack([random_spd(rng, shape[1]) for _ in range(shape[0])])
+        lower, jitter = factor_spd_stack(stack)
+        assert lower.flags.c_contiguous
+        np.testing.assert_array_equal(jitter, 0.0)
+        for m, L in zip(stack, lower):
+            assert np.array_equal(L, factor_spd(m).lower)
+
+    def test_one_singular_matrix_sends_the_stack_through_factor_spd(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_spd(rng, 4) for _ in range(5)])
+        stack[3] = 1.0  # rank one: needs jitter
+        lower, jitter = factor_spd_stack(stack)
+        for m, L, j in zip(stack, lower, jitter):
+            fac = factor_spd(m)
+            assert np.array_equal(L, fac.lower)
+            assert j == fac.applied_jitter
+        assert jitter[3] > 0.0
+        assert np.count_nonzero(jitter) == 1
+
+    def test_asymmetric_rejected(self):
+        stack = np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="symmetric"):
+            factor_spd_stack(stack)
+
+    def test_hopeless_matrix_raises(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -5.0])])
+        with pytest.raises(NotFactorizable):
+            factor_spd_stack(stack)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            factor_spd_stack(np.ones((2, 2, 3)))
+
+
+class TestSolveLower:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs_cols", [None, 1, 5])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_equals_scipy_bit_for_bit(self, order, rhs_cols, trans):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 30):
+            L = np.asarray(factor_spd(random_spd(rng, n)).lower, order=order)
+            shape = (n,) if rhs_cols is None else (n, rhs_cols)
+            b = np.asarray(rng.standard_normal(shape), order=order)
+            want = sla.solve_triangular(L, b, lower=True, trans=trans)
+            got = solve_lower(L, b, trans=trans)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_inverse_factor_equals_scipy(self):
+        L = factor_spd(random_spd(np.random.default_rng(12), 9)).lower
+        eye = np.eye(9)
+        want = sla.solve_triangular(L, eye, lower=True)
+        got = solve_lower(L, eye, check_finite=False)
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous and want.flags.f_contiguous
+
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_non_finite_input_raises_like_scipy(self, where):
+        L = np.array([[2.0, 0.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        if where == "matrix":
+            L[1, 0] = np.nan
+        else:
+            b[1] = np.inf
+        with pytest.raises(ValueError) as want:
+            sla.solve_triangular(L, b, lower=True)
+        with pytest.raises(ValueError) as got:
+            solve_lower(L, b)
+        assert str(got.value) == str(want.value)
+        solve_lower(L, b, check_finite=False)  # unchecked: no error
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_singular_raises_like_scipy(self, order):
+        L = np.asarray([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+                       order=order)
+        b = np.ones(3)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            sla.solve_triangular(L, b, lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            solve_lower(L, b)
+        assert str(got.value) == str(want.value)
+
+    def test_empty_rhs(self):
+        out = solve_lower(np.eye(3), np.zeros((3, 0)))
+        assert out.shape == (3, 0)
 
 
 class TestSolve:
