@@ -68,46 +68,40 @@ def aggregate(kxx: float, M, kM, KM) -> AggregatedPrediction:
 class AggregatedProcess:
     """Process whose exact posterior reproduces the aggregated predictions.
 
-    Its prior covariance agrees with the original kernel on the diagonal
-    and, for interpolating experts, on all design-point pairs; conditioning
-    it on the observations returns the aggregated means and variances along
-    with full posterior cross-covariances.  This view is a desk-scale tool:
-    it factors an n x n matrix and brings no computational gain.
+    With the aggregated mean lambda(x)' Y (the bank's ``design_weights``),
+    k_A(x, x') = k(x, x') + 2 lambda(x)' k(X, X) lambda(x')
+    - lambda(x)' k(X, x') - lambda(x')' k(X, x).  It agrees with k on the
+    diagonal and, for interpolating experts, on all design-point pairs;
+    conditioning it on the observations returns the aggregated means and
+    variances with full posterior cross-covariances.  A desk-scale tool:
+    it factors n x n matrices and brings no computational gain.
     """
 
     def __init__(self, bank: SubModelBank):
         self.bank = bank
         self.kernel = bank.kernel
 
-    def _stats(self, Z):
-        """Per-point weighted expert loadings V_i and covariance rows C_i."""
+    def _design_weights(self, Z):
+        """lambda_A at the points Z, (n, m), from the flat BLUE expert weights."""
         bank = self.bank
         C, A = bank.group_weights(Z)
         L1 = bank.statistics(C, A)
         alpha, _ = solve_weights(L1.K, L1.k)
-        V = [A[lo:hi] * alpha[:, g] for g, (lo, hi) in enumerate(bank.spans)]
-        return V, [C[lo:hi] for lo, hi in bank.spans]
+        return bank.design_weights(A, alpha)
 
     def prior_cov(self, Za, Zb) -> np.ndarray:
         """Prior covariance matrix of the aggregated process, (ma, mb)."""
-        bank = self.bank
+        kernel, X = self.kernel, self.bank.X
         Za = np.atleast_2d(np.asarray(Za, dtype=float))
         Zb = np.atleast_2d(np.asarray(Zb, dtype=float))
-        Va, Ca = self._stats(Za)
+        la, kXa = self._design_weights(Za), kernels.cross_matrix(kernel, X, Za)
         if Zb.shape == Za.shape and np.array_equal(Za, Zb):
-            Vb, Cb = Va, Ca
+            lb, kXb = la, kXa
         else:
-            Vb, Cb = self._stats(Zb)
-        quad = np.zeros((Za.shape[0], Zb.shape[0]))
-        for g, sg in enumerate(bank.spans):
-            for h, sh in enumerate(bank.spans):
-                B = kernels.cross_matrix(bank.kernel, bank._Xc[sg[0]:sg[1]],
-                                         bank._Xc[sh[0]:sh[1]])
-                quad += Va[g].T @ B @ Vb[h]
-        cross_ab = sum(Va[g].T @ Cb[g] for g in range(bank.p))
-        cross_ba = sum(Vb[g].T @ Ca[g] for g in range(bank.p))
-        out = kernels.cross_matrix(bank.kernel, Za, Zb) \
-            + 2.0 * quad - cross_ab - cross_ba.T
+            lb, kXb = self._design_weights(Zb), kernels.cross_matrix(kernel, X, Zb)
+        quad = la.T @ kernels.cross_matrix(kernel, X, X) @ lb
+        out = kernels.cross_matrix(kernel, Za, Zb) \
+            + 2.0 * quad - la.T @ kXb - (lb.T @ kXa).T
         # variance preservation holds identically; enforce it on coincident
         # arguments so the diagonal is exact
         same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
@@ -178,7 +172,7 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x) -> DiagnosticsVs
     M, kM, KM = L1.M[0], L1.k[0], L1.K[0]
     kxx = bank.kernel.variance
     agg = aggregate(kxx, M, kM, KM)
-    alpha, m_A, v_A = agg.weights, agg.mean, agg.variance
+    m_A, v_A = agg.mean, agg.variance
 
     m_full, v_full = full.predict(x2)
     m_full, v_full = float(m_full[0]), float(v_full[0])
@@ -187,16 +181,14 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x) -> DiagnosticsVs
     bound = float(expert_mse.min() - v_full)
 
     # full-design weight vectors of both predictors
-    lam_full = solve(full.factor, kernels.cross_matrix(full.kernel, full.X, x2))[:, 0]
-    lam_agg = np.zeros(bank.n)
-    for g, (lo, hi) in enumerate(bank.spans):
-        lam_agg[bank.point_order[lo:hi]] = alpha[g] * A[lo:hi, 0]
+    kXx = kernels.cross_matrix(full.kernel, full.X, x2)[:, 0]
+    lam_full = solve(full.factor, kXx)
+    lam_agg = bank.design_weights(A, agg.weights[None, :])[:, 0]
 
     L = full.factor.lower
     diff = L.T @ (lam_agg - lam_full)
     eq_mean_lhs = float(diff @ diff)
 
-    kXx = kernels.cross_matrix(full.kernel, full.X, x2)[:, 0]
     kAXx = AggregatedProcess(bank).prior_cov(bank.X, x2)[:, 0]
     u = solve_lower(L, kXx - kAXx)
     eq_mean_rhs = float(u @ u)

@@ -20,6 +20,13 @@ METHODS = ("poe", "gpoe1", "gpoe2", "bcm", "rbcm", "spv")
 DEGENERATE_RTOL = 1e-12
 # precision floor applied when a committee correction turns nonpositive
 PRECISION_FLOOR_RTOL = 1e-12
+# floor keeping expert variances positive for the density-based rules
+EXPERT_VARIANCE_FLOOR = 1e-15
+
+
+def expert_variances(prior_var: float, k):
+    """Expert variances prior_var - k from ``SubModelBank.moments``' k, floored."""
+    return np.maximum(prior_var - k, EXPERT_VARIANCE_FLOOR)
 
 
 def evaluate(method: str, M, V, prior_var: float):

@@ -161,10 +161,9 @@ def _predict_arrays(bundle, method, Xq, threads, full_cap):
         else:
             def evaluate(chunk):
                 M, k = bank.moments(*bank.group_weights(chunk))
-                expert_vars = np.maximum(kernel.variance - k,
-                                         metrics.EXPERT_VARIANCE_FLOOR)
-                return baselines.evaluate(method, M, expert_vars,
-                                          kernel.variance)
+                return baselines.evaluate(
+                    method, M, baselines.expert_variances(kernel.variance, k),
+                    kernel.variance)
 
     q = Xq.shape[0]
     means = np.empty(q)

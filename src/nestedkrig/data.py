@@ -289,20 +289,21 @@ def partition_kmeans(X, p: int, seed: int = 0) -> Partition:
     return Partition(labels=labels, p=p)
 
 
+def _balanced_labels(order, p: int) -> np.ndarray:
+    """Labels of p groups over runs of ``order``; the first n % p are one larger."""
+    n = order.shape[0]
+    sizes = np.full(p, n // p)
+    sizes[: n % p] += 1
+    labels = np.empty(n, dtype=int)
+    labels[order] = np.repeat(np.arange(p), sizes)
+    return labels
+
+
 def partition_random(n: int, p: int, seed: int = 0) -> Partition:
     """Uniformly random balanced partition; group sizes differ by at most 1."""
     _check_group_count(n, p)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    labels = np.empty(n, dtype=int)
-    # the first n % p groups receive one extra point
-    sizes = np.full(p, n // p)
-    sizes[: n % p] += 1
-    start = 0
-    for k, size in enumerate(sizes):
-        labels[perm[start:start + size]] = k
-        start += size
-    return Partition(labels=labels, p=p)
+    return Partition(labels=_balanced_labels(rng.permutation(n), p), p=p)
 
 
 def partition_consecutive(X, p: int) -> Partition:
@@ -315,11 +316,4 @@ def partition_consecutive(X, p: int) -> Partition:
     n = X.shape[0]
     _check_group_count(n, p)
     order = np.argsort(X[:, 0], kind="stable")
-    sizes = np.full(p, n // p)
-    sizes[: n % p] += 1
-    labels = np.empty(n, dtype=int)
-    start = 0
-    for k, size in enumerate(sizes):
-        labels[order[start:start + size]] = k
-        start += size
-    return Partition(labels=labels, p=p)
+    return Partition(labels=_balanced_labels(order, p), p=p)

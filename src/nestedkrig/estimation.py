@@ -16,11 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from . import kernels
 from .exceptions import DimensionMismatch, NotFactorizable
 from .gpcore import SubModelBank
 from .kernels import KernelSpec
-from .linalg import factor_spd, logdet, solve
 from .tree import PREDICT_CHUNK, AggregationTree, stream_layers
 
 # floor for unit-scale leave-one-out variances; the deleted point is absent
@@ -46,16 +44,11 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
                 indices=None) -> list:
     """Exact leave-one-out nested predictions at the requested indices.
 
-    Deleting a point from its group has closed-form Kriging weights, the
-    virtual cross-validation identity (Dubrule 1983): with Q = K_g^-1, the
-    remaining points of the group weigh in with -Q[:, j] / Q[j, j].  Q is
-    read through the bank's inverse Cholesky factor, Q[:, j] = R_g' R_g[:, j]
-    and Q[j, j] = |R_g[:, j]|^2, so no group is refactored.  When the group
-    factor needed jitter, the identity applies to the jittered group
-    matrix.  Every other expert, the group layout and the tree are left
-    untouched.  Indices whose group would become empty are skipped with a
-    warning.  The indices are predicted in chunks of ``PREDICT_CHUNK``, so
-    memory grows with n, not n^2.
+    Deleting a point from its group has closed-form Kriging weights
+    (:meth:`SubModelBank.loo_weights`); every other expert, the group
+    layout and the tree are left untouched.  Indices whose group would
+    become empty are skipped with a warning.  The indices are predicted in
+    chunks of ``PREDICT_CHUNK``, so memory grows with n, not n^2.
     """
     X, y = dataset.X, dataset.y
     n = X.shape[0]
@@ -81,34 +74,12 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     for start in range(0, indices.size, PREDICT_CHUNK):
         chunk = indices[start:start + PREDICT_CHUNK]
         m_loo, root_cov = stream_layers(
-            bank, tree, partial(loo_weights, bank, labels, chunk))
+            bank, tree, partial(bank.loo_weights, chunk))
         v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
                             LOO_VARIANCE_FLOOR)
         records += [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
                     for i, m, v in zip(chunk, m_loo, v_unit)]
     return records
-
-
-def loo_weights(bank: SubModelBank, labels, indices):
-    """``group_weights`` at the design points ``indices``, each deleted from its group.
-
-    Returns (C, A) as ``bank.group_weights(X[indices])`` does, with the
-    deleted point's group column replaced by its virtual cross-validation
-    weights (see :func:`loo_predict`).
-    """
-    C, A = bank.group_weights(bank.X[indices])
-    row = bank.major_row
-    for t, i in enumerate(indices):
-        g = labels[i]
-        lo, hi = bank.spans[g]
-        R = bank.inv_factors[g]
-        j = row[i] - lo
-        # Q[:, j] from the nonzero part of column j of R; the deleted slot
-        # gets a zero weight, so every later product skips that row
-        r = R[j:, j]
-        A[lo:hi, t] = -(R[j:].T @ r) / (r @ r)
-        A[row[i], t] = 0.0
-    return C, A
 
 
 def loo_criterion(records, y) -> float:
@@ -259,25 +230,20 @@ def grid_profile_loglik(dataset, partition, family: str, theta_grid) -> KernelSp
 
     Plain grid search over candidate length-scale vectors with the process
     variance profiled out analytically; a candidate of one length-scale
-    stands for every input dimension (``KernelSpec.for_dim``).  Not an
+    stands for every input dimension (``KernelSpec.for_dim``).  Each
+    candidate's unit-variance :class:`SubModelBank` gives the summed group
+    terms; a candidate whose groups cannot be factored is skipped.  Not an
     estimator of record, just a cheap initializer.
     """
-    groups = partition.groups()
     n = dataset.n
     best = None
     for theta in theta_grid:
         spec = KernelSpec(family, 1.0, theta).for_dim(dataset.d)
-        quad = 0.0
-        log_det = 0.0
         try:
-            for idx in groups:
-                R = kernels.cross_matrix(spec, dataset.X[idx], dataset.X[idx])
-                fac = factor_spd(R)
-                z = solve(fac, dataset.y[idx])
-                quad += float(dataset.y[idx] @ z)
-                log_det += logdet(fac)
+            bank = SubModelBank(spec, dataset.X, dataset.y, partition)
         except (NotFactorizable, np.linalg.LinAlgError):
             continue
+        quad, log_det = bank.likelihood_terms()
         if quad <= 0.0:
             continue
         sigma2 = quad / n

@@ -73,8 +73,8 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
         m_max = int(starts[-1])
         apool = np.empty(c_max * q)
         bpool = np.empty(c_max * m_max)
-        # kernel scratch for blocks of one tile; a larger block carves its
-        # own tile-sized pair, so a block-sized pool would sit unused
+        # kernel scratch for blocks of one tile; a larger block allocates
+        # its own tile-sized pair, so a block-sized pool would sit unused
         spool = np.empty(min(c_max * m_max, kernels.TILE_ENTRIES))
         wpool = np.empty(q * m_max)
     for g in range(p):
@@ -166,8 +166,12 @@ class SubModelBank:
     The design is kept in group-major order (``point_order``) so per-group
     data are contiguous slices: group g owns rows ``spans[g]``, and design
     point i sits on group-major row ``major_row[i]``.
-    ``group_weights``, ``moments``, ``cross_cov_rows`` and ``statistics``
-    are the only code that builds expert weights and expert statistics.
+    The bank is the only code that knows this layout or factors a group
+    covariance: ``group_weights``, ``loo_weights``, ``moments``,
+    ``cross_cov_rows`` and ``statistics`` build the expert weights and
+    expert statistics, ``design_weights`` turns expert weights into one
+    weight per design point in the original order, and
+    ``likelihood_terms`` sums the per-group Gaussian log-likelihood terms.
 
     The factors are built one group-size class at a time: the groups of
     size c are gathered into a (G, c, d) stack, their covariances evaluated
@@ -187,6 +191,7 @@ class SubModelBank:
         if partition.n != self.X.shape[0]:
             raise DimensionMismatch("partition length does not match X")
         self.groups = partition.groups()
+        self.labels = partition.labels
         self.point_order = np.concatenate(self.groups)
         self.major_row = np.empty(self.n, dtype=int)
         self.major_row[self.point_order] = np.arange(self.n)
@@ -235,6 +240,43 @@ class SubModelBank:
         for (lo, hi), R in zip(self.spans, self.inv_factors):
             A[lo:hi] = R.T @ (R @ C[lo:hi])
         return C, A
+
+    def loo_weights(self, indices):
+        """``group_weights`` at design points ``indices``, each deleted from its group.
+
+        The deleted point's group column holds its virtual cross-validation
+        weights (Dubrule 1983): with Q = K_g^-1 = R_g' R_g (jittered where
+        the factor needed jitter), the rest of the group weighs in with
+        -Q[:, j] / Q[j, j], so no group is refactored.
+        """
+        C, A = self.group_weights(self.X[indices])
+        row = self.major_row
+        for t, i in enumerate(indices):
+            g = self.labels[i]
+            lo, hi = self.spans[g]
+            R = self.inv_factors[g]
+            j = row[i] - lo
+            # Q[:, j] from the nonzero part of column j of R; the deleted slot
+            # gets a zero weight, so every later product skips that row
+            r = R[j:, j]
+            A[lo:hi, t] = -(R[j:].T @ r) / (r @ r)
+            A[row[i], t] = 0.0
+        return C, A
+
+    def design_weights(self, A, alpha):
+        """(n, q) design weights sum_g alpha[:, g] a_g, rows in the design's order.
+
+        ``A`` comes from ``group_weights`` and ``alpha`` holds (q, p) expert
+        weights; the combined predictor at query t is column t times y.
+        """
+        return A[self.major_row] * np.asarray(alpha).T[self.labels]
+
+    def likelihood_terms(self):
+        """Sums over the groups of y_g' K_g^-1 y_g = |R_g y_g|^2 and log det K_g."""
+        pairs = list(zip(self.spans, self.inv_factors))
+        z = np.concatenate([R @ self._yc[lo:hi] for (lo, hi), R in pairs])
+        diag = np.concatenate([np.diag(R) for _, R in pairs])
+        return float(z @ z), -2.0 * float(np.log(diag).sum())
 
     def moments(self, C, A):
         """Expert means M = a_g' y_g and covariances k = a_g' C_g, both (q, p).

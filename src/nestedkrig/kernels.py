@@ -161,11 +161,11 @@ def cross_matrix_into(spec: KernelSpec, Am, Bm, out, scratch=None) -> np.ndarray
     run of rows; a stack tile is a run of whole matrices, and a stacked
     matrix larger than one tile is evaluated alone in row tiles.  A block
     of one tile is evaluated in place, with the optional same-shape
-    ``scratch`` as its first scratch buffer; a larger block carves one
-    tile-sized scratch pair out of ``scratch`` (allocating the pair once
-    per call without it) and reuses it for every tile.  The passes and
-    their order do not depend on the tiling or the stacking, so every
-    entry has the same bits as in a one-row call.
+    ``scratch`` as its first scratch buffer; a larger block ignores
+    ``scratch``, allocates one tile-sized scratch pair per call and reuses
+    it for every tile.  The passes and their order do not depend on the
+    tiling or the stacking, so every entry has the same bits as in a
+    one-row call.
     """
     if out.ndim == 3 and out.shape[1] * out.shape[2] > TILE_ENTRIES:
         for a, b, o in zip(Am, Bm, out):
@@ -191,10 +191,7 @@ def _tiled_into(spec: KernelSpec, Am, Bm, out, scratch) -> None:
     tiles = -(-out.size // TILE_ENTRIES)
     count = -(-len(out) // tiles)  # balanced: every tile but the last has `count`
     size = count * unit
-    if scratch is not None and scratch.size >= 2 * size:
-        pool = scratch.reshape(-1)
-    else:
-        pool = np.empty(2 * size)
+    pool = np.empty(2 * size)
     for lo in range(0, len(out), count):
         hi = min(lo + count, len(out))
         used = (hi - lo) * unit

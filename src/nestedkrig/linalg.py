@@ -167,11 +167,6 @@ def solve(factor: SpdFactor, rhs):
     return solve_lower(factor.lower, y, trans=1, check_finite=False)
 
 
-def logdet(factor: SpdFactor) -> float:
-    """Log-determinant of the factored matrix."""
-    return 2.0 * float(np.sum(np.log(np.diag(factor.lower))))
-
-
 def pseudo_solve(matrix, rhs):
     """Minimum-norm solution of a symmetric (possibly singular) system.
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, kernels
-from .aggregation import aggregate
+from .baselines import EXPERT_VARIANCE_FLOOR
 from .data import Partition, partition_consecutive
 from .exceptions import NonPositiveVariance
 from .gpcore import FullModel, SubModelBank, sample_gaussian
 from .kernels import KernelSpec
-from .linalg import factor_spd, solve
+from .linalg import solve, solve_weights
 from .tree import AggregationTree, nested_predict_batch
 
 BENCH_METHODS = ("nested",) + baselines.METHODS
@@ -42,9 +42,6 @@ DEMO_X0 = 0.1
 DEMO_XBAR = 0.9
 DEMO_RADIUS = 0.05
 DEMO_KERNEL = KernelSpec("matern52", 1.0, (1.0,))
-
-# floor keeping expert variances positive for the density-based rules
-EXPERT_VARIANCE_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def benchmark_instance(seed):
     m_nested, v_nested = nested_predict_batch(bank, tree, grid)
 
     M, k = bank.moments(*bank.group_weights(grid))
-    expert_vars = np.maximum(BENCH_KERNEL.variance - k, EXPERT_VARIANCE_FLOOR)
+    expert_vars = baselines.expert_variances(BENCH_KERNEL.variance, k)
     # criteria needs positive variances, and at a grid point next to a
     # design point the full and nested predictors clamp the variance at zero
     results = {
@@ -224,26 +221,25 @@ def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
                                 [seed, int(n)])
         fX, y0 = draws[:, :-1], draws[:, -1]
 
+        # every predictor is linear in the data: one weight per design point
         if method == "full":
-            fac = factor_spd(kernels.cross_matrix(kernel, X, X))
-            lam = solve(fac, kernels.cross_matrix(kernel, X, x0.reshape(1, -1)))[:, 0]
-            preds = fX @ lam
+            full = FullModel(kernel, X, np.zeros(X.shape[0]))
+            lam = solve(full.factor, kernels.cross_matrix(kernel, X, x0[None]))
         else:
             bank = SubModelBank(kernel, X, np.zeros(X.shape[0]), part)
-            C, A = bank.group_weights(x0.reshape(1, -1))
-            # expert means of every replicate path, (replicates, p)
-            M = np.empty((replicates, bank.p))
-            for g, (lo, hi) in enumerate(bank.spans):
-                M[:, g] = fX[:, bank.point_order[lo:hi]] @ A[lo:hi, 0]
+            C, A = bank.group_weights(x0[None])
             if method == "nested":
                 L1 = bank.statistics(C, A)
-                agg = aggregate(kernel.variance, np.zeros(bank.p), L1.k[0],
-                                L1.K[0])
-                preds = M @ agg.weights
+                alpha = solve_weights(L1.K, L1.k)[0]
             else:
-                kM = bank.moments(C, A)[1][0]
-                V = np.maximum(kernel.variance - kM, EXPERT_VARIANCE_FLOOR)
-                preds = baselines.evaluate(method, M, V, kernel.variance)[0]
+                # the rules are linear in the expert means, so applied to
+                # unit means (row g: expert g alone) they give the weights
+                V = baselines.expert_variances(kernel.variance,
+                                               bank.moments(C, A)[1][0])
+                alpha = baselines.evaluate(method, np.eye(bank.p), V,
+                                           kernel.variance)[0][None]
+            lam = bank.design_weights(A, alpha)
+        preds = fX @ lam[:, 0]
         out.append((int(n), float(np.mean((preds - y0) ** 2))))
     return out
 

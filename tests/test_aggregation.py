@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from conftest import dense_aggregate, dense_expert_stats, random_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestedkrig as nk
 from nestedkrig import kernels
 from nestedkrig.aggregation import (AggregatedProcess, aggregate,
                                     aggregated_posterior, diagnostics_vs_full)
 from nestedkrig.gpcore import FullModel, SubModelBank, sample_conditional, submodel_predict
+from nestedkrig.linalg import solve_weights
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -45,6 +48,38 @@ def dense_process_cov(kern, X, groups, xa, xb):
     kXa = kernels.cross_matrix(kern, X, xa)[:, 0]
     kXb = kernels.cross_matrix(kern, X, xb)[:, 0]
     return kab + 2.0 * la @ K @ lb - la @ kXb - lb @ kXa
+
+
+def reference_prior_cov(bank, Za, Zb):
+    """The modified prior assembled group by group, over all p^2 group pairs.
+
+    Per-group weighted loadings V_g = alpha_g a_g and covariance rows C_g,
+    and one kernel block k(X_g, X_h) per group pair.
+    """
+    def stats(Z):
+        C, A = bank.group_weights(Z)
+        L1 = bank.statistics(C, A)
+        alpha, _ = solve_weights(L1.K, L1.k)
+        V = [A[lo:hi] * alpha[:, g] for g, (lo, hi) in enumerate(bank.spans)]
+        return V, [C[lo:hi] for lo, hi in bank.spans]
+
+    Za = np.atleast_2d(np.asarray(Za, dtype=float))
+    Zb = np.atleast_2d(np.asarray(Zb, dtype=float))
+    Va, Ca = stats(Za)
+    Vb, Cb = stats(Zb)
+    quad = np.zeros((Za.shape[0], Zb.shape[0]))
+    for g, (glo, ghi) in enumerate(bank.spans):
+        for h, (hlo, hhi) in enumerate(bank.spans):
+            B = kernels.cross_matrix(bank.kernel, bank._Xc[glo:ghi],
+                                     bank._Xc[hlo:hhi])
+            quad += Va[g].T @ B @ Vb[h]
+    cross_ab = sum(Va[g].T @ Cb[g] for g in range(bank.p))
+    cross_ba = sum(Vb[g].T @ Ca[g] for g in range(bank.p))
+    out = kernels.cross_matrix(bank.kernel, Za, Zb) \
+        + 2.0 * quad - cross_ab - cross_ba.T
+    same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
+    out[same] = bank.kernel.variance
+    return out
 
 
 class TestAggregate:
@@ -188,6 +223,23 @@ class TestProcessView:
             got = AggregatedProcess(bank).cov(xa, xb)
             want = dense_process_cov(kern, X, part.groups(), xa, xb)
             assert got == pytest.approx(want, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), ma=st.integers(1, 6),
+           mb=st.integers(1, 6), on_design=st.booleans())
+    def test_matches_group_pair_assembly(self, seed, ma, mb, on_design):
+        # the design-weight form equals the p^2 block assembly, including
+        # on design points and with the same point set on both sides
+        rng = np.random.default_rng(seed)
+        kern, X, f, part = random_instance(rng)
+        bank = SubModelBank(kern, X, f, part)
+        Za = rng.uniform(0, 1, (ma, X.shape[1]))
+        if on_design:
+            Za[0] = X[rng.integers(X.shape[0])]
+        Zb = Za if mb == ma else rng.uniform(0, 1, (mb, X.shape[1]))
+        got = AggregatedProcess(bank).prior_cov(Za, Zb)
+        want = reference_prior_cov(bank, Za, Zb)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_symmetry(self):
         bank = ex1_bank()

@@ -7,14 +7,14 @@ import pytest
 from conftest import random_instance
 
 import nestedkrig as nk
-from nestedkrig import estimation, kernels
+from nestedkrig import gpcore, kernels
 from nestedkrig.estimation import (LOO_VARIANCE_FLOOR, LooRecord, SgdConfig,
                                    estimate_sigma2, grid_profile_loglik,
-                                   loo_criterion, loo_predict, loo_weights,
-                                   sgd_fit, sgd_fit_two_phase)
+                                   loo_criterion, loo_predict, sgd_fit,
+                                   sgd_fit_two_phase)
 from nestedkrig.exceptions import NotFactorizable
 from nestedkrig.gpcore import SubModelBank
-from nestedkrig.linalg import factor_spd
+from nestedkrig.linalg import factor_spd_stack
 from nestedkrig.tree import AggregationTree, plan_tree, run_layers
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
@@ -92,7 +92,7 @@ class TestLooPredict:
         records = loo_predict(nk.Dataset(X=X, y=f), part, plan.tree, kern,
                               indices)
         bank = SubModelBank(kern, X, f, part)
-        C, A = loo_weights(bank, part.labels, indices)
+        C, A = bank.loo_weights(indices)
         m, root_cov = run_layers(*bank.statistics(C, A), plan.tree)
         v = np.maximum((kern.variance - root_cov) / kern.variance,
                        LOO_VARIANCE_FLOOR)
@@ -350,19 +350,19 @@ def test_grid_profile_loglik_skips_unfactorizable_candidate(monkeypatch, error):
     ds, part = grid_case()
     best = grid_profile_loglik(ds, part, "matern52", GRID)
     spec_in_use = []
-    cross_matrix = kernels.cross_matrix
+    cross_matrix_into = kernels.cross_matrix_into
 
-    def recording_cross_matrix(spec, A, B):
+    def recording_cross_matrix_into(spec, *args):
         spec_in_use[:] = [spec]
-        return cross_matrix(spec, A, B)
+        return cross_matrix_into(spec, *args)
 
-    def failing_factor_spd(matrix):
+    def failing_factor_spd_stack(stack):
         if spec_in_use[0].lengthscales == best.lengthscales:
             raise error
-        return factor_spd(matrix)
+        return factor_spd_stack(stack)
 
-    monkeypatch.setattr(kernels, "cross_matrix", recording_cross_matrix)
-    monkeypatch.setattr(estimation, "factor_spd", failing_factor_spd)
+    monkeypatch.setattr(kernels, "cross_matrix_into", recording_cross_matrix_into)
+    monkeypatch.setattr(gpcore, "factor_spd_stack", failing_factor_spd_stack)
     spec = grid_profile_loglik(ds, part, "matern52", GRID)
     others = [t for t in GRID if (t,) != best.lengthscales]
     monkeypatch.undo()
@@ -373,9 +373,9 @@ def test_grid_profile_loglik_skips_unfactorizable_candidate(monkeypatch, error):
 def test_grid_profile_loglik_propagates_other_errors(monkeypatch):
     ds, part = grid_case()
 
-    def broken_factor_spd(matrix):
+    def broken_factor_spd_stack(stack):
         raise RuntimeError("bug inside a candidate")
 
-    monkeypatch.setattr(estimation, "factor_spd", broken_factor_spd)
+    monkeypatch.setattr(gpcore, "factor_spd_stack", broken_factor_spd_stack)
     with pytest.raises(RuntimeError, match="bug inside a candidate"):
         grid_profile_loglik(ds, part, "matern52", GRID)

@@ -373,6 +373,58 @@ class TestBankReference:
                                       np.arange(bank.n))
 
 
+class TestDesignLayout:
+    def test_design_weights_reproduce_combined_means(self):
+        # lambda' y = sum_g alpha_g M_g for any expert weights alpha
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            kern, X, f, part = random_instance(rng)
+            bank = SubModelBank(kern, X, f, part)
+            Xq = rng.uniform(0, 1, (7, X.shape[1]))
+            C, A = bank.group_weights(Xq)
+            M, _ = bank.moments(C, A)
+            alpha = rng.standard_normal(M.shape)
+            lam = bank.design_weights(A, alpha)
+            assert lam.shape == (bank.n, 7)
+            np.testing.assert_allclose(lam.T @ f, np.sum(alpha * M, axis=1),
+                                       rtol=0, atol=1e-12)
+
+    def test_design_weights_of_one_expert_are_its_kriging_weights(self):
+        rng = np.random.default_rng(7)
+        kern, X, f, part = random_instance(rng)
+        bank = SubModelBank(kern, X, f, part)
+        x = rng.uniform(0, 1, (1, X.shape[1]))
+        _, A = bank.group_weights(x)
+        for g, idx in enumerate(part.groups()):
+            lam = bank.design_weights(A, np.eye(bank.p)[g][None])[:, 0]
+            K = kernels.cross_matrix(kern, X[idx], X[idx])
+            want = np.linalg.solve(K, kernels.cross_matrix(kern, X[idx], x))[:, 0]
+            np.testing.assert_allclose(lam[idx], want, atol=1e-9)
+            np.testing.assert_array_equal(np.delete(lam, idx), 0.0)
+
+    def test_likelihood_terms_equal_dense_group_sums(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            kern, X, f, part = random_instance(rng)
+            quad, log_det = SubModelBank(kern, X, f, part).likelihood_terms()
+            want_quad = want_log_det = 0.0
+            for idx in part.groups():
+                K = kernels.cross_matrix(kern, X[idx], X[idx])
+                want_quad += f[idx] @ np.linalg.solve(K, f[idx])
+                want_log_det += np.linalg.slogdet(K)[1]
+            assert quad == pytest.approx(want_quad, rel=1e-9)
+            assert log_det == pytest.approx(want_log_det, rel=1e-9, abs=1e-9)
+
+    def test_likelihood_log_det_of_a_diagonal_group(self):
+        # far-apart points under a short exponential kernel: K_g = diag(2)
+        X = np.array([[0.0], [100.0], [200.0], [300.0]])
+        kern = nk.KernelSpec("exponential", 2.0, (1e-3,))
+        part = nk.Partition(labels=np.array([0, 0, 0, 1]), p=2)
+        quad, log_det = SubModelBank(kern, X, np.ones(4), part).likelihood_terms()
+        assert quad == pytest.approx(4 / 2.0)
+        assert log_det == pytest.approx(4 * np.log(2.0))
+
+
 class TestSampling:
     def test_zero_count(self):
         draws = sample_paths(EX1_KERNEL, EX1_X, 0, 0)

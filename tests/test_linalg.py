@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestedkrig.exceptions import DimensionMismatch, NotFactorizable
-from nestedkrig.linalg import (factor_spd, factor_spd_stack, logdet,
-                               pseudo_solve, solve, solve_lower, solve_weights)
+from nestedkrig.linalg import (factor_spd, factor_spd_stack, pseudo_solve,
+                               solve, solve_lower, solve_weights)
 
 
 def random_spd(rng, n):
@@ -271,8 +271,3 @@ class TestSolveWeights:
         for i in range(batch):
             alone, _ = solve_weights(K[i], k[i])
             assert np.array_equal(w[i], alone)
-
-
-def test_logdet():
-    A = np.diag([2.0, 5.0, 1.5])
-    assert np.isclose(logdet(factor_spd(A)), np.log(2.0 * 5.0 * 1.5))
