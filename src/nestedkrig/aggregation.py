@@ -2,9 +2,12 @@
 
 The pointwise combination is the best linear unbiased combination of the
 expert values: weights solve K_M(x) a = k_M(x), the aggregated mean is
-a' M(x) and its mean squared error is k(x,x) - a' k_M(x).  The process view
-wraps the same weights into a valid covariance so that posterior
-cross-covariances and conditional sample paths are available.
+a' M(x) and its mean squared error is k(x,x) - a' k_M(x).  ``aggregate``
+applies it to arbitrary expert statistics; the tree engine solves it for
+the sub-model bank.  The process view and the diagnostics take the nested
+predictor's design weights from the tree engine, on any tree, and wrap
+them into a valid covariance so that posterior cross-covariances and
+conditional sample paths are available.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from . import kernels
 from .exceptions import DimensionMismatch
 from .gpcore import FullModel, SubModelBank
 from .linalg import factor_spd, solve, solve_lower, solve_weights
+from .tree import AggregationTree, nested_design_weights
 
 
 @dataclass(frozen=True)
@@ -66,28 +70,37 @@ def aggregate(kxx: float, M, kM, KM) -> AggregatedPrediction:
 
 
 class AggregatedProcess:
-    """Process whose exact posterior reproduces the aggregated predictions.
+    """Process whose exact posterior reproduces the predictions of a nested tree.
 
-    With the aggregated mean lambda(x)' Y (the bank's ``design_weights``),
+    The nested predictor over ``tree`` (flat by default: the pointwise
+    BLUE over every expert) is linear in the data, lambda(x)' Y, with its
+    design weights from :func:`tree.nested_design_weights`.  Then
     k_A(x, x') = k(x, x') + 2 lambda(x)' k(X, X) lambda(x')
     - lambda(x)' k(X, x') - lambda(x')' k(X, x).  It agrees with k on the
-    diagonal and, for interpolating experts, on all design-point pairs;
-    conditioning it on the observations returns the aggregated means and
-    variances with full posterior cross-covariances.  A desk-scale tool:
-    it factors n x n matrices and brings no computational gain.
+    diagonal and, for interpolating experts, on all design-point pairs, on
+    any tree; conditioning it on the observations returns the nested means
+    and variances with full posterior cross-covariances.  A desk-scale
+    tool: it factors n x n matrices and brings no computational gain.
     """
 
-    def __init__(self, bank: SubModelBank):
+    def __init__(self, bank: SubModelBank, tree: AggregationTree = None):
         self.bank = bank
         self.kernel = bank.kernel
+        self.tree = AggregationTree.flat(bank.n, bank.p) if tree is None else tree
 
     def _design_weights(self, Z):
-        """lambda_A at the points Z, (n, m), from the flat BLUE expert weights."""
-        bank = self.bank
-        C, A = bank.group_weights(Z)
-        L1 = bank.statistics(C, A)
-        alpha, _ = solve_weights(L1.K, L1.k)
-        return bank.design_weights(A, alpha)
+        """lambda_A at the points Z, (n, m)."""
+        return nested_design_weights(self.bank, self.tree, Z)[2]
+
+    def _assemble(self, Za, Zb, kab, KXX, la, lb, kXa, kXb):
+        """k_A(Za, Zb) from k(Za, Zb), k(X, X), the design weights and k(X, Z)."""
+        quad = la.T @ KXX @ lb
+        out = kab + 2.0 * quad - la.T @ kXb - (lb.T @ kXa).T
+        # variance preservation holds identically; enforce it on coincident
+        # arguments so the diagonal is exact
+        same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
+        out[same] = self.kernel.variance
+        return out
 
     def prior_cov(self, Za, Zb) -> np.ndarray:
         """Prior covariance matrix of the aggregated process, (ma, mb)."""
@@ -99,14 +112,8 @@ class AggregatedProcess:
             lb, kXb = la, kXa
         else:
             lb, kXb = self._design_weights(Zb), kernels.cross_matrix(kernel, X, Zb)
-        quad = la.T @ kernels.cross_matrix(kernel, X, X) @ lb
-        out = kernels.cross_matrix(kernel, Za, Zb) \
-            + 2.0 * quad - la.T @ kXb - (lb.T @ kXa).T
-        # variance preservation holds identically; enforce it on coincident
-        # arguments so the diagonal is exact
-        same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
-        out[same] = self.kernel.variance
-        return out
+        return self._assemble(Za, Zb, kernels.cross_matrix(kernel, Za, Zb),
+                              kernels.cross_matrix(kernel, X, X), la, lb, kXa, kXb)
 
     def cov(self, x, x2) -> float:
         """Prior covariance between two points."""
@@ -116,17 +123,32 @@ class AggregatedProcess:
         """Condition the aggregated process on observed values.
 
         ``X`` and ``f`` default to the bank's own design and responses.
-        Returns (means, cond_cov) at the query points.
+        Returns (means, cond_cov) at the query points.  The kernel blocks
+        and design weights of X and Xq are formed once and shared by the
+        three prior blocks; on the bank's design, k(X, X) is one kernel
+        evaluation.
         """
-        X = self.bank.X if X is None else np.atleast_2d(np.asarray(X, dtype=float))
+        kernel, Xb = self.kernel, self.bank.X
+        X = Xb if X is None else np.atleast_2d(np.asarray(X, dtype=float))
         f = self.bank.y if f is None else np.asarray(f, dtype=float).reshape(-1)
         if X.shape[0] != f.shape[0]:
             raise DimensionMismatch("conditioning X and f row counts differ")
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        fac = factor_spd(self.prior_cov(X, X))
-        KqX = self.prior_cov(Xq, X)
+        KbX = kernels.cross_matrix(kernel, Xb, X)
+        if X.shape == Xb.shape and np.array_equal(X, Xb):
+            Kbb = KXX = KbX
+        else:
+            Kbb = kernels.cross_matrix(kernel, Xb, Xb)
+            KXX = kernels.cross_matrix(kernel, X, X)
+        Kbq = kernels.cross_matrix(kernel, Xb, Xq)
+        lX, lq = self._design_weights(X), self._design_weights(Xq)
+        fac = factor_spd(self._assemble(X, X, KXX, Kbb, lX, lX, KbX, KbX))
+        KqX = self._assemble(Xq, X, kernels.cross_matrix(kernel, Xq, X), Kbb,
+                             lq, lX, Kbq, KbX)
         means = KqX @ solve(fac, f)
-        cov = self.prior_cov(Xq, Xq) - KqX @ solve(fac, KqX.T)
+        Kqq = self._assemble(Xq, Xq, kernels.cross_matrix(kernel, Xq, Xq), Kbb,
+                             lq, lq, Kbq, Kbq)
+        cov = Kqq - KqX @ solve(fac, KqX.T)
         return means, 0.5 * (cov + cov.T)
 
 
@@ -161,35 +183,38 @@ class DiagnosticsVsFull:
     eq_var_rhs: float
 
 
-def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x) -> DiagnosticsVsFull:
-    """Compare the aggregation against the exact full model at one point.
+def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x,
+                        tree: AggregationTree = None) -> DiagnosticsVsFull:
+    """Compare the nested predictor against the exact full model at one point.
 
-    Requires interpolating linear experts (simple Kriging on a partition).
+    The predictor is the one over ``tree``, by default the flat tree (the
+    pointwise aggregation of every expert).  Requires interpolating linear
+    experts (simple Kriging on a partition).
     """
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    C, A = bank.group_weights(x2)
-    L1 = bank.statistics(C, A)
-    M, kM, KM = L1.M[0], L1.k[0], L1.K[0]
+    process = AggregatedProcess(bank, tree)
+    m_A, v_A, lam = nested_design_weights(bank, process.tree, x2)
+    m_A, v_A, lam_agg = float(m_A[0]), float(v_A[0]), lam[:, 0]
     kxx = bank.kernel.variance
-    agg = aggregate(kxx, M, kM, KM)
-    m_A, v_A = agg.mean, agg.variance
 
     m_full, v_full = full.predict(x2)
     m_full, v_full = float(m_full[0]), float(v_full[0])
 
-    expert_mse = kxx - 2.0 * kM + np.diag(KM)
+    # each expert's mean squared error k(x,x) - 2 k_M + K_M,gg, where the
+    # diagonal K_M,gg of Kriging experts is k_M itself
+    kM = bank.moments(*bank.group_weights(x2))[1][0]
+    expert_mse = kxx - 2.0 * kM + kM
     bound = float(expert_mse.min() - v_full)
 
     # full-design weight vectors of both predictors
     kXx = kernels.cross_matrix(full.kernel, full.X, x2)[:, 0]
     lam_full = solve(full.factor, kXx)
-    lam_agg = bank.design_weights(A, agg.weights[None, :])[:, 0]
 
     L = full.factor.lower
     diff = L.T @ (lam_agg - lam_full)
     eq_mean_lhs = float(diff @ diff)
 
-    kAXx = AggregatedProcess(bank).prior_cov(bank.X, x2)[:, 0]
+    kAXx = process.prior_cov(bank.X, x2)[:, 0]
     u = solve_lower(L, kXx - kAXx)
     eq_mean_rhs = float(u @ u)
 

@@ -73,7 +73,7 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     records = []
     for start in range(0, indices.size, PREDICT_CHUNK):
         chunk = indices[start:start + PREDICT_CHUNK]
-        m_loo, root_cov = stream_layers(
+        m_loo, root_cov, _ = stream_layers(
             bank, tree, partial(bank.loo_weights, chunk))
         v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
                             LOO_VARIANCE_FLOOR)

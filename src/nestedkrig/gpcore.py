@@ -5,6 +5,8 @@ against.  The sub-model bank holds one inverse Cholesky factor per group
 and is the only place that turns a design into expert statistics: Kriging
 weight columns at any batch of points, and from them the expert means and
 expert/process covariances, alone or with all expert cross-covariances.
+It solves no aggregation weights: the tree engine does, and the bank
+turns them back into one weight per design point.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ class Layer1(NamedTuple):
     k : (q, p) covariances Cov(M_i(x), Y(x))
     K : (q, p, p) cross-covariances Cov(M_i(x), M_j(x))
 
-    This is the input of ``tree.run_layers`` and of the modified-prior and
-    diagnostic tools; the nested predictor never builds it
-    (``tree.stream_layers`` consumes the rows of K as they are filled).
+    This is the input of ``tree.run_layers`` and ``submodel_predict``
+    only; the nested predictor never builds it (``tree.stream_layers``
+    consumes the rows of K as they are filled).
     """
 
     M: np.ndarray
@@ -168,9 +170,9 @@ class SubModelBank:
     point i sits on group-major row ``major_row[i]``.
     The bank is the only code that knows this layout or factors a group
     covariance: ``group_weights``, ``loo_weights``, ``moments``,
-    ``cross_cov_rows`` and ``statistics`` build the expert weights and
-    expert statistics, ``design_weights`` turns expert weights into one
-    weight per design point in the original order, and
+    ``cross_cov_rows`` and ``layer1`` build the expert weights and expert
+    statistics, ``design_weights`` turns expert weights (solved by the tree
+    engine) into one weight per design point in the original order, and
     ``likelihood_terms`` sums the per-group Gaussian log-likelihood terms.
 
     The factors are built one group-size class at a time: the groups of
@@ -306,23 +308,20 @@ class SubModelBank:
         fill_expert_cross_cov(self.kernel, self._Xc, self._starts, weights,
                               out, kM, row_done)
 
-    def statistics(self, C, A) -> Layer1:
-        """Materialised expert statistics from the output (C, A) of ``group_weights``.
+    def layer1(self, Xq) -> Layer1:
+        """Materialised expert statistics at a batch of query points.
 
         ``moments`` gives M and k; K_gh = a_g' k(X_g, X_h) a_h, with the
         diagonal K_gg equal to k for Kriging weights.  K is filled one
         block row at a time, so the peak footprint stays at O(n q) plus the
         (q, p, p) output; ``tree.stream_layers`` avoids that output.
         """
+        C, A = self.group_weights(Xq)
         M, kM = self.moments(C, A)
         q, p = M.shape
         K = np.empty((q, p, p))
         self.cross_cov_rows([np.ascontiguousarray(A.T)], kM, K)
         return Layer1(M=M, k=kM, K=K)
-
-    def layer1(self, Xq) -> Layer1:
-        """Expert means and cross-covariances at a batch of query points."""
-        return self.statistics(*self.group_weights(Xq))
 
 
 def submodel_predict(bank: SubModelBank, x):

@@ -22,8 +22,8 @@ from .data import Partition, partition_consecutive
 from .exceptions import NonPositiveVariance
 from .gpcore import FullModel, SubModelBank, sample_gaussian
 from .kernels import KernelSpec
-from .linalg import solve, solve_weights
-from .tree import AggregationTree, nested_predict_batch
+from .linalg import solve
+from .tree import AggregationTree, nested_design_weights, nested_predict_batch
 
 BENCH_METHODS = ("nested",) + baselines.METHODS
 
@@ -227,18 +227,18 @@ def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
             lam = solve(full.factor, kernels.cross_matrix(kernel, X, x0[None]))
         else:
             bank = SubModelBank(kernel, X, np.zeros(X.shape[0]), part)
-            C, A = bank.group_weights(x0[None])
             if method == "nested":
-                L1 = bank.statistics(C, A)
-                alpha = solve_weights(L1.K, L1.k)[0]
+                tree = AggregationTree.flat(bank.n, bank.p)
+                lam = nested_design_weights(bank, tree, x0[None])[2]
             else:
                 # the rules are linear in the expert means, so applied to
                 # unit means (row g: expert g alone) they give the weights
+                C, A = bank.group_weights(x0[None])
                 V = baselines.expert_variances(kernel.variance,
                                                bank.moments(C, A)[1][0])
                 alpha = baselines.evaluate(method, np.eye(bank.p), V,
                                            kernel.variance)[0][None]
-            lam = bank.design_weights(A, alpha)
+                lam = bank.design_weights(A, alpha)
         preds = fX @ lam[:, 0]
         out.append((int(n), float(np.mean((preds - y0) ** 2))))
     return out

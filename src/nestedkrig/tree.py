@@ -6,7 +6,10 @@ means and cross-covariances up the layers, so the prediction at the root
 never touches any matrix larger than the widest layer.  Prediction streams
 the first aggregation layer (``stream_layers``): its nodes are finished
 while the expert cross-covariance is filled, so on a multi-layer tree only
-a band of that (q, p, p) array is ever held.
+a band of that (q, p, p) array is ever held.  The engine is the only code
+that solves aggregation weights for the sub-model bank; it hands its node
+weights back, and ``nested_design_weights`` multiplies them down the tree
+into one weight per design point for the modified prior and diagnostics.
 """
 
 from __future__ import annotations
@@ -172,17 +175,21 @@ class _Layer:
 
 
 def _propagate(M, K, levels, kvec=None):
-    """Aggregate materialised statistics over ``levels``: (root_mean, root_cov).
+    """Aggregate materialised statistics over ``levels``.
 
-    ``kvec`` stands in for the diagonal of ``K`` on the first of them.
+    Returns (root_mean, root_cov, alphas), where ``alphas`` holds each
+    layer's list of node weights.  ``kvec`` stands in for the diagonal of
+    ``K`` on the first of the levels.
     """
+    alphas = []
     for level in levels:
         if kvec is None:
             kvec = np.einsum("qii->qi", K)
         layer = _Layer(level, M, kvec, K)
         layer.finish(range(len(level)))
         M, K, kvec = layer.M, layer.K, None
-    return M[:, 0], K[:, 0, 0]
+        alphas.append(layer.alphas)
+    return M[:, 0], K[:, 0, 0], alphas
 
 
 def run_layers(M1, k1, K1, tree: AggregationTree):
@@ -206,11 +213,15 @@ def run_layers(M1, k1, K1, tree: AggregationTree):
         raise DimensionMismatch("layer-1 statistics have inconsistent shapes")
     if M.shape[-1] != tree.n_layer1:
         raise InvalidTree("tree width does not match the number of experts")
-    return _propagate(M, K, tree.levels, kvec=k)
+    return _propagate(M, K, tree.levels, kvec=k)[:2]
 
 
 def stream_layers(bank: SubModelBank, tree: AggregationTree, make_weights):
-    """(root_mean, root_cov) of the nested predictor at one batch of points.
+    """(root_mean, root_cov, alphas) of the nested predictor at one batch of points.
+
+    ``alphas`` holds the node weights the engine solved, one list per
+    aggregation layer with one (q, len(children)) array per node, which
+    :func:`nested_design_weights` multiplies down the tree.
 
     ``make_weights()`` returns (C, A) as ``bank.group_weights`` does; it is
     called here so that this function holds the only references to them.
@@ -239,16 +250,41 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, make_weights):
     layer = _Layer(tree.levels[0], M, k, np.empty((q, window, p)), window)
     row_done = {g: partial(layer.finish, nodes) for g, nodes in finishing}
     bank.cross_cov_rows(weights, k, layer.K_prev, row_done)
-    M2, K2 = layer.M, layer.K
+    M2, K2, first = layer.M, layer.K, layer.alphas
     del layer, row_done
-    return _propagate(M2, K2, tree.levels[1:])
+    mean, root_cov, upper = _propagate(M2, K2, tree.levels[1:])
+    return mean, root_cov, [first] + upper
 
 
 def nested_predict_batch(bank: SubModelBank, tree: AggregationTree, Xq):
     """Nested prediction at a batch of points: (means, variances), each (q,)."""
-    mean, root_cov = stream_layers(bank, tree, partial(bank.group_weights, Xq))
+    mean, root_cov, _ = stream_layers(bank, tree, partial(bank.group_weights, Xq))
     variances = np.maximum(bank.kernel.variance - root_cov, 0.0)
     return mean, variances
+
+
+def nested_design_weights(bank: SubModelBank, tree: AggregationTree, Xq):
+    """Nested prediction at a batch of points with its design weights.
+
+    Returns (means, variances, lam): the means and variances of
+    :func:`nested_predict_batch`, and the (n, q) weights of the design
+    points in the predictor, which is linear in the responses.  The
+    engine's node weights are multiplied down the tree into the weights
+    beta (q, p) of the experts in the root's value, summed over every path
+    to an expert since child sets may overlap; then lam = sum_g beta_g a_g.
+    Keeps the n x q weight columns alive, so it is for desk-scale batches.
+    """
+    C, A = bank.group_weights(Xq)
+    mean, root_cov, alphas = stream_layers(bank, tree, lambda: (C, A))
+    beta = np.ones((mean.shape[0], 1))
+    for level, layer, width in zip(tree.levels[::-1], alphas[::-1],
+                                   tree.layer_sizes[-2::-1]):
+        below = np.zeros((beta.shape[0], width))
+        for i, (node, a) in enumerate(zip(level, layer)):
+            np.add.at(below, (slice(None), node), beta[:, i:i + 1] * a)
+        beta = below
+    variances = np.maximum(bank.kernel.variance - root_cov, 0.0)
+    return mean, variances, bank.design_weights(A, beta)
 
 
 def nested_predict(bank: SubModelBank, tree: AggregationTree, x):

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import dense_aggregate, dense_expert_stats, random_instance
+from conftest import (dense_aggregate, dense_expert_stats, random_instance,
+                      random_kernel, separated_points)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +12,9 @@ from nestedkrig import kernels
 from nestedkrig.aggregation import (AggregatedProcess, aggregate,
                                     aggregated_posterior, diagnostics_vs_full)
 from nestedkrig.gpcore import FullModel, SubModelBank, sample_conditional, submodel_predict
-from nestedkrig.linalg import solve_weights
+from nestedkrig.linalg import factor_spd, solve, solve_weights
+from nestedkrig.tree import (PLAN_MODES, nested_design_weights,
+                             nested_predict_batch, plan_tree)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -58,7 +63,7 @@ def reference_prior_cov(bank, Za, Zb):
     """
     def stats(Z):
         C, A = bank.group_weights(Z)
-        L1 = bank.statistics(C, A)
+        L1 = bank.layer1(Z)
         alpha, _ = solve_weights(L1.K, L1.k)
         V = [A[lo:hi] * alpha[:, g] for g, (lo, hi) in enumerate(bank.spans)]
         return V, [C[lo:hi] for lo, hi in bank.spans]
@@ -80,6 +85,60 @@ def reference_prior_cov(bank, Za, Zb):
     same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
     out[same] = bank.kernel.variance
     return out
+
+
+def flat_design_weights(bank, Z):
+    """Flat BLUE design weights built outside the tree engine.
+
+    Materialised layer-1 statistics, one batched weight solve, and the
+    bank's design weights: the path the modified prior took before the tree
+    engine supplied its weights.
+    """
+    _, A = bank.group_weights(Z)
+    L1 = bank.layer1(Z)
+    alpha, _ = solve_weights(L1.K, L1.k)
+    return bank.design_weights(A, alpha)
+
+
+def flat_prior_cov(bank, Za, Zb):
+    """The modified prior on flat design weights, one kernel block per product."""
+    kernel, X = bank.kernel, bank.X
+    la, kXa = flat_design_weights(bank, Za), kernels.cross_matrix(kernel, X, Za)
+    if Zb.shape == Za.shape and np.array_equal(Za, Zb):
+        lb, kXb = la, kXa
+    else:
+        lb, kXb = flat_design_weights(bank, Zb), kernels.cross_matrix(kernel, X, Zb)
+    quad = la.T @ kernels.cross_matrix(kernel, X, X) @ lb
+    out = kernels.cross_matrix(kernel, Za, Zb) \
+        + 2.0 * quad - la.T @ kXb - (lb.T @ kXa).T
+    same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
+    out[same] = kernel.variance
+    return out
+
+
+def flat_posterior(bank, Xq, X, f):
+    """Conditioning of ``flat_prior_cov`` on (X, f): (means, variances, cov)."""
+    fac = factor_spd(flat_prior_cov(bank, X, X))
+    KqX = flat_prior_cov(bank, Xq, X)
+    means = KqX @ solve(fac, f)
+    cov = flat_prior_cov(bank, Xq, Xq) - KqX @ solve(fac, KqX.T)
+    cov = 0.5 * (cov + cov.T)
+    return means, np.maximum(np.diag(cov), 0.0), cov
+
+
+def planned_instance(rng, mode, height, kmeans):
+    """A separated design, GP-path responses and a planned tree over a partition."""
+    d = int(rng.integers(1, 3))
+    # n points at spacing 0.02 must fit in [0, 1]
+    n = int(rng.integers(12, 31 if d == 1 else 41))
+    kern = random_kernel(rng, d)
+    X = separated_points(rng, n, d, 0.02 if d == 1 else 0.08)
+    f = nk.sample_paths(kern, X, 1, int(rng.integers(2 ** 31)))[0]
+    plan = plan_tree(n, mode, height)
+    seed = int(rng.integers(2 ** 31))
+    part = (nk.partition_kmeans(X, plan.p, seed=seed) if kmeans
+            else nk.partition_random(n, plan.p, seed))
+    return kern, X, f, part, plan.tree
 
 
 class TestAggregate:
@@ -241,6 +300,49 @@ class TestProcessView:
         want = reference_prior_cov(bank, Za, Zb)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), ma=st.integers(1, 6),
+           mb=st.integers(1, 6), on_design=st.booleans())
+    def test_flat_tree_gives_the_flat_blue_bits(self, seed, ma, mb, on_design):
+        # on the default flat tree the engine's weights are those of one
+        # batched solve on the materialised layer-1 statistics, bit for bit
+        rng = np.random.default_rng(seed)
+        kern, X, f, part = random_instance(rng)
+        bank = SubModelBank(kern, X, f, part)
+        Za = rng.uniform(0, 1, (ma, X.shape[1]))
+        if on_design:
+            Za[0] = X[rng.integers(X.shape[0])]
+        Zb = rng.uniform(0, 1, (mb, X.shape[1]))
+        process = AggregatedProcess(bank)
+        for Z1, Z2 in ((Za, Zb), (Za, Za), (X, Za)):
+            assert np.array_equal(process.prior_cov(Z1, Z2),
+                                  flat_prior_cov(bank, Z1, Z2))
+        half = max(2, X.shape[0] // 2)
+        for args in ((X, f), (X[:half], f[:half])):
+            got = aggregated_posterior(bank, Zb, *args)
+            want = flat_posterior(bank, Zb, *args)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_posterior_forms_each_shared_block_once(self):
+        # k(X, X) is evaluated once by the process and once (group-major)
+        # inside group_weights, and the design weights of X are built once
+        rng = np.random.default_rng(8)
+        kern, X, f, part = random_instance(rng, n=24, p=4)
+        bank = SubModelBank(kern, X, f, part)
+        Xq = rng.uniform(0, 1, (5, X.shape[1]))
+        n = X.shape[0]
+        with mock.patch.object(kernels, "cross_matrix",
+                               wraps=kernels.cross_matrix) as kernel_calls, \
+                mock.patch.object(bank, "group_weights",
+                                  wraps=bank.group_weights) as weight_calls:
+            aggregated_posterior(bank, Xq)
+        square = [c for c in kernel_calls.call_args_list
+                  if len(c.args[1]) == n and len(c.args[2]) == n]
+        design = [c for c in weight_calls.call_args_list if len(c.args[0]) == n]
+        assert len(square) <= 2
+        assert len(design) == 1
+
     def test_symmetry(self):
         bank = ex1_bank()
         a = AggregatedProcess(bank).cov([0.22], [0.61])
@@ -312,3 +414,62 @@ class TestDiagnostics:
         for x in (0.2, 0.45, 0.8):
             d = diagnostics_vs_full(full, bank, [x])
             assert d.var_gap == pytest.approx(d.eq_mean_lhs, rel=1e-8, abs=1e-12)
+
+
+class TestPlannedTrees:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(PLAN_MODES),
+           height=st.integers(2, 3), kmeans=st.booleans())
+    def test_modified_prior_identities_on_any_tree(self, seed, mode, height,
+                                                   kmeans):
+        # the nested predictor is linear in y on every tree, so its
+        # modified prior and both error identities hold above height 2 too
+        rng = np.random.default_rng(seed)
+        kern, X, f, part, tree = planned_instance(rng, mode, height, kmeans)
+        bank = SubModelBank(kern, X, f, part)
+        full = FullModel(kern, X, f)
+        process = AggregatedProcess(bank, tree)
+        Xq = rng.uniform(0, 1, (4, X.shape[1]))
+        Xq[0] = X[rng.integers(X.shape[0])]
+        # variance preservation is exact
+        assert np.all(np.diag(process.prior_cov(Xq, Xq)) == kern.variance)
+        # on design-point pairs the modified prior coincides with the kernel
+        np.testing.assert_allclose(process.prior_cov(X, X),
+                                   kernels.cross_matrix(kern, X, X),
+                                   rtol=0, atol=1e-8)
+        # the design weights reproduce the nested predictor's mean
+        means, _, lam = nested_design_weights(bank, tree, Xq)
+        m_nested, _ = nested_predict_batch(bank, tree, Xq)
+        assert np.array_equal(means, m_nested)
+        np.testing.assert_allclose(lam.T @ f, m_nested, rtol=1e-12,
+                                   atol=1e-12 * np.abs(f).max())
+        floor = 1e-8 * kern.variance
+
+        def rel(a, b):
+            return abs(a - b) / max(abs(a), abs(b), floor)
+
+        for x in Xq[1:]:
+            d = diagnostics_vs_full(full, bank, x, tree)
+            assert rel(d.eq_mean_lhs, d.eq_mean_rhs) <= 1e-6
+            assert rel(d.eq_var_lhs, d.eq_var_rhs) <= 1e-6
+            assert -1e-8 <= d.var_gap <= d.bound + 1e-8
+
+    def test_design_weights_add_up_over_overlapping_paths(self):
+        # expert 1 reaches the root through both middle nodes, and its
+        # design weights carry the sum of the two path products
+        rng = np.random.default_rng(21)
+        kern, X, f, part = random_instance(rng, d=1, n=18, p=3)
+        bank = SubModelBank(kern, X, f, part)
+        tree = nk.AggregationTree(n_leaves=18, n_layer1=3,
+                                  levels=(((0, 1), (1, 2)), ((0, 1),)))
+        Xq = rng.uniform(0, 1, (6, 1))
+        means, variances, lam = nested_design_weights(bank, tree, Xq)
+        np.testing.assert_allclose(lam.T @ f, means, rtol=1e-12,
+                                   atol=1e-12 * np.abs(f).max())
+        # the variance of lam' Y about Y(x) is the nested variance
+        K = kernels.cross_matrix(kern, X, X)
+        kX = kernels.cross_matrix(kern, X, Xq)
+        mse = kern.variance - 2.0 * np.sum(lam * kX, axis=0) \
+            + np.sum(lam * (K @ lam), axis=0)
+        np.testing.assert_allclose(mse, variances, rtol=0,
+                                   atol=1e-10 * kern.variance)

@@ -93,7 +93,10 @@ class TestLooPredict:
                               indices)
         bank = SubModelBank(kern, X, f, part)
         C, A = bank.loo_weights(indices)
-        m, root_cov = run_layers(*bank.statistics(C, A), plan.tree)
+        M, k = bank.moments(C, A)
+        K = np.empty((indices.size, bank.p, bank.p))
+        bank.cross_cov_rows([np.ascontiguousarray(A.T)], k, K)
+        m, root_cov = run_layers(M, k, K, plan.tree)
         v = np.maximum((kern.variance - root_cov) / kern.variance,
                        LOO_VARIANCE_FLOOR)
         assert [r.index for r in records] == indices.tolist()

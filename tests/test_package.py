@@ -38,3 +38,44 @@ def test_estimation_and_metrics_factor_no_group_covariance():
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not names & {"factor_spd", "factor_spd_stack"}, name
+
+
+
+def _names(nodes):
+    """Identifiers that ``nodes`` name: variables, attributes and imports."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                out.add(sub.name)
+    return out
+
+
+def test_only_the_tree_engine_solves_aggregation_weights():
+    # every consumer takes its weights from the tree engine; the one other
+    # solve is aggregation.aggregate, the pointwise rule for arbitrary
+    # expert statistics (its import is the module's only other mention)
+    solvers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("linalg.py", "tree.py"):
+            continue
+        body = ast.parse(path.read_text()).body
+        if path.name == "aggregation.py":
+            body = [node for node in body
+                    if not isinstance(node, ast.ImportFrom)
+                    and getattr(node, "name", None) != "aggregate"]
+        if "solve_weights" in _names(body):
+            solvers.append(path.name)
+    assert solvers == []
+
+
+def test_only_the_bank_reads_materialised_statistics():
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if path.name != "gpcore.py"
+               and any(isinstance(node, ast.Attribute) and node.attr == "statistics"
+                       for node in ast.walk(ast.parse(path.read_text())))]
+    assert readers == []
