@@ -193,8 +193,8 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x,
     """
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     process = AggregatedProcess(bank, tree)
-    m_A, v_A, lam = nested_design_weights(bank, process.tree, x2)
-    m_A, v_A, lam_agg = float(m_A[0]), float(v_A[0]), lam[:, 0]
+    m_A, v_A, lam, kM = nested_design_weights(bank, process.tree, x2)
+    m_A, v_A, lam_agg, kM = float(m_A[0]), float(v_A[0]), lam[:, 0], kM[0]
     kxx = bank.kernel.variance
 
     m_full, v_full = full.predict(x2)
@@ -202,7 +202,6 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x,
 
     # each expert's mean squared error k(x,x) - 2 k_M + K_M,gg, where the
     # diagonal K_M,gg of Kriging experts is k_M itself
-    kM = bank.moments(*bank.group_weights(x2))[1][0]
     expert_mse = kxx - 2.0 * kM + kM
     bound = float(expert_mse.min() - v_full)
 

@@ -5,7 +5,8 @@ variance V_i) into one mean and variance.  For Gaussian experts every
 density product reduces to precision weighting, which is what is
 implemented here, so every rule is a few array operations over a (q, p)
 batch.  These rules ignore expert cross-covariances; they read only the
-expert means and variances (``SubModelBank.moments``) and serve as
+expert means and variances (``SubModelBank.moments``, one tiled layer-1
+pass that holds no n x q array) and serve as
 comparison points for the covariance-aware aggregation.
 """
 

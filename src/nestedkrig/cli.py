@@ -160,7 +160,7 @@ def _predict_arrays(bundle, method, Xq, threads, full_cap):
                 return nested_predict_batch(bank, tree, chunk)
         else:
             def evaluate(chunk):
-                M, k = bank.moments(*bank.group_weights(chunk))
+                M, k = bank.moments(chunk)
                 return baselines.evaluate(
                     method, M, baselines.expert_variances(kernel.variance, k),
                     kernel.variance)

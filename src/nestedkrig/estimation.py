@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -45,10 +44,11 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     """Exact leave-one-out nested predictions at the requested indices.
 
     Deleting a point from its group has closed-form Kriging weights
-    (:meth:`SubModelBank.loo_weights`); every other expert, the group
-    layout and the tree are left untouched.  Indices whose group would
-    become empty are skipped with a warning.  The indices are predicted in
-    chunks of ``PREDICT_CHUNK``, so memory grows with n, not n^2.
+    (:meth:`SubModelBank.expert_weights` with ``deleted``); every other
+    expert, the group layout and the tree are left untouched.  Indices
+    whose group would become empty are skipped with a warning.  The
+    indices are predicted in chunks of ``PREDICT_CHUNK``, so memory grows
+    with n, not n^2.
     """
     X, y = dataset.X, dataset.y
     n = X.shape[0]
@@ -73,12 +73,11 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     records = []
     for start in range(0, indices.size, PREDICT_CHUNK):
         chunk = indices[start:start + PREDICT_CHUNK]
-        m_loo, root_cov, _ = stream_layers(
-            bank, tree, partial(bank.loo_weights, chunk))
-        v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
+        s = stream_layers(bank, tree, X[chunk], chunk)
+        v_unit = np.maximum((kernel.variance - s.root_cov) / kernel.variance,
                             LOO_VARIANCE_FLOOR)
         records += [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
-                    for i, m, v in zip(chunk, m_loo, v_unit)]
+                    for i, m, v in zip(chunk, s.mean, v_unit)]
     return records
 
 

@@ -169,11 +169,15 @@ class SubModelBank:
     data are contiguous slices: group g owns rows ``spans[g]``, and design
     point i sits on group-major row ``major_row[i]``.
     The bank is the only code that knows this layout or factors a group
-    covariance: ``group_weights``, ``loo_weights``, ``moments``,
-    ``cross_cov_rows`` and ``layer1`` build the expert weights and expert
-    statistics, ``design_weights`` turns expert weights (solved by the tree
-    engine) into one weight per design point in the original order, and
-    ``likelihood_terms`` sums the per-group Gaussian log-likelihood terms.
+    covariance: ``moments``, ``expert_weights`` (also at design points left
+    out of their group), ``cross_cov_rows`` and ``layer1`` build the expert
+    statistics and weights, ``design_weights`` turns expert weights (solved
+    by the tree engine) into one weight per design point in the original
+    order, and ``likelihood_terms`` sums the per-group Gaussian
+    log-likelihood terms.  ``moments`` and ``expert_weights`` share one
+    layer-1 pass that streams the design through cache-sized kernel tiles:
+    no n x q covariance and no group-major weight array is ever formed, and
+    only ``expert_weights`` holds one n x q array, the query-major weights.
 
     The factors are built one group-size class at a time: the groups of
     size c are gathered into a (G, c, d) stack, their covariances evaluated
@@ -227,51 +231,108 @@ class SubModelBank:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def group_weights(self, Xq):
-        """Covariances C = k(X, Xq) and Kriging weight columns A, both (n, q).
+    def moments(self, Xq):
+        """Expert means M = a_g' y_g and covariances k = a_g' C_g, both (q, p).
 
-        Rows follow the group-major design order; the rows of group g hold
-        a_g = K_g^-1 C_g = R_g' (R_g C_g).  One covariance evaluation against
-        the whole design (n x q, never n x n) serves every group.
+        k(x) is also Var M_g(x), so k(x, x) - k is each expert's prediction
+        variance.  Holds one kernel tile and O(p q) reals, never an n x q
+        array; :meth:`expert_weights` also returns the weights.
+        """
+        return self._layer1_pass(Xq, False, None)[:2]
+
+    def expert_weights(self, Xq, deleted=None):
+        """``moments`` and the query-major Kriging weights: (M, k, AT).
+
+        ``AT`` is a C-contiguous (q, n) array whose row t holds every
+        group's weights a_g(x_t) = K_g^-1 C_g = R_g' (R_g C_g), its columns
+        in group-major design order: the layout that ``cross_cov_rows``
+        takes over and ``design_weights`` reads.
+
+        ``deleted``, if given, holds one design index per query point, and
+        the query is that design point left out of its group: the group's
+        column holds its virtual cross-validation weights (Dubrule 1983).
+        With Q = K_g^-1 = R_g' R_g (jittered where the factor needed
+        jitter), the rest of the group weighs in with -Q[:, j] / Q[j, j],
+        so no group is refactored.
+        """
+        return self._layer1_pass(Xq, True, deleted)
+
+    def _layer1_pass(self, Xq, with_weights, deleted):
+        """The one layer-1 pass: (M, k, AT), with AT None unless ``with_weights``.
+
+        Walks runs of consecutive groups whose rows fit one kernel tile of
+        ``kernels.TILE_ENTRIES`` entries (a larger group forms a run alone)
+        and evaluates k(X_run, Xq) into one scratch buffer of this call.
+        Each group's weights, edits, moments and transposed copy are done
+        while its c x q rows of the tile are in cache, with the products,
+        shapes and layouts of a whole-design evaluation, so no entry
+        depends on the tiling.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         if Xq.shape[1] != self.kernel.dim:
             raise DimensionMismatch("query dimension does not match the kernel")
-        C = kernels.cross_matrix(self.kernel, self._Xc, Xq)
-        A = np.empty_like(C)
-        for (lo, hi), R in zip(self.spans, self.inv_factors):
-            A[lo:hi] = R.T @ (R @ C[lo:hi])
-        return C, A
+        p, q = self.p, Xq.shape[0]
+        M = np.empty((p, q))
+        kM = np.empty((p, q))
+        AT = np.empty((q, self.n)) if with_weights else None
+        edits = {}
+        if deleted is not None:
+            for t, i in enumerate(deleted):
+                edits.setdefault(int(self.labels[i]), []).append((t, int(i)))
+        runs = self._runs(q)
+        size = q * max(self.spans[last][1] - self.spans[first][0]
+                       for first, last in runs)
+        tile = np.empty(size)
+        scratch = np.empty(min(size, kernels.TILE_ENTRIES))
+        for first, last in runs:
+            start, stop = self.spans[first][0], self.spans[last][1]
+            C = tile[:(stop - start) * q].reshape(stop - start, q)
+            S = scratch[:C.size].reshape(C.shape) if C.size <= scratch.size else None
+            kernels.cross_matrix_into(self.kernel, self._Xc[start:stop], Xq, C, S)
+            for g in range(first, last + 1):
+                lo, hi = self.spans[g]
+                R, Cg = self.inv_factors[g], C[lo - start:hi - start]
+                A = R.T @ (R @ Cg)
+                for t, i in edits.get(g, ()):
+                    # Q[:, j] from the nonzero part of column j of R; the
+                    # deleted slot gets a zero weight, so every later
+                    # product skips that row
+                    j = self.major_row[i] - lo
+                    r = R[j:, j]
+                    A[:, t] = -(R[j:].T @ r) / (r @ r)
+                    A[j, t] = 0.0
+                M[g] = self._yc[lo:hi] @ A
+                kM[g] = np.einsum("cq,cq->q", A, Cg)
+                if with_weights:
+                    AT[:, lo:hi] = A.T
+        # transposed views of (p, q) buffers (column-major), as every
+        # consumer's reductions expect
+        return M.T, kM.T, AT
 
-    def loo_weights(self, indices):
-        """``group_weights`` at design points ``indices``, each deleted from its group.
+    def _runs(self, q):
+        """Runs (first, last) of consecutive groups for a q-query pass.
 
-        The deleted point's group column holds its virtual cross-validation
-        weights (Dubrule 1983): with Q = K_g^-1 = R_g' R_g (jittered where
-        the factor needed jitter), the rest of the group weighs in with
-        -Q[:, j] / Q[j, j], so no group is refactored.
+        A run holds the groups whose rows fit one kernel tile of
+        ``kernels.TILE_ENTRIES`` entries of q columns; a larger group
+        forms a run alone.
         """
-        C, A = self.group_weights(self.X[indices])
-        row = self.major_row
-        for t, i in enumerate(indices):
-            g = self.labels[i]
-            lo, hi = self.spans[g]
-            R = self.inv_factors[g]
-            j = row[i] - lo
-            # Q[:, j] from the nonzero part of column j of R; the deleted slot
-            # gets a zero weight, so every later product skips that row
-            r = R[j:, j]
-            A[lo:hi, t] = -(R[j:].T @ r) / (r @ r)
-            A[row[i], t] = 0.0
-        return C, A
+        budget = max(1, kernels.TILE_ENTRIES // max(q, 1))
+        runs, first = [], 0
+        for g in range(1, self.p):
+            if self.spans[g][1] - self.spans[first][0] > budget:
+                runs.append((first, g - 1))
+                first = g
+        runs.append((first, self.p - 1))
+        return runs
 
-    def design_weights(self, A, alpha):
+    def design_weights(self, AT, alpha):
         """(n, q) design weights sum_g alpha[:, g] a_g, rows in the design's order.
 
-        ``A`` comes from ``group_weights`` and ``alpha`` holds (q, p) expert
-        weights; the combined predictor at query t is column t times y.
+        ``AT`` is the (q, n) query-major weight array of ``expert_weights``
+        and ``alpha`` holds (q, p) expert weights; the combined predictor at
+        query t is column t times y.
         """
-        return A[self.major_row] * np.asarray(alpha).T[self.labels]
+        return AT.T[self.major_row] * np.asarray(alpha).T[self.labels]
 
     def likelihood_terms(self):
         """Sums over the groups of y_g' K_g^-1 y_g = |R_g y_g|^2 and log det K_g."""
@@ -280,28 +341,12 @@ class SubModelBank:
         diag = np.concatenate([np.diag(R) for _, R in pairs])
         return float(z @ z), -2.0 * float(np.log(diag).sum())
 
-    def moments(self, C, A):
-        """Expert means M = a_g' y_g and covariances k = a_g' C_g, both (q, p).
-
-        ``(C, A)`` is the output of ``group_weights``; k(x) is also
-        Var M_g(x), so k(x, x) - k is each expert's prediction variance.
-        Both arrays are transposed views of (p, q) buffers (column-major).
-        """
-        p, q = self.p, C.shape[1]
-        M = np.empty((p, q))
-        kM = np.empty((p, q))
-        # a loop over groups: np.add.reduceat along the rows is ten times slower
-        for g, (lo, hi) in enumerate(self.spans):
-            M[g] = self._yc[lo:hi] @ A[lo:hi]
-            kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
-        return M.T, kM.T
-
     def cross_cov_rows(self, weights, kM, out, row_done=None):
         """Expert cross-covariances from query-major weights, row by row.
 
         ``weights`` is a one-element list holding the (q, n) transpose of
-        the weight columns A, which the fill takes over; ``kM`` is the
-        (q, p) diagonal from ``moments``; ``out`` and ``row_done`` are as
+        the weight columns A (from ``expert_weights``), which the fill takes
+        over; ``kM`` is the (q, p) diagonal from the same pass; ``out`` and ``row_done`` are as
         in :func:`fill_expert_cross_cov`, which a (q, w, p) window with
         w < p turns into a streamed fill.
         """
@@ -311,16 +356,18 @@ class SubModelBank:
     def layer1(self, Xq) -> Layer1:
         """Materialised expert statistics at a batch of query points.
 
-        ``moments`` gives M and k; K_gh = a_g' k(X_g, X_h) a_h, with the
-        diagonal K_gg equal to k for Kriging weights.  K is filled one
-        block row at a time, so the peak footprint stays at O(n q) plus the
-        (q, p, p) output; ``tree.stream_layers`` avoids that output.
+        ``expert_weights`` gives M, k and the weights; K_gh = a_g' k(X_g,
+        X_h) a_h, with the diagonal K_gg equal to k for Kriging weights.  K
+        is filled one block row at a time, so the peak footprint stays at
+        one n x q array plus the (q, p, p) output; ``tree.stream_layers``
+        avoids that output.
         """
-        C, A = self.group_weights(Xq)
-        M, kM = self.moments(C, A)
+        M, kM, AT = self.expert_weights(Xq)
         q, p = M.shape
         K = np.empty((q, p, p))
-        self.cross_cov_rows([np.ascontiguousarray(A.T)], kM, K)
+        weights = [AT]
+        del AT
+        self.cross_cov_rows(weights, kM, K)
         return Layer1(M=M, k=kM, K=K)
 
 

@@ -23,7 +23,8 @@ from .exceptions import NonPositiveVariance
 from .gpcore import FullModel, SubModelBank, sample_gaussian
 from .kernels import KernelSpec
 from .linalg import solve
-from .tree import AggregationTree, nested_design_weights, nested_predict_batch
+from .tree import (AggregationTree, nested_design_weights, nested_variances,
+                   stream_layers)
 
 BENCH_METHODS = ("nested",) + baselines.METHODS
 
@@ -110,18 +111,18 @@ def benchmark_instance(seed):
     part = partition_consecutive(X, BENCH_P)
     bank = SubModelBank(BENCH_KERNEL, X, fX, part)
     tree = AggregationTree.flat(BENCH_N, BENCH_P)
-    m_nested, v_nested = nested_predict_batch(bank, tree, grid)
-
-    M, k = bank.moments(*bank.group_weights(grid))
-    expert_vars = baselines.expert_variances(BENCH_KERNEL.variance, k)
+    # one layer-1 pass feeds the nested predictor and the baseline rules
+    nested = stream_layers(bank, tree, grid)
+    v_nested = nested_variances(bank, nested.root_cov)
+    expert_vars = baselines.expert_variances(BENCH_KERNEL.variance, nested.k)
     # criteria needs positive variances, and at a grid point next to a
     # design point the full and nested predictors clamp the variance at zero
     results = {
         "full": (m_full, np.maximum(v_full, EXPERT_VARIANCE_FLOOR)),
-        "nested": (m_nested, np.maximum(v_nested, EXPERT_VARIANCE_FLOOR)),
+        "nested": (nested.mean, np.maximum(v_nested, EXPERT_VARIANCE_FLOOR)),
     }
     for method in baselines.METHODS:
-        results[method] = baselines.evaluate(method, M, expert_vars,
+        results[method] = baselines.evaluate(method, nested.M, expert_vars,
                                              BENCH_KERNEL.variance)
     return grid, f_grid, results
 
@@ -233,12 +234,11 @@ def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
             else:
                 # the rules are linear in the expert means, so applied to
                 # unit means (row g: expert g alone) they give the weights
-                C, A = bank.group_weights(x0[None])
-                V = baselines.expert_variances(kernel.variance,
-                                               bank.moments(C, A)[1][0])
+                _, k, AT = bank.expert_weights(x0[None])
+                V = baselines.expert_variances(kernel.variance, k[0])
                 alpha = baselines.evaluate(method, np.eye(bank.p), V,
                                            kernel.variance)[0][None]
-                lam = bank.design_weights(A, alpha)
+                lam = bank.design_weights(AT, alpha)
         preds = fX @ lam[:, 0]
         out.append((int(n), float(np.mean((preds - y0) ** 2))))
     return out

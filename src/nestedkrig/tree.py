@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,19 +217,35 @@ def run_layers(M1, k1, K1, tree: AggregationTree):
     return _propagate(M, K, tree.levels, kvec=k)[:2]
 
 
-def stream_layers(bank: SubModelBank, tree: AggregationTree, make_weights):
-    """(root_mean, root_cov, alphas) of the nested predictor at one batch of points.
+class Streamed(NamedTuple):
+    """One streamed nested prediction at a batch of q points.
 
-    ``alphas`` holds the node weights the engine solved, one list per
-    aggregation layer with one (q, len(children)) array per node, which
-    :func:`nested_design_weights` multiplies down the tree.
+    mean, root_cov : (q,) root values and their covariances with the process
+    alphas : the node weights the engine solved, one list per aggregation
+        layer with one (q, len(children)) array per node
+    M, k : (q, p) expert means and covariances of the layer-1 pass
+    weights : the (q, n) query-major expert weights if they were kept,
+        else None
+    """
 
-    ``make_weights()`` returns (C, A) as ``bank.group_weights`` does; it is
-    called here so that this function holds the only references to them.
-    C is freed as soon as the expert means and covariances are formed, and
-    A as soon as it has been transposed to the query-major (q, n) layout
-    that ``bank.cross_cov_rows`` takes over and frees before the last
-    row's callback, so at most two n x q arrays are alive at any time.
+    mean: np.ndarray
+    root_cov: np.ndarray
+    alphas: list
+    M: np.ndarray
+    k: np.ndarray
+    weights: np.ndarray | None
+
+
+def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
+                  keep_weights=False) -> Streamed:
+    """The nested predictor at one batch of points, from one layer-1 pass.
+
+    ``bank.expert_weights(Xq, deleted)`` gives the expert means and
+    covariances and the query-major (q, n) weights, without any n x q
+    covariance or group-major weight array.  The weights go to
+    ``bank.cross_cov_rows``, which takes them over and frees them before
+    the last row's callback unless ``keep_weights`` asks for them back, so
+    one n x q array is alive before the fill.
 
     The first aggregation layer consumes the rows of the expert
     cross-covariance as they are filled, holding only the rows at or above
@@ -240,51 +257,57 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, make_weights):
     if tree.n_layer1 != bank.p:
         raise InvalidTree(
             f"tree expects {tree.n_layer1} sub-models, bank holds {bank.p}")
-    C, A = make_weights()
-    M, k = bank.moments(C, A)
-    del C
-    weights = [np.ascontiguousarray(A.T)]
-    del A
-    q, p = M.shape
     finishing, window = tree.first_layer_schedule
-    layer = _Layer(tree.levels[0], M, k, np.empty((q, window, p)), window)
+    # the (q, w, p) window before the pass: allocated after the n x q
+    # weights, it raises the peak RSS of a two-layer chunk
+    rows = np.empty((np.atleast_2d(Xq).shape[0], window, bank.p))
+    M, k, AT = bank.expert_weights(Xq, deleted)
+    kept = AT if keep_weights else None
+    weights = [AT]
+    del AT
+    layer = _Layer(tree.levels[0], M, k, rows, window)
+    del rows
     row_done = {g: partial(layer.finish, nodes) for g, nodes in finishing}
     bank.cross_cov_rows(weights, k, layer.K_prev, row_done)
     M2, K2, first = layer.M, layer.K, layer.alphas
     del layer, row_done
     mean, root_cov, upper = _propagate(M2, K2, tree.levels[1:])
-    return mean, root_cov, [first] + upper
+    return Streamed(mean, root_cov, [first] + upper, M, k, kept)
 
 
 def nested_predict_batch(bank: SubModelBank, tree: AggregationTree, Xq):
     """Nested prediction at a batch of points: (means, variances), each (q,)."""
-    mean, root_cov, _ = stream_layers(bank, tree, partial(bank.group_weights, Xq))
-    variances = np.maximum(bank.kernel.variance - root_cov, 0.0)
-    return mean, variances
+    s = stream_layers(bank, tree, Xq)
+    return s.mean, nested_variances(bank, s.root_cov)
+
+
+def nested_variances(bank: SubModelBank, root_cov):
+    """Prediction variances k(x, x) - root_cov, clamped at zero."""
+    return np.maximum(bank.kernel.variance - root_cov, 0.0)
 
 
 def nested_design_weights(bank: SubModelBank, tree: AggregationTree, Xq):
     """Nested prediction at a batch of points with its design weights.
 
-    Returns (means, variances, lam): the means and variances of
-    :func:`nested_predict_batch`, and the (n, q) weights of the design
-    points in the predictor, which is linear in the responses.  The
-    engine's node weights are multiplied down the tree into the weights
-    beta (q, p) of the experts in the root's value, summed over every path
-    to an expert since child sets may overlap; then lam = sum_g beta_g a_g.
-    Keeps the n x q weight columns alive, so it is for desk-scale batches.
+    Returns (means, variances, lam, k): the means and variances of
+    :func:`nested_predict_batch`, the (n, q) weights of the design points
+    in the predictor, which is linear in the responses, and the (q, p)
+    expert covariances k of the same layer-1 pass.  The engine's node
+    weights are multiplied down the tree into the weights beta (q, p) of
+    the experts in the root's value, summed over every path to an expert
+    since child sets may overlap; then lam = sum_g beta_g a_g.  Keeps the
+    query-major n x q weights alive, so it is for desk-scale batches.
     """
-    C, A = bank.group_weights(Xq)
-    mean, root_cov, alphas = stream_layers(bank, tree, lambda: (C, A))
-    beta = np.ones((mean.shape[0], 1))
-    for level, layer, width in zip(tree.levels[::-1], alphas[::-1],
+    s = stream_layers(bank, tree, Xq, keep_weights=True)
+    beta = np.ones((s.mean.shape[0], 1))
+    for level, layer, width in zip(tree.levels[::-1], s.alphas[::-1],
                                    tree.layer_sizes[-2::-1]):
         below = np.zeros((beta.shape[0], width))
         for i, (node, a) in enumerate(zip(level, layer)):
             np.add.at(below, (slice(None), node), beta[:, i:i + 1] * a)
         beta = below
-    variances = np.maximum(bank.kernel.variance - root_cov, 0.0)
-    return mean, variances, bank.design_weights(A, beta)
+    return (s.mean, nested_variances(bank, s.root_cov),
+            bank.design_weights(s.weights, beta), s.k)
 
 
 def nested_predict(bank: SubModelBank, tree: AggregationTree, x):

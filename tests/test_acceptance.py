@@ -20,7 +20,7 @@ except ImportError:  # pragma: no cover - measurement still works, noisier
     from contextlib import nullcontext as threadpool_limits
 
 import nestedkrig as nk
-from nestedkrig import metrics
+from nestedkrig import kernels, metrics
 from nestedkrig import tree as tree_engine
 from nestedkrig.aggregation import AggregatedProcess, aggregate, diagnostics_vs_full
 from nestedkrig.cli import main
@@ -293,8 +293,8 @@ def test_c08_complexity_scaling_and_memory():
 
     # a two-layer tree's root aggregates every expert, so a 512-query chunk
     # holds all of (q, p, p); beside it at most two n x q arrays are alive
-    # at a time (C and A, then A and its query-major copy, then that copy
-    # and the fill's product W), plus scratch of about c x n
+    # at a time (the query-major weights, then those and the fill's product
+    # W), plus scratch of about c x n
     bank, flat, _ = setups[4000]
     n, p, q = bank.n, bank.p, 512
     Xq = rng.uniform(0, 1, (q, 1))
@@ -306,19 +306,28 @@ def test_c08_complexity_scaling_and_memory():
     bound = 3 * n * q * 8 + q * p * p * 8
     assert peak < bound, f"peak {peak} bytes, bound {bound}, n={n}, p={p}"
 
-    # neither C nor the (n, q) weight columns reach the fill, and the fill's
-    # query-major weights are freed before the root solve
+    # no n x q covariance is evaluated, and until the fill the only n x q
+    # float array alive is the query-major weights: at every kernel
+    # evaluation tracemalloc holds at most one block of n q reals, at the
+    # start of the fill exactly one, the weights, and the fill's weights are
+    # freed before the root solve
     refs = {}
-    group_weights, cross_cov_rows = bank.group_weights, bank.cross_cov_rows
+    cross_cov_rows = bank.cross_cov_rows
+    cross_matrix_into = kernels.cross_matrix_into
     solves = []
+    nq_bytes = n * q * 8
 
-    def weights_spy(points):
-        C, A = group_weights(points)
-        refs["C"], refs["A"] = weakref.ref(C), weakref.ref(A)
-        return C, A
+    def nq_blocks():
+        return sum(1 for t in tracemalloc.take_snapshot().traces
+                   if t.size == nq_bytes)
+
+    def kernel_spy(spec, Am, Bm, out, scratch=None):
+        assert out.shape != (n, q)
+        assert nq_blocks() <= 1
+        return cross_matrix_into(spec, Am, Bm, out, scratch)
 
     def fill_spy(weights, kM, out, row_done=None):
-        assert refs["C"]() is None and refs["A"]() is None
+        assert weights[0].nbytes == nq_bytes and nq_blocks() == 1
         refs["AT"] = weakref.ref(weights[0])
         return cross_cov_rows(weights, kM, out, row_done)
 
@@ -328,10 +337,15 @@ def test_c08_complexity_scaling_and_memory():
         return solve_weights(kmat, kvec)
 
     solve_weights = tree_engine.solve_weights
-    bank.group_weights, bank.cross_cov_rows = weights_spy, fill_spy
-    with mock.patch.object(tree_engine, "solve_weights", root_solve_spy):
-        nested_predict_batch(bank, flat, Xq)
-    assert solves == [(q, p, p)]
+    bank.cross_cov_rows = fill_spy
+    tracemalloc.start()
+    try:
+        with mock.patch.object(tree_engine, "solve_weights", root_solve_spy), \
+                mock.patch.object(kernels, "cross_matrix_into", kernel_spy):
+            nested_predict_batch(bank, flat, Xq)
+    finally:
+        tracemalloc.stop()
+    assert solves == [(q, p, p)] and "AT" in refs
 
 
 def _estimation_dataset(seed):
@@ -400,6 +414,12 @@ seed = 3
                      "--query", str(query), "--out", str(tmp_path / f"pred_{tag}.csv"),
                      "--with-variance", "--threads", "1" if tag == "a" else "4",
                      "--method", "nested"]) == 0
+        # a baseline rule's chunks, on a pool of four at tag b
+        assert main(["predict", "--bundle", str(tmp_path / f"model_{tag}.json"),
+                     "--query", str(query),
+                     "--out", str(tmp_path / f"rbcm_{tag}.csv"),
+                     "--with-variance", "--threads", "1" if tag == "a" else "4",
+                     "--method", "rbcm"]) == 0
         assert main(["simulate", "--config", str(config),
                      "--out", str(tmp_path / f"sim_{tag}.csv"),
                      "--points", "101", "--count", "2", "--seed", "5"]) == 0
@@ -413,6 +433,7 @@ seed = 3
                      "--out", str(tmp_path / f"loo_{tag}.json")]) == 0
 
     pairs = [("model_a.json", "model_b.json"), ("pred_a.csv", "pred_b.csv"),
+             ("rbcm_a.csv", "rbcm_b.csv"),
              ("sim_a.csv", "sim_b.csv"), ("cons_a.csv", "cons_b.csv"),
              ("loo_a.json", "loo_b.json")]
     for left, right in pairs:

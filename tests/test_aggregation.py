@@ -62,11 +62,12 @@ def reference_prior_cov(bank, Za, Zb):
     and one kernel block k(X_g, X_h) per group pair.
     """
     def stats(Z):
-        C, A = bank.group_weights(Z)
+        A = bank.expert_weights(Z)[2].T
         L1 = bank.layer1(Z)
         alpha, _ = solve_weights(L1.K, L1.k)
         V = [A[lo:hi] * alpha[:, g] for g, (lo, hi) in enumerate(bank.spans)]
-        return V, [C[lo:hi] for lo, hi in bank.spans]
+        return V, [kernels.cross_matrix(bank.kernel, bank._Xc[lo:hi], Z)
+                   for lo, hi in bank.spans]
 
     Za = np.atleast_2d(np.asarray(Za, dtype=float))
     Zb = np.atleast_2d(np.asarray(Zb, dtype=float))
@@ -94,10 +95,10 @@ def flat_design_weights(bank, Z):
     bank's design weights: the path the modified prior took before the tree
     engine supplied its weights.
     """
-    _, A = bank.group_weights(Z)
+    AT = bank.expert_weights(Z)[2]
     L1 = bank.layer1(Z)
     alpha, _ = solve_weights(L1.K, L1.k)
-    return bank.design_weights(A, alpha)
+    return bank.design_weights(AT, alpha)
 
 
 def flat_prior_cov(bank, Za, Zb):
@@ -325,8 +326,8 @@ class TestProcessView:
                 assert np.array_equal(a, b)
 
     def test_posterior_forms_each_shared_block_once(self):
-        # k(X, X) is evaluated once by the process and once (group-major)
-        # inside group_weights, and the design weights of X are built once
+        # k(X, X) is evaluated once by the process (the bank's layer-1 pass
+        # evaluates it in tiles), and the design weights of X are built once
         rng = np.random.default_rng(8)
         kern, X, f, part = random_instance(rng, n=24, p=4)
         bank = SubModelBank(kern, X, f, part)
@@ -334,8 +335,8 @@ class TestProcessView:
         n = X.shape[0]
         with mock.patch.object(kernels, "cross_matrix",
                                wraps=kernels.cross_matrix) as kernel_calls, \
-                mock.patch.object(bank, "group_weights",
-                                  wraps=bank.group_weights) as weight_calls:
+                mock.patch.object(bank, "expert_weights",
+                                  wraps=bank.expert_weights) as weight_calls:
             aggregated_posterior(bank, Xq)
         square = [c for c in kernel_calls.call_args_list
                   if len(c.args[1]) == n and len(c.args[2]) == n]
@@ -438,7 +439,7 @@ class TestPlannedTrees:
                                    kernels.cross_matrix(kern, X, X),
                                    rtol=0, atol=1e-8)
         # the design weights reproduce the nested predictor's mean
-        means, _, lam = nested_design_weights(bank, tree, Xq)
+        means, _, lam, _ = nested_design_weights(bank, tree, Xq)
         m_nested, _ = nested_predict_batch(bank, tree, Xq)
         assert np.array_equal(means, m_nested)
         np.testing.assert_allclose(lam.T @ f, m_nested, rtol=1e-12,
@@ -463,7 +464,7 @@ class TestPlannedTrees:
         tree = nk.AggregationTree(n_leaves=18, n_layer1=3,
                                   levels=(((0, 1), (1, 2)), ((0, 1),)))
         Xq = rng.uniform(0, 1, (6, 1))
-        means, variances, lam = nested_design_weights(bank, tree, Xq)
+        means, variances, lam, _ = nested_design_weights(bank, tree, Xq)
         np.testing.assert_allclose(lam.T @ f, means, rtol=1e-12,
                                    atol=1e-12 * np.abs(f).max())
         # the variance of lam' Y about Y(x) is the nested variance

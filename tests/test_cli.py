@@ -84,7 +84,7 @@ class TestFitPredict:
         kern = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
         bank = nk.SubModelBank(kern, EX1_X, EX1_F,
                                nk.partition_consecutive(EX1_X, 2))
-        M, k = bank.moments(*bank.group_weights(xs.reshape(-1, 1)))
+        M, k = bank.moments(xs.reshape(-1, 1))
         V = np.maximum(kern.variance - k, metrics.EXPERT_VARIANCE_FLOOR)
         for method in baselines.METHODS:
             out = tmp / f"{method}.csv"

@@ -92,10 +92,9 @@ class TestLooPredict:
         records = loo_predict(nk.Dataset(X=X, y=f), part, plan.tree, kern,
                               indices)
         bank = SubModelBank(kern, X, f, part)
-        C, A = bank.loo_weights(indices)
-        M, k = bank.moments(C, A)
+        M, k, AT = bank.expert_weights(X[indices], indices)
         K = np.empty((indices.size, bank.p, bank.p))
-        bank.cross_cov_rows([np.ascontiguousarray(A.T)], k, K)
+        bank.cross_cov_rows([AT], k, K)
         m, root_cov = run_layers(M, k, K, plan.tree)
         v = np.maximum((kern.variance - root_cov) / kern.variance,
                        LOO_VARIANCE_FLOOR)

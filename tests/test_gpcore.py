@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestedkrig as nk
-from nestedkrig import estimation, gpcore, kernels, linalg
+from nestedkrig import baselines, estimation, gpcore, kernels, linalg
 from nestedkrig.estimation import loo_predict
 from nestedkrig.exceptions import DimensionMismatch
 from nestedkrig.gpcore import (FullModel, SubModelBank, sample_conditional,
@@ -224,12 +225,13 @@ class TestFillReference:
     def test_fill_and_predictions_equal_reference(self, case):
         kern, X, y, part, tree, Xq = case
         bank = SubModelBank(kern, X, y, part)
-        C, A = bank.group_weights(Xq)
-        M, kM = bank.moments(C, A)
+        M, kM, AT = bank.expert_weights(Xq)
+        A = np.ascontiguousarray(AT.T)
         q, p = M.shape
         K = np.empty((q, p, p))
         rows = []
-        weights = [np.ascontiguousarray(A.T)]
+        weights = [AT]
+        del AT
         bank.cross_cov_rows(weights, kM, K, {g: lambda g=g: rows.append(g)
                                              for g in range(0, p, 2)})
         assert weights == []
@@ -373,6 +375,148 @@ class TestBankReference:
                                       np.arange(bank.n))
 
 
+def reference_group_weights(bank, Xq):
+    """Covariances C = k(X, Xq) and group-major Kriging weight columns A, (n, q).
+
+    The whole-design evaluation the bank's tiled layer-1 pass replaced:
+    rows follow the group-major design order, and the rows of group g
+    hold a_g = R_g' (R_g C_g).
+    """
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    C = kernels.cross_matrix(bank.kernel, bank._Xc, Xq)
+    A = np.empty_like(C)
+    for (lo, hi), R in zip(bank.spans, bank.inv_factors):
+        A[lo:hi] = R.T @ (R @ C[lo:hi])
+    return C, A
+
+
+def reference_loo_weights(bank, indices):
+    """``reference_group_weights`` at design points ``indices``, each deleted from its group."""
+    C, A = reference_group_weights(bank, bank.X[indices])
+    row = bank.major_row
+    for t, i in enumerate(indices):
+        g = bank.labels[i]
+        lo, hi = bank.spans[g]
+        R = bank.inv_factors[g]
+        j = row[i] - lo
+        r = R[j:, j]
+        A[lo:hi, t] = -(R[j:].T @ r) / (r @ r)
+        A[row[i], t] = 0.0
+    return C, A
+
+
+def reference_moments(bank, C, A):
+    """Expert means and covariances from whole-design (C, A), as transposed (p, q) buffers."""
+    p, q = bank.p, C.shape[1]
+    M = np.empty((p, q))
+    kM = np.empty((p, q))
+    for g, (lo, hi) in enumerate(bank.spans):
+        M[g] = bank._yc[lo:hi] @ A[lo:hi]
+        kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
+    return M.T, kM.T
+
+
+@st.composite
+def pass_cases(draw):
+    """A random design on an unequal partition, queries and a kernel tile.
+
+    The partition is k-means or random, and at times one group holds about
+    half the design, so that at q = 512 it is larger than one tile.  The
+    queries are either free points or design points left out of their
+    groups, with two deletions in one group whenever q >= 2 and some
+    group has three or more points.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(4, 240))
+    p = draw(st.integers(1, max(1, n // 3)))
+    X = rng.uniform(0, 1, (n, d))
+    if draw(st.booleans()):
+        part = nk.partition_kmeans(X, p, seed=int(rng.integers(1000)))
+    else:
+        labels = np.concatenate([np.arange(p), rng.integers(0, p, n - p)])
+        if draw(st.booleans()):
+            labels[p:p + (n - p) // 2] = 0
+        part = nk.Partition(labels=rng.permutation(labels), p=p)
+    family = draw(st.sampled_from(kernels.FAMILIES))
+    kern = nk.KernelSpec(family, float(rng.uniform(0.5, 2.0)),
+                         tuple(rng.uniform(0.1, 0.6, d)))
+    y = np.sin(4.0 * X.sum(axis=1)) + rng.standard_normal(n) * 0.1
+    q = draw(st.sampled_from((1, 512)) | st.integers(1, 40).map(lambda k: 2 * k + 1))
+    sizes = np.bincount(part.labels, minlength=part.p)
+    deletable = np.flatnonzero(sizes[part.labels] > 1)
+    deleted = None
+    if deletable.size and draw(st.booleans()):
+        deleted = rng.choice(deletable, q)
+        crowded = np.flatnonzero(sizes >= 3)
+        if q >= 2 and crowded.size:
+            members = np.flatnonzero(part.labels == crowded[0])
+            deleted[:2] = rng.choice(members, 2, replace=False)
+    Xq = X[deleted] if deleted is not None else rng.uniform(0, 1, (q, d))
+    tile = draw(st.sampled_from((kernels.TILE_ENTRIES, 600, 40)))
+    return kern, X, y, part, Xq, deleted, tile
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert np.array_equal(got, want)
+
+
+class TestLayer1PassReference:
+    @settings(max_examples=80, deadline=None)
+    @given(case=pass_cases())
+    def test_pass_equals_whole_design_reference(self, case):
+        # the tiled pass gives the bits, shapes and layouts of the
+        # whole-design evaluation for every tile and run split
+        kern, X, y, part, Xq, deleted, tile = case
+        bank = SubModelBank(kern, X, y, part)
+        if deleted is None:
+            C, A = reference_group_weights(bank, Xq)
+        else:
+            C, A = reference_loo_weights(bank, deleted)
+        M_ref, k_ref = reference_moments(bank, C, A)
+        with mock.patch.object(kernels, "TILE_ENTRIES", tile):
+            M, k, AT = bank.expert_weights(Xq, deleted)
+            moments = None if deleted is not None else bank.moments(Xq)
+        assert_same_array(M, M_ref)
+        assert_same_array(k, k_ref)
+        assert_same_array(AT, np.ascontiguousarray(A.T))
+        if moments is not None:
+            assert_same_array(moments[0], M_ref)
+            assert_same_array(moments[1], k_ref)
+        alpha = np.random.default_rng(0).standard_normal(M.shape)
+        assert_same_array(bank.design_weights(AT, alpha),
+                          A[bank.major_row] * alpha.T[bank.labels])
+
+    def test_baseline_chunk_holds_no_n_by_q_array(self):
+        # one 512-query chunk of a baseline rule at the predict-deep shape
+        # (n = 2500 in d = 3, p = 179 k-means groups) holds one kernel tile
+        # and O(p q) reals, less than one n x q array
+        rng = np.random.default_rng(10)
+        n, q = 2500, 512
+        X = rng.uniform(0, 1, (n, 3))
+        plan = plan_tree(n, "equilibrated", height=3)
+        assert plan.p == 179
+        kern = nk.KernelSpec("matern52", 1.0, (0.3, 0.3, 0.3))
+        bank = SubModelBank(kern, X, np.sin(4.0 * X.sum(axis=1)),
+                            nk.partition_kmeans(X, plan.p, seed=0))
+        Xq = rng.uniform(0, 1, (q, 3))
+
+        def chunk():
+            M, k = bank.moments(Xq)
+            return baselines.evaluate("rbcm", M, baselines.expert_variances(
+                kern.variance, k), kern.variance)
+
+        chunk()
+        tracemalloc.start()
+        chunk()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < n * q * 8, f"peak {peak} bytes, n={n}, q={q}"
+
+
 class TestDesignLayout:
     def test_design_weights_reproduce_combined_means(self):
         # lambda' y = sum_g alpha_g M_g for any expert weights alpha
@@ -381,10 +525,9 @@ class TestDesignLayout:
             kern, X, f, part = random_instance(rng)
             bank = SubModelBank(kern, X, f, part)
             Xq = rng.uniform(0, 1, (7, X.shape[1]))
-            C, A = bank.group_weights(Xq)
-            M, _ = bank.moments(C, A)
+            M, _, AT = bank.expert_weights(Xq)
             alpha = rng.standard_normal(M.shape)
-            lam = bank.design_weights(A, alpha)
+            lam = bank.design_weights(AT, alpha)
             assert lam.shape == (bank.n, 7)
             np.testing.assert_allclose(lam.T @ f, np.sum(alpha * M, axis=1),
                                        rtol=0, atol=1e-12)
@@ -394,9 +537,9 @@ class TestDesignLayout:
         kern, X, f, part = random_instance(rng)
         bank = SubModelBank(kern, X, f, part)
         x = rng.uniform(0, 1, (1, X.shape[1]))
-        _, A = bank.group_weights(x)
+        AT = bank.expert_weights(x)[2]
         for g, idx in enumerate(part.groups()):
-            lam = bank.design_weights(A, np.eye(bank.p)[g][None])[:, 0]
+            lam = bank.design_weights(AT, np.eye(bank.p)[g][None])[:, 0]
             K = kernels.cross_matrix(kern, X[idx], X[idx])
             want = np.linalg.solve(K, kernels.cross_matrix(kern, X[idx], x))[:, 0]
             np.testing.assert_allclose(lam[idx], want, atol=1e-9)

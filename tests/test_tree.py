@@ -1,4 +1,3 @@
-from functools import partial
 
 import numpy as np
 import pytest
@@ -268,7 +267,7 @@ class TestStreamedFirstLayer:
             return fill(weights, kM, out, row_done)
 
         bank.cross_cov_rows = spy
-        stream_layers(bank, plan.tree, partial(bank.group_weights, X[:5]))
+        stream_layers(bank, plan.tree, X[:5])
         widest = max(len(node) for node in plan.tree.levels[0])
         assert windows == [(5, widest, plan.p)]
 
@@ -397,7 +396,7 @@ class TestPaperInvariants:
         bank = SubModelBank(kern, X, f, part)
         _, v_full = FullModel(kern, X, f).predict(Xq)
         _, v_nested = nested_predict_batch(bank, tree, Xq)
-        _, k = bank.moments(*bank.group_weights(Xq))
+        _, k = bank.moments(Xq)
         v_best = (kern.variance - k).min(axis=1)
         gap = v_nested - v_full
         assert np.all(gap >= -1e-8)
