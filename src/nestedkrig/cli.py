@@ -214,6 +214,10 @@ def cmd_simulate(args) -> int:
     kernel = cfg.kernel.spec()
     if kernel.dim != 1:
         raise UsageError("simulate draws on a 1-d grid; configure a 1-d kernel")
+    if args.points < 1:
+        raise UsageError("--points must be at least 1")
+    if args.count < 1:
+        raise UsageError("--count must be at least 1")
     grid = np.linspace(0.0, 1.0, args.points).reshape(-1, 1)
     draws = sample_paths(kernel, grid, args.count, args.seed)
     with open(args.out, "w") as fh:
@@ -260,6 +264,10 @@ def cmd_consistency(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:
         raise UsageError("--sizes must list at least one design size")
+    if min(sizes) < 2:
+        raise UsageError("--sizes entries must be at least 2")
+    if args.replicates < 1:
+        raise UsageError("--replicates must be at least 1")
     trend = metrics.run_consistency_demo(sizes, args.method,
                                          replicates=args.replicates,
                                          seed=args.seed)

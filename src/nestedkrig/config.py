@@ -38,7 +38,7 @@ class PartitionConfig:
 @dataclass
 class TreeConfig:
     mode: str = "two_layer_sqrt"
-    height: int = 2
+    height: int = 2  # equilibrated and optimal trees only
 
 
 @dataclass
@@ -143,6 +143,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"tree.mode must be one of {TREE_MODES}")
     if cfg.tree.height < 2:
         raise ConfigError("tree.height must be at least 2")
+    if cfg.tree.height != 2 and cfg.tree.mode in ("flat", "two_layer_sqrt"):
+        raise ConfigError(
+            f"tree.mode = {cfg.tree.mode} always builds a height-2 tree; "
+            f"tree.height applies only to tree.mode = equilibrated or optimal")
     if cfg.partition.p < 0:
         raise ConfigError("partition.p must be nonnegative")
     if cfg.partition.p > 0 and cfg.tree.mode != "flat":

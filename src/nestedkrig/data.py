@@ -25,7 +25,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    ids: list | None = None
     y_offset: float = 0.0
 
     def __post_init__(self):

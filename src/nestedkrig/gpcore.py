@@ -52,7 +52,7 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
     C-contiguous (q, n) array whose columns follow the rows of ``Xcat``.
     The fill takes that array out of the list, so when the caller keeps no
     other reference, the fill owns the weights and frees them, with its
-    scratch pools, before the callback of row p - 1 (on a flat tree, the
+    operand pools, before the callback of row p - 1 (on a flat tree, the
     root solve).  ``out`` is a (q, w, p) window of the (q, p, p) matrix K:
     row g, that is K[:, g, :g+1], goes to ``out[:, g % w]``.  With w = p,
     ``out`` is all of K and the mirrored column K[:, :g, g] is written too.
@@ -62,8 +62,8 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
     Each block row is a single covariance block against all earlier
     groups, one matrix product and one segmented reduction, so the Python
     overhead is linear in p while the arithmetic stays at sum c_g c_h q.
-    Query-major layout with fixed scratch pools keeps every pass streaming
-    over the same contiguous pages.
+    Query-major layout with operand pools sized once for the largest row
+    (B and W grow with g) keeps every pass streaming over the same pages.
     """
     p = len(starts)
     AT = weights.pop()
@@ -75,9 +75,6 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
         m_max = int(starts[-1])
         apool = np.empty(c_max * q)
         bpool = np.empty(c_max * m_max)
-        # kernel scratch for blocks of one tile; a larger block allocates
-        # its own tile-sized pair, so a block-sized pool would sit unused
-        spool = np.empty(min(c_max * m_max, kernels.TILE_ENTRIES))
         wpool = np.empty(q * m_max)
     for g in range(p):
         row = out[:, g % window]
@@ -86,8 +83,7 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
             stop = int(starts[g])
             c = int(bounds[g + 1] - bounds[g])
             B = bpool[:c * stop].reshape(c, stop)
-            S = spool[:c * stop].reshape(c, stop) if c * stop <= spool.size else None
-            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B, S)
+            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B)
             # the (c, q) operand gathered into contiguous scratch: its .T is
             # the operand layout of an (n, q) weight array, and the strided
             # (q, c) slice of AT would take another BLAS path and change bits
@@ -104,7 +100,7 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
             # the consumer's last step is often its largest (a root solve)
             del AT
             if p > 1:
-                del apool, bpool, spool, wpool, Ag, B, S, W
+                del apool, bpool, wpool, Ag, B, W
         if g in row_done:
             row_done[g]()
 
@@ -175,9 +171,10 @@ class SubModelBank:
     by the tree engine) into one weight per design point in the original
     order, and ``likelihood_terms`` sums the per-group Gaussian
     log-likelihood terms.  ``moments`` and ``expert_weights`` share one
-    layer-1 pass that streams the design through cache-sized kernel tiles:
-    no n x q covariance and no group-major weight array is ever formed, and
-    only ``expert_weights`` holds one n x q array, the query-major weights.
+    layer-1 pass that streams the design in runs of groups of about one
+    kernel tile: no n x q covariance and no group-major weight array is
+    ever formed, and only ``expert_weights`` holds one n x q array, the
+    query-major weights.
 
     The factors are built one group-size class at a time: the groups of
     size c are gathered into a (G, c, d) stack, their covariances evaluated
@@ -262,9 +259,9 @@ class SubModelBank:
 
         Walks runs of consecutive groups whose rows fit one kernel tile of
         ``kernels.TILE_ENTRIES`` entries (a larger group forms a run alone)
-        and evaluates k(X_run, Xq) into one scratch buffer of this call.
+        and evaluates k(X_run, Xq) into a (rows, q) buffer of its own.
         Each group's weights, edits, moments and transposed copy are done
-        while its c x q rows of the tile are in cache, with the products,
+        while its c x q rows of that block are in cache, with the products,
         shapes and layouts of a whole-design evaluation, so no entry
         depends on the tiling.
         """
@@ -279,16 +276,10 @@ class SubModelBank:
         if deleted is not None:
             for t, i in enumerate(deleted):
                 edits.setdefault(int(self.labels[i]), []).append((t, int(i)))
-        runs = self._runs(q)
-        size = q * max(self.spans[last][1] - self.spans[first][0]
-                       for first, last in runs)
-        tile = np.empty(size)
-        scratch = np.empty(min(size, kernels.TILE_ENTRIES))
-        for first, last in runs:
+        for first, last in self._runs(q):
             start, stop = self.spans[first][0], self.spans[last][1]
-            C = tile[:(stop - start) * q].reshape(stop - start, q)
-            S = scratch[:C.size].reshape(C.shape) if C.size <= scratch.size else None
-            kernels.cross_matrix_into(self.kernel, self._Xc[start:stop], Xq, C, S)
+            C = np.empty((stop - start, q))
+            kernels.cross_matrix_into(self.kernel, self._Xc[start:stop], Xq, C)
             for g in range(first, last + 1):
                 lo, hi = self.spans[g]
                 R, Cg = self.inv_factors[g], C[lo - start:hi - start]

@@ -149,7 +149,7 @@ def cross_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     return out
 
 
-def cross_matrix_into(spec: KernelSpec, Am, Bm, out, scratch=None) -> np.ndarray:
+def cross_matrix_into(spec: KernelSpec, Am, Bm, out) -> np.ndarray:
     """:func:`cross_matrix` into a preallocated C-contiguous buffer, or a stack of them.
 
     ``Am`` (n, d), ``Bm`` (m, d) and ``out`` (n, m) give one matrix;
@@ -159,32 +159,23 @@ def cross_matrix_into(spec: KernelSpec, Am, Bm, out, scratch=None) -> np.ndarray
     so the scaled distances never materialize as an (n, m, d) block and
     every elementwise pass over a tile runs in cache.  A matrix tile is a
     run of rows; a stack tile is a run of whole matrices, and a stacked
-    matrix larger than one tile is evaluated alone in row tiles.  A block
-    of one tile is evaluated in place, with the optional same-shape
-    ``scratch`` as its first scratch buffer; a larger block ignores
-    ``scratch``, allocates one tile-sized scratch pair per call and reuses
-    it for every tile.  The passes and their order do not depend on the
-    tiling or the stacking, so every entry has the same bits as in a
-    one-row call.
+    matrix larger than one tile is evaluated alone in row tiles.  Each call
+    allocates one tile-sized scratch pair and reuses it for every tile, so
+    the caller supplies only ``out``.  The passes and their order do not
+    depend on the tiling or the stacking, so every entry has the same bits
+    as in a one-row call.
     """
     if out.ndim == 3 and out.shape[1] * out.shape[2] > TILE_ENTRIES:
         for a, b, o in zip(Am, Bm, out):
-            _tiled_into(spec, a, b, o, None)
+            _tiled_into(spec, a, b, o)
     else:
-        _tiled_into(spec, Am, Bm, out, scratch)
+        _tiled_into(spec, Am, Bm, out)
     return out
 
 
-def _tiled_into(spec: KernelSpec, Am, Bm, out, scratch) -> None:
+def _tiled_into(spec: KernelSpec, Am, Bm, out) -> None:
     """:func:`cross_matrix_into` on a matrix or on a stack of one-tile matrices."""
-    if out.size <= TILE_ENTRIES:
-        h_buf = scratch if scratch is not None else np.empty_like(out)
-        # the second buffer is used only by non-SE families with d > 1
-        if spec.family == "squared-exponential" or spec.dim == 1:
-            poly = h_buf
-        else:
-            poly = np.empty_like(out)
-        _tile_into(spec, Am, Bm, out, h_buf, poly)
+    if out.size == 0:
         return
     stacked = out.ndim == 3
     unit = out[0].size  # entries of one row, or of one stacked matrix

@@ -321,10 +321,10 @@ def test_c08_complexity_scaling_and_memory():
         return sum(1 for t in tracemalloc.take_snapshot().traces
                    if t.size == nq_bytes)
 
-    def kernel_spy(spec, Am, Bm, out, scratch=None):
+    def kernel_spy(spec, Am, Bm, out):
         assert out.shape != (n, q)
         assert nq_blocks() <= 1
-        return cross_matrix_into(spec, Am, Bm, out, scratch)
+        return cross_matrix_into(spec, Am, Bm, out)
 
     def fill_spy(weights, kM, out, row_done=None):
         assert weights[0].nbytes == nq_bytes and nq_blocks() == 1

@@ -223,6 +223,8 @@ class TestErrors:
         "[kernel]\nvariance = 5%\n",
         "[estimation]\na = -5\n",
         "[partition]\np = 4\n",
+        "[tree]\nheight = 4\n",
+        "[tree]\nmode = flat\nheight = 4\n",
     ])
     def test_config_problems_exit_2_before_partitioning(self, tmp_path,
                                                         monkeypatch, capsys,
@@ -268,6 +270,34 @@ class TestErrors:
         assert main(["benchmark", "--replications", "0",
                      "--out-dir", str(tmp_path / "b")]) == 1
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--replicates", "0"], "--replicates"),
+        (["--replicates", "-3"], "--replicates"),
+        (["--sizes", "50,1"], "--sizes"),
+        (["--sizes", "0"], "--sizes"),
+        (["--sizes=-4,50"], "--sizes"),
+    ])
+    def test_consistency_count_flags_are_usage_errors(self, tmp_path, capsys,
+                                                      flags, named):
+        out = tmp_path / "trend.csv"
+        assert main(["consistency", "--sizes", "50", "--replicates", "2",
+                     "--out", str(out)] + flags) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--points", "0"], "--points"),
+        (["--points", "-2"], "--points"),
+        (["--count", "0"], "--count"),
+        (["--count", "-1"], "--count"),
+    ])
+    def test_simulate_count_flags_are_usage_errors(self, tmp_path, capsys,
+                                                   flags, named):
+        out = tmp_path / "paths.csv"
+        assert main(["simulate", "--out", str(out)] + flags) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_cap_refusal(self, ex1_files):
         tmp, train, config = ex1_files

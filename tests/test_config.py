@@ -80,3 +80,16 @@ def test_group_count_only_for_flat_trees(tmp_path):
         load_text(tmp_path, "[partition]\np = 4\n")
     cfg = load_text(tmp_path, "[partition]\np = 4\n[tree]\nmode = flat\n")
     assert cfg.partition.p == 4
+
+
+def test_height_only_for_planned_trees(tmp_path):
+    # flat and two_layer_sqrt trees have height 2 whatever tree.height says,
+    # so another value would be echoed into every output without effect
+    for mode in ("flat", "two_layer_sqrt"):
+        with pytest.raises(ConfigError, match="tree.height"):
+            load_text(tmp_path, f"[tree]\nmode = {mode}\nheight = 4\n")
+        cfg = load_text(tmp_path, f"[tree]\nmode = {mode}\nheight = 2\n")
+        assert cfg.tree.height == 2
+    for mode in ("equilibrated", "optimal"):
+        cfg = load_text(tmp_path, f"[tree]\nmode = {mode}\nheight = 4\n")
+        assert cfg.tree.height == 4

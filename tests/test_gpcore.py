@@ -157,7 +157,6 @@ def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
         c_max = int(np.diff(bounds).max())
         m_max = int(starts[-1])
         bpool = np.empty(c_max * m_max)
-        spool = np.empty(c_max * m_max)
         wpool = np.empty(q * m_max)
     for g in range(p):
         row = out[:, g % window]
@@ -166,8 +165,7 @@ def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
             stop = int(starts[g])
             c = int(bounds[g + 1] - bounds[g])
             B = bpool[:c * stop].reshape(c, stop)
-            S = spool[:c * stop].reshape(c, stop)
-            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B, S)
+            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B)
             W = wpool[:q * stop].reshape(q, stop)
             np.matmul(weights[stop:stop + c].T, B, out=W)
             W *= stackedT[:, :stop]

@@ -131,20 +131,65 @@ class TestCrossMatrix:
                 for a, b, o in zip(A, B, out):
                     assert np.array_equal(o, cross_matrix(spec, a, b)), family
 
-    def test_no_allocation_with_scratch(self):
+    def test_allocates_one_tile_pair(self):
+        # one call allocates one scratch pair of at most a tile plus a row
+        # each, whether the block is one tile or many; the slack holds the
+        # ufunc iterator's buffers for the strided coordinate columns
         rng = np.random.default_rng(6)
-        A = rng.uniform(0, 1, (200, 3))
-        B = rng.uniform(0, 1, (1000, 3))
-        out = np.empty((200, 1000))
-        scratch = np.empty_like(out)
-        for family in FAMILIES:
-            spec = KernelSpec(family, 1.0, (0.3, 0.4, 0.5))
-            tracemalloc.start()
-            kernels.cross_matrix_into(spec, A, B, out, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert peak < out.nbytes, family
-            assert np.array_equal(out, cross_matrix(spec, A, B))
+        for rows, cols in ((10, 190), (200, 1000)):
+            A = rng.uniform(0, 1, (rows, 3))
+            B = rng.uniform(0, 1, (cols, 3))
+            out = np.empty((rows, cols))
+            pair = kernels.TILE_ENTRIES + cols
+            bound = 2 * 8 * (pair + np.getbufsize()) + 4096
+            for family in FAMILIES:
+                spec = KernelSpec(family, 1.0, (0.3, 0.4, 0.5))
+                tracemalloc.start()
+                kernels.cross_matrix_into(spec, A, B, out)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < bound, (family, rows, cols)
+                if out.size > kernels.TILE_ENTRIES:
+                    assert peak < out.nbytes, family
+                assert np.array_equal(out, cross_matrix(spec, A, B))
+
+    @pytest.mark.parametrize("G, rows, cols", [
+        (1, 1, 1), (1, 7, 5), (1, 10, 190), (1, 64, 512),  # one matrix
+        (4, 7, 5), (17, 10, 190),  # a stack in one tile
+    ])
+    def test_one_tile_equals_one_row_calls(self, G, rows, cols):
+        assert G * rows * cols <= kernels.TILE_ENTRIES
+        rng = np.random.default_rng(G + rows + cols)
+        for d in (1, 2, 3):
+            A = rng.uniform(0, 1, (G, rows, d))
+            B = rng.uniform(0, 1, (G, cols, d))
+            for family in FAMILIES:
+                spec = KernelSpec(family, 1.3, tuple(rng.uniform(0.1, 0.8, d)))
+                out = np.empty((G, rows, cols))
+                if G == 1:
+                    kernels.cross_matrix_into(spec, A[0], B[0], out[0])
+                else:
+                    kernels.cross_matrix_into(spec, A, B, out)
+                for a, b, o in zip(A, B, out):
+                    for i in range(rows):
+                        row = cross_matrix(spec, a[i:i + 1], b)[0]
+                        assert np.array_equal(o[i], row), (family, d)
+
+    @pytest.mark.parametrize("shape", [
+        (0, 3), (3, 0), (0, 0),  # matrices
+        (0, 4, 4), (0, 200, 190), (3, 0, 4), (3, 4, 0),  # stacks
+    ])
+    def test_empty_blocks(self, shape):
+        rng = np.random.default_rng(7)
+        for d in (1, 2):
+            A = rng.uniform(0, 1, shape[:-1] + (d,))
+            B = rng.uniform(0, 1, shape[:-2] + shape[-1:] + (d,))
+            for family in FAMILIES:
+                spec = KernelSpec(family, 1.0, (0.3,) * d)
+                out = np.empty(shape)
+                assert kernels.cross_matrix_into(spec, A, B, out) is out
+                if len(shape) == 2:
+                    assert cross_matrix(spec, A, B).shape == shape
 
     def test_dimension_mismatch(self):
         spec = KernelSpec("matern32", 1.0, (0.1, 0.2))

@@ -74,8 +74,16 @@ def test_only_the_tree_engine_solves_aggregation_weights():
 
 
 def test_only_the_bank_reads_materialised_statistics():
-    readers = [path.name for path in sorted(SRC.glob("*.py"))
-               if path.name != "gpcore.py"
-               and any(isinstance(node, ast.Attribute) and node.attr == "statistics"
-                       for node in ast.walk(ast.parse(path.read_text())))]
-    assert readers == []
+    # the materialised path is SubModelBank.layer1 feeding tree.run_layers;
+    # every other module streams layer 1 through the tree engine instead
+    callers, runners = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "gpcore.py" and any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "layer1" for node in ast.walk(tree)):
+            callers.append(path.name)
+        if path.name != "tree.py" and "run_layers" in _names([tree]):
+            runners.append(path.name)
+    assert callers == [] and runners == []
