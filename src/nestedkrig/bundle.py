@@ -16,8 +16,8 @@ import warnings
 
 import numpy as np
 
-from .data import Partition
-from .exceptions import NestedKrigError, OutputExists
+from .data import Partition, write_json
+from .exceptions import BundleError, NestedKrigError, OutputExists
 from .kernels import KernelSpec
 from .tree import AggregationTree
 
@@ -61,28 +61,33 @@ def save_bundle(path, *, kernel: KernelSpec, X, y, partition: Partition,
         "fingerprint": data_fingerprint(X, y),
         "config": list(config_echo),
     }
-    # json.dumps encodes in C; json.dump would stream through the
-    # pure-Python encoder and write the same text
-    text = json.dumps(payload, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_bundle(path) -> dict:
-    """Read a bundle back; returns a dict of reconstructed objects.
+    """Read a bundle back; returns a dict of reconstructed objects, or raises
+    :class:`BundleError` naming ``path`` unless the file is a bundle of this
+    version whose parts agree in size.
 
     Warns when the stored fingerprint does not match the embedded data.
     A ``sigma2`` field, which older bundles repeat from the kernel
     variance, is ignored.
     """
+    try:
+        return _load(path)
+    except KeyError as exc:
+        raise BundleError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, NestedKrigError) as exc:
+        raise BundleError(f"{path}: {exc}") from None
+
+
+def _load(path) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != "nestedkrig-bundle":
-        raise NestedKrigError(f"{path} is not a model bundle")
+    if not isinstance(payload, dict) or payload.get("format") != "nestedkrig-bundle":
+        raise ValueError("not a model bundle")
     if payload.get("version") != BUNDLE_VERSION:
-        raise NestedKrigError(
-            f"unsupported bundle version {payload.get('version')}")
+        raise ValueError(f"unsupported bundle version {payload.get('version')}")
     kernel = KernelSpec(payload["kernel"]["family"],
                         payload["kernel"]["variance"],
                         tuple(payload["kernel"]["lengthscales"]))
@@ -98,12 +103,19 @@ def load_bundle(path) -> dict:
                      for level in payload["tree"]["levels"]))
     partition = Partition(labels=np.asarray(payload["labels"], dtype=int),
                           p=payload["p"])
+    n = y.size
+    if not (y.ndim == 1 and X.shape == (n, kernel.dim) and partition.n == n
+            and (tree.n_leaves, tree.n_layer1) == (n, partition.p)):
+        raise ValueError(
+            f"sizes disagree: X {X.shape}, y {y.shape}, {partition.n} labels "
+            f"in {partition.p} groups, a tree of {tree.n_leaves} leaves and "
+            f"{tree.n_layer1} sub-models, kernel dimension {kernel.dim}")
     return {
         "kernel": kernel,
         "X": X,
         "y": y,
         "partition": partition,
         "tree": tree,
-        "y_offset": payload["y_offset"],
+        "y_offset": float(payload["y_offset"]),
         "config": payload.get("config", []),
     }

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,18 +22,17 @@ import numpy as np
 from . import __version__, baselines, metrics
 from .bundle import load_bundle, save_bundle
 from .config import RunConfig, load_config
-from .data import (CsvSchema, load_csv, load_points_csv, partition_consecutive,
-                   partition_kmeans, partition_random)
+from .data import (CsvSchema, format_number, load_csv, load_points_csv,
+                   partition_consecutive, partition_kmeans, partition_random,
+                   write_json, write_table)
 from .estimation import (SgdConfig, SgdSettings, estimate_sigma2,
                          grid_profile_loglik, loo_predict, sgd_fit,
                          sgd_fit_two_phase)
-from .exceptions import (CapExceeded, ConfigError, DimensionMismatch, EmptyFile,
-                         InvalidGroupCount, InvalidHeight, InvalidTree,
-                         NestedKrigError, NonPositiveVariance, NotFactorizable,
-                         OutputExists, ParseError)
+from .exceptions import (BundleError, CapExceeded, ConfigError, DimensionMismatch,
+                         EmptyFile, InvalidGroupCount, InvalidHeight, InvalidTree,
+                         NestedKrigError, OutputExists, ParseError)
 from .gpcore import FullModel, SubModelBank, sample_paths
 from .kernels import KernelSpec
-from .metrics import _fmt
 from .tree import PREDICT_CHUNK, AggregationTree, nested_predict_batch, plan_tree
 
 EXIT_OK = 0
@@ -54,17 +52,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low):
+    """argparse type: an integer of at least ``low``."""
+    def integer(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return integer
+
+
+def _design_sizes(text):
+    """argparse type of ``--sizes``: a comma-separated list of sizes >= 2."""
+    sizes = [_at_least(2)(s) for s in text.split(",") if s.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("must list at least one design size")
+    return sizes
+
+
 def _thread_count(flag_value, cfg: RunConfig) -> int:
-    if flag_value and flag_value > 0:
-        return flag_value
-    if cfg.run.threads > 0:
-        return cfg.run.threads
-    env = os.environ.get("NESTEDKRIG_THREADS", "")
+    """The flag, else ``run.threads``, else NESTEDKRIG_THREADS, else 1."""
     try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    return value if value > 0 else 1
+        env = _at_least(1)(os.environ.get("NESTEDKRIG_THREADS", ""))
+    except argparse.ArgumentTypeError:
+        env = 1
+    return flag_value or cfg.run.threads or env
 
 
 def _build_layout(cfg: RunConfig, dataset):
@@ -193,18 +208,9 @@ def cmd_predict(args) -> int:
     full_cap = args.full_cap if args.full_cap else cfg.run.full_cap
     means, variances = _predict_arrays(bundle, args.method, Xq, threads,
                                        full_cap)
-    with open(args.out, "w") as fh:
-        for line in bundle["config"]:
-            fh.write(f"# {line}\n")
-        fh.write(f"# method={args.method}\n")
-        if args.with_variance:
-            fh.write("mean,variance\n")
-            for m, v in zip(means, variances):
-                fh.write(f"{_fmt(m)},{_fmt(v)}\n")
-        else:
-            fh.write("mean\n")
-            for m in means:
-                fh.write(f"{_fmt(m)}\n")
+    columns = ["mean", "variance"] if args.with_variance else ["mean"]
+    write_table(args.out, [*bundle["config"], f"method={args.method}"], columns,
+                zip(means, variances) if args.with_variance else zip(means))
     print(f"wrote {args.out} ({Xq.shape[0]} predictions, method={args.method})")
     return EXIT_OK
 
@@ -214,32 +220,21 @@ def cmd_simulate(args) -> int:
     kernel = cfg.kernel.spec()
     if kernel.dim != 1:
         raise UsageError("simulate draws on a 1-d grid; configure a 1-d kernel")
-    if args.points < 1:
-        raise UsageError("--points must be at least 1")
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
     grid = np.linspace(0.0, 1.0, args.points).reshape(-1, 1)
     draws = sample_paths(kernel, grid, args.count, args.seed)
-    with open(args.out, "w") as fh:
-        for line in cfg.echo():
-            fh.write(f"# {line}\n")
-        fh.write(f"# seed={args.seed}\n")
-        fh.write(",".join(["x"] + [f"sample_{i}" for i in range(args.count)]) + "\n")
-        for t in range(grid.shape[0]):
-            row = [_fmt(grid[t, 0])] + [_fmt(draws[i, t]) for i in range(args.count)]
-            fh.write(",".join(row) + "\n")
+    write_table(args.out, cfg.echo() + [f"seed={args.seed}"],
+                ["x"] + [f"sample_{i}" for i in range(args.count)],
+                zip(grid[:, 0], *draws))
     print(f"wrote {args.out} ({args.points} points, {args.count} samples)")
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
-    if args.replications < 1:
-        raise UsageError("--replications must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
     reports = []
     for rep, seed in enumerate(range(args.seed, args.seed + args.replications)):
         instance = metrics.benchmark_instance(seed)
-        reports += metrics.replication_reports(rep, seed, instance)
+        reports += metrics.replication_reports(rep, instance)
         if rep == 0:
             grid, _, results = instance
     header = [f"replications={args.replications}", f"seed={args.seed}"]
@@ -251,9 +246,7 @@ def cmd_benchmark(args) -> int:
                                extra={"replications": args.replications,
                                       "seed": args.seed})
     metrics.write_plot_data(plot_path, grid, results, header_lines=header)
-    medians = metrics.summarize_medians(reports)
-    for method in sorted(medians):
-        row = medians[method]
+    for method, row in metrics.summarize_medians(reports).items():
         print(f"{method}: median mse={row['mse']:.6g} mve={row['mve']:.6g} "
               f"mnlp={row['mnlp']:.6g}")
     print(f"wrote {reports_path}, {summary_path}, {plot_path}")
@@ -261,22 +254,12 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if not sizes:
-        raise UsageError("--sizes must list at least one design size")
-    if min(sizes) < 2:
-        raise UsageError("--sizes entries must be at least 2")
-    if args.replicates < 1:
-        raise UsageError("--replicates must be at least 1")
-    trend = metrics.run_consistency_demo(sizes, args.method,
+    trend = metrics.run_consistency_demo(args.sizes, args.method,
                                          replicates=args.replicates,
                                          seed=args.seed)
-    with open(args.out, "w") as fh:
-        fh.write(f"# method={args.method} replicates={args.replicates} "
-                 f"seed={args.seed}\n")
-        fh.write("n,mse_at_x0\n")
-        for n, mse in trend:
-            fh.write(f"{n},{_fmt(mse)}\n")
+    write_table(args.out, [f"method={args.method} replicates={args.replicates} "
+                           f"seed={args.seed}"],
+                ["n", "mse_at_x0"], ((str(n), mse) for n, mse in trend))
     first, last = trend[0][1], trend[-1][1]
     print(f"{args.method}: mse {first:.6g} (n={trend[0][0]}) -> "
           f"{last:.6g} (n={trend[-1][0]}), ratio {last / first:.3f}")
@@ -291,14 +274,12 @@ def cmd_loo_estimate(args) -> int:
     kernel = unit.for_dim(dataset.d)
     part, tree = _build_layout(cfg, dataset)
     kernel, sigma2 = _estimate(cfg, dataset, part, tree, kernel)
-    theta_txt = ",".join(_fmt(t) for t in kernel.lengthscales)
-    print(f"theta={theta_txt} sigma2={_fmt(sigma2)}")
+    theta_txt = ",".join(format_number(t) for t in kernel.lengthscales)
+    print(f"theta={theta_txt} sigma2={format_number(sigma2)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"theta": list(kernel.lengthscales),
-                       "sigma2": float(sigma2),
-                       "family": cfg.kernel.family}, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, {"theta": list(kernel.lengthscales),
+                              "sigma2": float(sigma2),
+                              "family": cfg.kernel.family})
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -323,28 +304,28 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", default="nested", choices=PREDICT_METHODS)
     p.add_argument("--with-variance", action="store_true")
-    p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--full-cap", type=int, default=0)
+    p.add_argument("--threads", type=_at_least(0), default=0)
+    p.add_argument("--full-cap", type=_at_least(0), default=0)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("simulate", help="sample prior GP paths on a grid")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--points", type=int, default=101)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--points", type=_at_least(1), default=101)
+    p.add_argument("--count", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("benchmark", help="replicated method comparison study")
-    p.add_argument("--replications", type=int, default=50)
+    p.add_argument("--replications", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_benchmark)
 
     p = sub.add_parser("consistency", help="error trend on the clustered design")
     p.add_argument("--method", default="nested", choices=PREDICT_METHODS)
-    p.add_argument("--sizes", default="50,100,200,400")
-    p.add_argument("--replicates", type=int, default=200)
+    p.add_argument("--sizes", type=_design_sizes, default="50,100,200,400")
+    p.add_argument("--replicates", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_consistency)
@@ -370,12 +351,11 @@ def main(argv=None) -> int:
             InvalidTree, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, EmptyFile, OutputExists, ParseError,
-            FileNotFoundError, OSError) as exc:
+    except (BundleError, ConfigError, EmptyFile, OutputExists, ParseError,
+            OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NotFactorizable, NonPositiveVariance, np.linalg.LinAlgError,
-            NestedKrigError) as exc:
+    except (np.linalg.LinAlgError, NestedKrigError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

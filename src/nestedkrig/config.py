@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
+from .data import format_number
 from .estimation import SgdSettings
 from .exceptions import ConfigError
 from .kernels import FAMILIES, KernelSpec
@@ -77,7 +78,7 @@ class RunConfig:
             for key in sorted(vars(obj)):
                 value = getattr(obj, key)
                 if isinstance(value, tuple):
-                    value = ",".join(repr(float(v)) for v in value)
+                    value = ",".join(format_number(v) for v in value)
                 lines.append(f"{section.name}.{key}={value}")
         return lines
 

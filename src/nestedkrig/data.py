@@ -1,8 +1,11 @@
-"""Dataset ingestion and partitioning of design points into sub-model groups."""
+"""Dataset ingestion, partitioning into sub-model groups, and the only writers
+of output files: :func:`write_table` for CSV and :func:`write_json` for JSON.
+"""
 
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -164,6 +167,30 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
 def load_points_csv(path) -> np.ndarray:
     """Load a headed CSV of bare points (every column is a coordinate)."""
     return _read_columns(path, lambda header: range(len(header)))
+
+
+def format_number(value) -> str:
+    """Shortest text that reads back as the same double."""
+    return repr(float(value))
+
+
+def write_table(path, comments, columns, rows):
+    """Write ``# `` comment lines, the header row, then the rows as CSV: ``str``
+    cells as they are, every other cell by :func:`format_number`."""
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(c if isinstance(c, str) else format_number(c)
+                               for c in row) + "\n" for row in rows)
+
+
+def write_json(path, payload, indent=None):
+    """Write ``payload`` as JSON with sorted keys and a final newline; the
+    text is encoded in one piece and never copied to append the newline."""
+    text = json.dumps(payload, indent=indent, sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _check_group_count(n: int, p: int):

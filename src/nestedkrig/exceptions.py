@@ -54,5 +54,9 @@ class ConfigError(NestedKrigError):
     """A run configuration file is malformed or contains unknown keys."""
 
 
+class BundleError(NestedKrigError):
+    """A model bundle cannot be read or its parts disagree with each other."""
+
+
 class OutputExists(NestedKrigError):
     """Refusing to overwrite an existing output without the force flag."""

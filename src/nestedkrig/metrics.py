@@ -1,4 +1,4 @@
-"""Model-quality criteria and the replication harnesses.
+"""Model-quality criteria, the replication harnesses and their report files.
 
 The simulated comparison draws Gaussian-process paths, fits every
 aggregation rule on 15 two-point experts and scores them against the exact
@@ -11,14 +11,13 @@ keeps improving.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, kernels
 from .baselines import EXPERT_VARIANCE_FLOOR
-from .data import Partition, partition_consecutive
+from .data import Partition, partition_consecutive, write_json, write_table
 from .exceptions import NonPositiveVariance
 from .gpcore import FullModel, SubModelBank, sample_gaussian
 from .kernels import KernelSpec
@@ -27,6 +26,7 @@ from .tree import (AggregationTree, nested_design_weights, nested_variances,
                    stream_layers)
 
 BENCH_METHODS = ("nested",) + baselines.METHODS
+CRITERIA = ("mse", "mve", "mnlp", "mnse")
 
 # simulated-comparison scenario: Matern 5/2, unit variance, length-scale
 # 0.05, 30 uniform points on [0,1], 15 experts of two consecutive points,
@@ -51,7 +51,6 @@ class CriteriaReport:
 
     method: str
     replication: int
-    scenario: str
     mse: float
     mve: float
     mnlp: float
@@ -60,7 +59,7 @@ class CriteriaReport:
 
 
 def criteria(m, v, m_ref, v_ref, f, method: str = "", replication: int = -1,
-             scenario: str = "", full_mnlp: float = float("nan")) -> CriteriaReport:
+             full_mnlp: float = float("nan")) -> CriteriaReport:
     """Score predictions against a reference model and the truth.
 
     MSE and MVE compare means and variances to the reference (MVE is
@@ -81,7 +80,6 @@ def criteria(m, v, m_ref, v_ref, f, method: str = "", replication: int = -1,
     return CriteriaReport(
         method=method,
         replication=replication,
-        scenario=scenario,
         mse=float(np.mean(err_ref ** 2)),
         mve=float(np.mean(v - v_ref)),
         mnlp=float(np.mean(0.5 * np.log(2.0 * np.pi * v)
@@ -127,21 +125,20 @@ def benchmark_instance(seed):
     return grid, f_grid, results
 
 
-def replication_reports(rep, seed, instance) -> list:
+def replication_reports(rep, instance) -> list:
     """Per-method reports of replication ``rep`` from its benchmark_instance output."""
     _, f_grid, results = instance
     m_full, v_full = results["full"]
     full_mnlp = criteria(m_full, v_full, m_full, v_full, f_grid).mnlp
     return [criteria(*results[method], m_full, v_full, f_grid, method=method,
-                     replication=rep, scenario=f"simulated-grid seed={seed}",
-                     full_mnlp=full_mnlp)
+                     replication=rep, full_mnlp=full_mnlp)
             for method in BENCH_METHODS]
 
 
 def run_benchmark_51(seed_set) -> list:
     """Replicate the simulated comparison; one report per method and replication."""
     return [report for rep, seed in enumerate(seed_set)
-            for report in replication_reports(rep, seed, benchmark_instance(seed))]
+            for report in replication_reports(rep, benchmark_instance(seed))]
 
 
 def summarize_medians(reports) -> dict:
@@ -149,12 +146,8 @@ def summarize_medians(reports) -> dict:
     out = {}
     for method in sorted({r.method for r in reports}):
         rows = [r for r in reports if r.method == method]
-        out[method] = {
-            "mse": float(np.median([r.mse for r in rows])),
-            "mve": float(np.median([r.mve for r in rows])),
-            "mnlp": float(np.median([r.mnlp for r in rows])),
-            "mnse": float(np.median([r.mnse for r in rows])),
-        }
+        out[method] = {c: float(np.median([getattr(r, c) for r in rows]))
+                       for c in CRITERIA}
     return out
 
 
@@ -244,43 +237,25 @@ def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
     return out
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def write_reports_csv(reports, path, header_lines=()):
     """Emit one CSV row per method per replication; header comments first."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("replication,method,mse,mve,mnlp,mnse,full_mnlp\n")
-        for r in reports:
-            fh.write(",".join([str(r.replication), r.method, _fmt(r.mse),
-                               _fmt(r.mve), _fmt(r.mnlp), _fmt(r.mnse),
-                               _fmt(r.full_mnlp)]) + "\n")
+    write_table(path, header_lines,
+                ["replication", "method", *CRITERIA, "full_mnlp"],
+                ([str(r.replication), r.method, r.mse, r.mve, r.mnlp, r.mnse,
+                  r.full_mnlp] for r in reports))
 
 
 def write_summary_json(reports, path, extra=None):
     """Emit the per-method medians as sorted JSON."""
-    payload = {"medians": summarize_medians(reports)}
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"medians": summarize_medians(reports), **(extra or {})},
+               indent=2)
 
 
 def write_plot_data(path, grid, results, header_lines=()):
     """Emit grid, means and variances per method for external plotting."""
     methods = sorted(results)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        cols = ["x"] + [f"mean_{m}" for m in methods] + [f"var_{m}" for m in methods]
-        fh.write(",".join(cols) + "\n")
-        grid = np.asarray(grid).reshape(-1)
-        for t in range(grid.shape[0]):
-            row = [_fmt(grid[t])]
-            row += [_fmt(results[m][0][t]) for m in methods]
-            row += [_fmt(results[m][1][t]) for m in methods]
-            fh.write(",".join(row) + "\n")
+    write_table(path, header_lines,
+                ["x"] + [f"mean_{m}" for m in methods] + [f"var_{m}" for m in methods],
+                zip(np.asarray(grid).reshape(-1),
+                    *(results[m][0] for m in methods),
+                    *(results[m][1] for m in methods)))

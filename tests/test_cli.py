@@ -8,6 +8,7 @@ import nestedkrig as nk
 from nestedkrig import baselines, cli, metrics
 from nestedkrig.bundle import load_bundle
 from nestedkrig.cli import PREDICT_CHUNK, main
+from nestedkrig.exceptions import BundleError
 
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
 EX1_F = np.sin(2 * np.pi * EX1_X[:, 0]) + EX1_X[:, 0]
@@ -277,6 +278,8 @@ class TestErrors:
         (["--sizes", "50,1"], "--sizes"),
         (["--sizes", "0"], "--sizes"),
         (["--sizes=-4,50"], "--sizes"),
+        (["--sizes", "50,abc"], "--sizes"),
+        (["--sizes", ","], "--sizes"),
     ])
     def test_consistency_count_flags_are_usage_errors(self, tmp_path, capsys,
                                                       flags, named):
@@ -299,6 +302,44 @@ class TestErrors:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--threads", "-3"], "--threads"),
+        (["--threads", "two"], "--threads"),
+        (["--full-cap", "-5"], "--full-cap"),
+    ])
+    def test_predict_flag_values_are_usage_errors(self, ex1_files, capsys,
+                                                  flags, named):
+        tmp, train, config = ex1_files
+        bundle = tmp / "model.json"
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(bundle)]) == 0
+        query = tmp / "q.csv"
+        write_query(query, [0.5])
+        out = tmp / "o.csv"
+        capsys.readouterr()
+        assert main(["predict", "--bundle", str(bundle), "--query", str(query),
+                     "--out", str(out), "--method", "full"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and named in err
+        assert not out.exists()
+
+    def test_zero_threads_and_full_cap_take_the_config_values(self, ex1_files,
+                                                              capsys):
+        tmp, train, config = ex1_files
+        bundle = tmp / "model.json"
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(bundle)]) == 0
+        query = tmp / "q.csv"
+        write_query(query, [0.5])
+        config.write_text(EX1_CONFIG + "\n[run]\nthreads = 2\nfull_cap = 3\n")
+        predict = ["predict", "--config", str(config), "--bundle", str(bundle),
+                   "--query", str(query), "--out", str(tmp / "o.csv"),
+                   "--threads", "0", "--full-cap", "0"]
+        capsys.readouterr()
+        assert main(predict + ["--method", "full"]) == 1
+        assert "exceeds the cap 3" in capsys.readouterr().err
+        assert main(predict) == 0
+
     def test_full_cap_refusal(self, ex1_files):
         tmp, train, config = ex1_files
         bundle = tmp / "model.json"
@@ -320,6 +361,43 @@ class TestErrors:
         query.write_text("a,b\n0.1,0.2\n")
         assert main(["predict", "--bundle", str(bundle), "--query", str(query),
                      "--out", str(tmp / "o.csv")]) == 1
+
+
+# a whole file, or an edit of a fitted bundle's payload
+BAD_BUNDLES = {
+    "foreign-format": '{"format": "other"}\n',
+    "not-json": "mean\n0.5\n",
+    "unsupported-version": lambda p: p.update(version=99),
+    "missing-y-offset": lambda p: p.pop("y_offset"),
+    "wrong-n-leaves": lambda p: p["tree"].update(n_leaves=4),
+    "too-few-labels": lambda p: p.update(labels=p["labels"][:-1]),
+    "kernel-dimension": lambda p: p["kernel"].update(lengthscales=[0.2, 0.2]),
+}
+
+
+@pytest.mark.parametrize("spoil", BAD_BUNDLES.values(), ids=BAD_BUNDLES.keys())
+def test_bad_bundles_exit_2_naming_the_file(ex1_files, capsys, spoil):
+    tmp, train, config = ex1_files
+    bundle = tmp / "model.json"
+    assert main(["fit", "--config", str(config), "--train", str(train),
+                 "--out", str(bundle)]) == 0
+    if isinstance(spoil, str):
+        bundle.write_text(spoil)
+    else:
+        payload = json.loads(bundle.read_text())
+        spoil(payload)
+        bundle.write_text(json.dumps(payload))
+    query = tmp / "q.csv"
+    write_query(query, [0.5])
+    out = tmp / "o.csv"
+    capsys.readouterr()
+    assert main(["predict", "--bundle", str(bundle), "--query", str(query),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bundle}") and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(BundleError):
+        load_bundle(bundle)
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -7,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestedkrig import data
-from nestedkrig.data import (CsvSchema, Dataset, Partition, load_csv,
-                             load_points_csv, partition_consecutive,
-                             partition_kmeans, partition_random)
+from nestedkrig.data import (CsvSchema, Dataset, Partition, format_number,
+                             load_csv, load_points_csv, partition_consecutive,
+                             partition_kmeans, partition_random, write_json,
+                             write_table)
 from nestedkrig.exceptions import EmptyFile, InvalidGroupCount, ParseError
 
 
@@ -146,6 +148,63 @@ class TestLoadCsv:
         path.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
         pts = load_points_csv(path)
         np.testing.assert_allclose(pts, [[0.1, 0.2], [0.3, 0.4]])
+
+
+class TestWriters:
+    def test_format_number_is_shortest_round_trip(self):
+        for value in (0.1, 2.0 / 3.0, 1e16, -0.0, 5e-324,
+                      1.7976931348623157e308, float("inf")):
+            for cell in (value, np.float64(value)):
+                text = format_number(cell)
+                assert text == repr(value)
+                assert float(text) == value
+                assert np.signbit(float(text)) == np.signbit(value)
+        assert format_number(np.float64(-0.0)) == "-0.0"
+        assert format_number(np.float64(5e-324)) == "5e-324"
+        assert format_number(float("nan")) == "nan"
+        assert format_number(np.float32(0.1)) == "0.10000000149011612"
+        assert format_number(3) == format_number(np.int64(3)) == "3.0"
+
+    def test_table_layout(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a=1", "b=x y"], ["name", "n", "value"],
+                    [("first", "7", np.float64(0.1)),
+                     ("second", "-2", -0.0),
+                     ("third", "0", np.float64(5e-324)),
+                     ("fourth", "1", float("nan")),
+                     ("fifth", "2", np.int64(4))])
+        assert path.read_text() == ("# a=1\n# b=x y\nname,n,value\n"
+                                    "first,7,0.1\nsecond,-2,-0.0\n"
+                                    "third,0,5e-324\nfourth,1,nan\n"
+                                    "fifth,2,4.0\n")
+
+    def test_table_without_comments_or_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, [], ["mean"], iter([]))
+        assert path.read_text() == "mean\n"
+
+    def test_table_numbers_read_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+        values[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+        path = tmp_path / "t.csv"
+        write_table(path, ["seed=1"], ["x", "y", "z"], values)
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert np.array_equal(np.array(rows, dtype=float), values)
+        assert [np.signbit(float(c)) for c in rows[0]] == [True, False, False]
+
+    def test_json_sorted_with_final_newline(self, tmp_path):
+        payload = {"b": [1.5, -0.0, 5e-324], "a": {"z": 1, "y": "text"},
+                   "c": float("nan")}
+        path = tmp_path / "p.json"
+        write_json(path, payload)
+        assert path.read_text() == ('{"a": {"y": "text", "z": 1}, '
+                                    '"b": [1.5, -0.0, 5e-324], "c": NaN}\n')
+        write_json(path, payload, indent=2)
+        text = path.read_text()
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert text.startswith('{\n  "a": {\n    "y": "text",')
+        assert json.loads(text)["b"] == [1.5, -0.0, 5e-324]
 
 
 class TestPartitionType:

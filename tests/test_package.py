@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import nestedkrig as nk
@@ -87,3 +88,61 @@ def test_only_the_bank_reads_materialised_statistics():
         if path.name != "tree.py" and "run_layers" in _names([tree]):
             runners.append(path.name)
     assert callers == [] and runners == []
+
+
+def _write_calls(tree):
+    """Calls in ``tree`` that open a file for writing or appending."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            text = mode.value if isinstance(mode, ast.Constant) else "?"
+            if mode is not None and set(str(text)) & set("wax+?"):
+                found.append((node.lineno, f"open mode {text}"))
+    return found
+
+
+def test_guard_sees_every_write_mode():
+    source = ("open(p, 'w'); open(p, mode='a'); io.open(p, 'x');"
+              "open(p, 'r+'); open(p, m); path.write_text(s);"
+              "open(p); open(p, 'rb'); open(p, newline='')")
+    assert [what for _, what in _write_calls(ast.parse(source))] == [
+        "open mode w", "open mode a", "open mode x", "open mode r+",
+        "open mode ?", "write_text"]
+
+
+def test_only_data_writes_files():
+    # every CSV and JSON output goes through data.write_table or
+    # data.write_json, so one module owns the output formats
+    writers = {path.name: _write_calls(ast.parse(path.read_text()))
+               for path in sorted(SRC.glob("*.py"))}
+    assert writers.pop("data.py")
+    assert {name: calls for name, calls in writers.items() if calls} == {}
+
+
+def test_traced_names_exist():
+    # perfbench/tracing.py wraps these by name; a rename must fail here
+    tracing = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tables = {}
+    for node in ast.parse(tracing.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in ("FUNCTIONS",
+                                                              "METHODS")):
+            tables[node.targets[0].id] = ast.literal_eval(node.value)
+    assert tables["FUNCTIONS"] and tables["METHODS"]
+    missing = [f"{module}.{name}" for module, name in tables["FUNCTIONS"]
+               if not callable(getattr(importlib.import_module(
+                   f"nestedkrig.{module}"), name, None))]
+    for module, cls_name, method, _ in tables["METHODS"]:
+        cls = getattr(importlib.import_module(f"nestedkrig.{module}"),
+                      cls_name, None)
+        if cls is None or method not in vars(cls):
+            missing.append(f"{module}.{cls_name}.{method}")
+    assert missing == []
