@@ -197,7 +197,12 @@ def _tile_into(spec: KernelSpec, Am, Bm, out, h_buf, poly) -> None:
     se = spec.family == "squared-exponential"
     for j, theta in enumerate(spec.lengthscales):
         h = out if j == 0 else h_buf
-        np.subtract(Am[..., :, j, None], Bm[..., None, :, j], out=h)
+        # the differences from two broadcast copies: numpy's ufunc loop
+        # copies a broadcast operand of a multi-row tile through its own
+        # buffers, where np.copyto allocates nothing
+        np.copyto(h, Am[..., :, j, None])
+        np.copyto(poly, Bm[..., None, :, j])
+        np.subtract(h, poly, out=h)
         np.abs(h, out=h)
         np.multiply(h, 1.0 / theta, out=h)
         if se:

@@ -4,14 +4,19 @@ Factorization with diagonal-jitter escalation (one matrix or a stack of
 equal-sized ones), triangular solves and minimum-norm pseudo-inverse
 solves.  Everything here is a pure function of its inputs; factors are
 immutable and safe to share across threads.
+
+Triangular solves call LAPACK ``dtrtrs`` in the OpenBLAS that numpy's
+linalg extension links, so the process loads one BLAS and does not import
+scipy.  Only a numpy whose LAPACK does not export that routine (an
+Accelerate or MKL build, say) takes scipy's ``lapack.dtrtrs`` instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import DimensionMismatch, NotFactorizable
 
@@ -23,6 +28,47 @@ JITTER_ATTEMPTS = 6
 
 SYMMETRY_RTOL = 1e-10
 RANK_TOL = 1e-10
+
+
+def _load_dtrtrs():
+    """LAPACK ``dtrtrs``, called as ``scipy.linalg.lapack.dtrtrs`` is.
+
+    ``dtrtrs(a, b, lower, trans)`` returns ``(x, info)``: x is a new
+    F-ordered float64 array of b's shape holding the solution.  Bound
+    through ``ctypes`` to numpy's OpenBLAS (symbol ``scipy_dtrtrs_64_``:
+    64-bit integers, three trailing hidden string lengths); scipy's wrapper,
+    imported here, where numpy's LAPACK does not export that symbol.
+    """
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dtrtrs_64_
+    except (AttributeError, OSError):
+        from scipy.linalg.lapack import dtrtrs
+        return dtrtrs
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    fn.argtypes = ([ctypes.c_char_p] * 3
+                   + [int_p, int_p, ctypes.c_void_p, int_p, ctypes.c_void_p,
+                      int_p, int_p]
+                   + [ctypes.c_size_t] * 3)
+    fn.restype = None
+
+    def dtrtrs(a, b, lower=0, trans=0):
+        # what f2py did: float64 operands, a read in place when F-contiguous
+        # and b copied into the F-ordered result.  The integers are built per
+        # call, so concurrent calls share no ctypes object.
+        a = np.asarray(a, dtype=np.float64, order="F")
+        x = np.array(b, dtype=np.float64, order="F")
+        ld = ctypes.c_int64(max(a.shape[0], 1))
+        info = ctypes.c_int64(0)
+        fn(b"L" if lower else b"U", b"T" if trans else b"N", b"N",
+           ctypes.c_int64(a.shape[0]),
+           ctypes.c_int64(1 if x.ndim == 1 else x.shape[1]),
+           a.ctypes.data, ld, x.ctypes.data, ld, info, 1, 1, 1)
+        return x, info.value
+
+    return dtrtrs
+
+
+_dtrtrs = _load_dtrtrs()
 
 
 @dataclass(frozen=True)
@@ -131,21 +177,26 @@ def solve_lower(lower, rhs, trans=0, check_finite=True):
     The same LAPACK ``trtrs`` call, checks and errors as
     ``scipy.linalg.solve_triangular(lower, rhs, lower=True, trans=trans,
     check_finite=check_finite)``, so the result has the same bits, without
-    scipy's per-call wrapper overhead.  A C-ordered L is handed to LAPACK
-    as the upper-triangular F-ordered L' with the transpose flag flipped.
+    that function's per-call wrapper overhead.  The routine is the
+    ``dtrtrs`` of numpy's own LAPACK where it exports one, else scipy's
+    (see the module docstring).  A C-ordered L is handed to LAPACK as the upper-triangular
+    F-ordered L' with the transpose flag flipped.  The result is a new
+    F-ordered float64 array, 1-D for a 1-D ``rhs``.
 
-    Raises ValueError on non-finite input (when ``check_finite``) and
-    ``LinAlgError`` when L has a zero on its diagonal.
+    Raises ValueError on non-finite input (when ``check_finite``) or
+    shapes that do not fit (``rhs`` must be 1-D or 2-D) and ``LinAlgError``
+    when L has a zero on its diagonal.
     """
     check = np.asarray_chkfinite if check_finite else np.asarray
     a, b = check(lower), check(rhs)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
+    if (a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim not in (1, 2)
+            or a.shape[0] != b.shape[0]):
         raise ValueError(
             f"shapes of a {a.shape} and b {b.shape} are incompatible")
     if a.flags.f_contiguous:
-        x, info = lapack.dtrtrs(a, b, lower=1, trans=trans)
+        x, info = _dtrtrs(a, b, lower=1, trans=trans)
     else:
-        x, info = lapack.dtrtrs(a.T, b, lower=0, trans=1 - trans)
+        x, info = _dtrtrs(a.T, b, lower=0, trans=1 - trans)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")

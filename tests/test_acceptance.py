@@ -414,6 +414,12 @@ seed = 3
                      "--query", str(query), "--out", str(tmp_path / f"pred_{tag}.csv"),
                      "--with-variance", "--threads", "1" if tag == "a" else "4",
                      "--method", "nested"]) == 0
+        # the exact model's chunks: concurrent triangular solves at tag b
+        assert main(["predict", "--bundle", str(tmp_path / f"model_{tag}.json"),
+                     "--query", str(query),
+                     "--out", str(tmp_path / f"full_{tag}.csv"),
+                     "--with-variance", "--threads", "1" if tag == "a" else "4",
+                     "--method", "full"]) == 0
         # a baseline rule's chunks, on a pool of four at tag b
         assert main(["predict", "--bundle", str(tmp_path / f"model_{tag}.json"),
                      "--query", str(query),
@@ -433,7 +439,7 @@ seed = 3
                      "--out", str(tmp_path / f"loo_{tag}.json")]) == 0
 
     pairs = [("model_a.json", "model_b.json"), ("pred_a.csv", "pred_b.csv"),
-             ("rbcm_a.csv", "rbcm_b.csv"),
+             ("full_a.csv", "full_b.csv"), ("rbcm_a.csv", "rbcm_b.csv"),
              ("sim_a.csv", "sim_b.csv"), ("cons_a.csv", "cons_b.csv"),
              ("loo_a.json", "loo_b.json")]
     for left, right in pairs:

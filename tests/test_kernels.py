@@ -133,15 +133,14 @@ class TestCrossMatrix:
 
     def test_allocates_one_tile_pair(self):
         # one call allocates one scratch pair of at most a tile plus a row
-        # each, whether the block is one tile or many; the slack holds the
-        # ufunc iterator's buffers for the strided coordinate columns
+        # each, whether the block is one tile or many, and no ufunc buffers
         rng = np.random.default_rng(6)
         for rows, cols in ((10, 190), (200, 1000)):
             A = rng.uniform(0, 1, (rows, 3))
             B = rng.uniform(0, 1, (cols, 3))
             out = np.empty((rows, cols))
             pair = kernels.TILE_ENTRIES + cols
-            bound = 2 * 8 * (pair + np.getbufsize()) + 4096
+            bound = 2 * 8 * pair + 4096
             for family in FAMILIES:
                 spec = KernelSpec(family, 1.0, (0.3, 0.4, 0.5))
                 tracemalloc.start()

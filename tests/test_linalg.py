@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestedkrig import linalg
 from nestedkrig.exceptions import DimensionMismatch, NotFactorizable
 from nestedkrig.linalg import (factor_spd, factor_spd_stack, pseudo_solve,
                                solve, solve_lower, solve_weights)
@@ -100,21 +101,67 @@ class TestFactorSpdStack:
             factor_spd_stack(np.ones((2, 2, 3)))
 
 
+def laid_out(x, order):
+    """``x`` in C or F order, or as a strided view that is neither."""
+    if order != "strided":
+        return np.asarray(x, order=order)
+    buf = np.zeros(tuple(2 * s for s in x.shape), dtype=x.dtype)
+    view = buf[tuple(slice(None, None, 2) for _ in x.shape)]
+    view[...] = x
+    return view
+
+
 class TestSolveLower:
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order, rhs_dtype", [
+        ("C", float), ("F", float), ("strided", float),
+        ("C", int), ("F", int), ("strided", int),
+    ], ids=["C", "F", "strided", "C-int", "F-int", "strided-int"])
     @pytest.mark.parametrize("rhs_cols", [None, 1, 5])
     @pytest.mark.parametrize("trans", [0, 1])
-    def test_equals_scipy_bit_for_bit(self, order, rhs_cols, trans):
+    def test_equals_scipy_bit_for_bit(self, order, rhs_dtype, rhs_cols, trans):
         rng = np.random.default_rng(11)
         for n in (1, 2, 7, 30):
-            L = np.asarray(factor_spd(random_spd(rng, n)).lower, order=order)
+            L = laid_out(factor_spd(random_spd(rng, n)).lower, order)
             shape = (n,) if rhs_cols is None else (n, rhs_cols)
-            b = np.asarray(rng.standard_normal(shape), order=order)
+            b = laid_out(rng.standard_normal(shape) if rhs_dtype is float
+                         else rng.integers(-9, 10, shape), order)
             want = sla.solve_triangular(L, b, lower=True, trans=trans)
             got = solve_lower(L, b, trans=trans)
-            assert got.shape == want.shape
+            assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_scipy_fallback_gives_the_binding_results(self, monkeypatch):
+        # where numpy's LAPACK lacks dtrtrs the loader returns scipy's, and
+        # solve_lower keeps the binding's bits, errors and layout
+        from scipy.linalg import lapack
+        rng = np.random.default_rng(13)
+        L = factor_spd(random_spd(rng, 9)).lower
+        cases = [(np.asarray(L, order=order), b, trans)
+                 for order in "CF" for trans in (0, 1)
+                 for b in (rng.standard_normal(9), rng.standard_normal((9, 4)),
+                           np.eye(9))]
+        singular = np.array([[2.0, 0.0], [1.0, 0.0]])
+        binding = [solve_lower(a, b, trans=trans) for a, b, trans in cases]
+        with pytest.raises(np.linalg.LinAlgError) as binding_error:
+            solve_lower(singular, np.ones(2))
+
+        monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: object())
+        fallback = linalg._load_dtrtrs()
+        assert fallback is lapack.dtrtrs
+        monkeypatch.setattr(linalg, "_dtrtrs", fallback)
+        for (a, b, trans), want in zip(cases, binding):
+            got = solve_lower(a, b, trans=trans)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+        with pytest.raises(np.linalg.LinAlgError) as fallback_error:
+            solve_lower(singular, np.ones(2))
+        assert str(fallback_error.value) == str(binding_error.value)
+
+    @pytest.mark.parametrize("rhs_shape", [(3, 2, 2), (), (4,)])
+    def test_rejects_rhs_that_does_not_fit(self, rhs_shape):
+        with pytest.raises(ValueError, match="incompatible"):
+            solve_lower(np.eye(3), np.ones(rhs_shape))
 
     def test_inverse_factor_equals_scipy(self):
         L = factor_spd(random_spd(np.random.default_rng(12), 9)).lower

@@ -1,8 +1,13 @@
 import ast
 import importlib
+import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import nestedkrig as nk
+from nestedkrig.cli import main
 
 SRC = pathlib.Path(nk.__file__).parent
 
@@ -146,3 +151,82 @@ def test_traced_names_exist():
         if cls is None or method not in vars(cls):
             missing.append(f"{module}.{cls_name}.{method}")
     assert missing == []
+
+
+NO_SCIPY_CONFIG = """
+[kernel]
+family = matern52
+variance = 1.0
+lengthscales = 0.2
+
+[partition]
+mode = consecutive
+p = 3
+
+[tree]
+mode = flat
+
+[estimation]
+enabled = true
+n_iter = 2
+q = 4
+seed = 3
+"""
+
+# fit with estimation, both prediction paths that solve triangular systems
+# and the leave-one-out estimate, on relative paths in the working directory
+NO_SCIPY_COMMANDS = [
+    ["fit", "--config", "run.cfg", "--train", "train.csv", "--out", "model.json"],
+    ["predict", "--bundle", "model.json", "--query", "query.csv",
+     "--out", "nested.csv", "--method", "nested", "--with-variance"],
+    ["predict", "--bundle", "model.json", "--query", "query.csv",
+     "--out", "full.csv", "--method", "full", "--with-variance"],
+    ["loo-estimate", "--config", "run.cfg", "--train", "train.csv",
+     "--out", "loo.json"],
+]
+NO_SCIPY_OUTPUTS = ("model.json", "nested.csv", "full.csv", "loo.json")
+
+
+def _python(code, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _no_scipy_inputs(path):
+    path.mkdir()
+    xs = [i / 23.0 for i in range(24)]
+    (path / "train.csv").write_text(
+        "x,y\n" + "".join(f"{x!r},{math.sin(6.0 * x) + x!r}\n" for x in xs))
+    (path / "query.csv").write_text(
+        "x\n" + "".join(f"{i / 40.0!r}\n" for i in range(41)))
+    (path / "run.cfg").write_text(NO_SCIPY_CONFIG)
+
+
+def test_runtime_needs_no_scipy(tmp_path, monkeypatch):
+    # a process where `import scipy` fails runs every command that solves
+    # triangular systems, and writes the bytes this process writes
+    blocked, here = tmp_path / "blocked", tmp_path / "here"
+    _no_scipy_inputs(blocked)
+    _no_scipy_inputs(here)
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from nestedkrig.cli import main\n"
+            f"for argv in {NO_SCIPY_COMMANDS!r}:\n"
+            "    assert main(argv) == 0, argv\n")
+    run = _python(code, blocked)
+    assert run.returncode == 0, run.stderr
+    monkeypatch.chdir(here)
+    for argv in NO_SCIPY_COMMANDS:
+        assert main(argv) == 0, argv
+    for name in NO_SCIPY_OUTPUTS:
+        assert (blocked / name).read_bytes() == (here / name).read_bytes(), name
+
+
+def test_import_loads_no_scipy(tmp_path):
+    run = _python("import sys, nestedkrig.cli\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                  tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
