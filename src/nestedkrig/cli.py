@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -33,7 +32,9 @@ from .exceptions import (BundleError, CapExceeded, ConfigError, DimensionMismatc
                          NestedKrigError, OutputExists, ParseError)
 from .gpcore import FullModel, SubModelBank, sample_paths
 from .kernels import KernelSpec
-from .tree import PREDICT_CHUNK, AggregationTree, nested_predict_batch, plan_tree
+from .tree import AggregationTree, map_chunks, nested_predict_batch, plan_tree
+# read as cli.PREDICT_CHUNK by perfbench/run.py's cost model; unused here
+from .tree import PREDICT_CHUNK  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,12 +75,18 @@ def _design_sizes(text):
 
 
 def _thread_count(flag_value, cfg: RunConfig) -> int:
-    """The flag, else ``run.threads``, else NESTEDKRIG_THREADS, else 1."""
+    """The flag, else ``run.threads``, else NESTEDKRIG_THREADS, else 1.
+
+    The variable is read only when neither of the first two gives a count;
+    set and non-empty, it must be an integer of at least 1.
+    """
+    if flag_value or cfg.run.threads:
+        return flag_value or cfg.run.threads
+    text = os.environ.get("NESTEDKRIG_THREADS", "")
     try:
-        env = _at_least(1)(os.environ.get("NESTEDKRIG_THREADS", ""))
-    except argparse.ArgumentTypeError:
-        env = 1
-    return flag_value or cfg.run.threads or env
+        return _at_least(1)(text) if text else 1
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"NESTEDKRIG_THREADS: {exc}") from None
 
 
 def _build_layout(cfg: RunConfig, dataset):
@@ -152,6 +159,9 @@ def cmd_fit(args) -> int:
 
 
 def _predict_arrays(bundle, method, Xq, threads, full_cap):
+    """Means and variances of ``method`` at the rows of ``Xq``, from the one
+    query loop ``tree.map_chunks`` on ``threads`` threads; ``nested`` makes
+    one ``nested_predict_batch`` call per chunk."""
     kernel = bundle["kernel"]
     X, y = bundle["X"], bundle["y"]
     if Xq.shape[1] != kernel.dim:
@@ -180,23 +190,8 @@ def _predict_arrays(bundle, method, Xq, threads, full_cap):
                     method, M, baselines.expert_variances(kernel.variance, k),
                     kernel.variance)
 
-    q = Xq.shape[0]
-    means = np.empty(q)
-    variances = np.empty(q)
-    starts = list(range(0, q, PREDICT_CHUNK))
-
-    def run(start):
-        stop = min(start + PREDICT_CHUNK, q)
-        m, v = evaluate(Xq[start:stop])
-        means[start:stop] = m
-        variances[start:stop] = v
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    means, variances = map_chunks(lambda lo, hi: evaluate(Xq[lo:hi]),
+                                  Xq.shape[0], threads)
     return means + bundle["y_offset"], variances
 
 

@@ -95,22 +95,25 @@ def _read_columns(path, select) -> np.ndarray:
     """Parse chosen columns of a headed CSV file into a (rows, k) array.
 
     ``select(header)`` returns the indices of the k columns to parse, in
-    output order; no other cell is parsed.  Blank lines are skipped.
-    Raises :class:`ParseError` with 1-based line/column positions on a
-    short or long row and on any selected cell that does not parse to a
-    finite number, and :class:`EmptyFile` when there are no data rows.
+    output order; no other cell is parsed.  Blank lines and lines starting
+    with ``#`` are skipped, before the header and among the rows.
+    Raises :class:`ParseError` with 1-based physical line and column
+    positions on a short or long row and on any selected cell that does not
+    parse to a finite number, and :class:`EmptyFile` when there are no data
+    rows.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        # a comment line reads as a blank one, so line_num stays physical
+        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
+        filled = (row for row in reader if any(c.strip() for c in row))
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(filled)]
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         cols = select(header)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for row in filled:
+            lineno = reader.line_num
             if len(row) != len(header):
                 raise ParseError(lineno, len(row),
                                  f"expected {len(header)} columns, got {len(row)}")

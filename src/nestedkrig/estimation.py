@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import DimensionMismatch, NotFactorizable
 from .gpcore import SubModelBank
 from .kernels import KernelSpec
-from .tree import PREDICT_CHUNK, AggregationTree, stream_layers
+from .tree import AggregationTree, map_chunks, stream_layers
 
 # floor for unit-scale leave-one-out variances; the deleted point is absent
 # from every group so the true value is positive
@@ -47,8 +47,8 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     (:meth:`SubModelBank.expert_weights` with ``deleted``); every other
     expert, the group layout and the tree are left untouched.  Indices
     whose group would become empty are skipped with a warning.  The
-    indices are predicted in chunks of ``PREDICT_CHUNK``, so memory grows
-    with n, not n^2.
+    indices go through :func:`tree.map_chunks`, the package's one query
+    loop, on one thread, so memory grows with n, not n^2.
     """
     X, y = dataset.X, dataset.y
     n = X.shape[0]
@@ -70,15 +70,16 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
         return []
 
     bank = SubModelBank(kernel, X, y, partition)
-    records = []
-    for start in range(0, indices.size, PREDICT_CHUNK):
-        chunk = indices[start:start + PREDICT_CHUNK]
-        s = stream_layers(bank, tree, X[chunk], chunk)
-        v_unit = np.maximum((kernel.variance - s.root_cov) / kernel.variance,
-                            LOO_VARIANCE_FLOOR)
-        records += [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
-                    for i, m, v in zip(chunk, s.mean, v_unit)]
-    return records
+
+    def chunk(lo, hi):
+        s = stream_layers(bank, tree, X[indices[lo:hi]], indices[lo:hi])
+        return s.mean, s.root_cov
+
+    mean, root_cov = map_chunks(chunk, indices.size)
+    v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
+                        LOO_VARIANCE_FLOOR)
+    return [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
+            for i, m, v in zip(indices, mean, v_unit)]
 
 
 def loo_criterion(records, y) -> float:

@@ -14,6 +14,7 @@ into one weight per design point for the modified prior and diagnostics.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -30,6 +31,20 @@ _DELTA = 1.5  # growth ratio of child counts in the minimal-cost tree
 # fixed prediction chunk; independent of the thread count so that the
 # arithmetic (and hence the output bytes) never depends on scheduling
 PREDICT_CHUNK = 512
+
+
+def map_chunks(evaluate, q, threads=1):
+    """The one query loop: ``evaluate(lo, hi)`` on the ``PREDICT_CHUNK`` slices
+    of range(q), each array of the tuples it returns concatenated in order.
+    A pool of ``threads`` runs the slices, which never depend on it."""
+    starts = range(0, q, PREDICT_CHUNK)
+    stops = [min(lo + PREDICT_CHUNK, q) for lo in starts]
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(evaluate, starts, stops))
+    else:
+        parts = list(map(evaluate, starts, stops))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 @dataclass(frozen=True)

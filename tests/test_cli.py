@@ -7,8 +7,9 @@ import pytest
 import nestedkrig as nk
 from nestedkrig import baselines, cli, metrics
 from nestedkrig.bundle import load_bundle
-from nestedkrig.cli import PREDICT_CHUNK, main
+from nestedkrig.cli import main
 from nestedkrig.exceptions import BundleError
+from nestedkrig.tree import PREDICT_CHUNK
 
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
 EX1_F = np.sin(2 * np.pi * EX1_X[:, 0]) + EX1_X[:, 0]
@@ -323,6 +324,40 @@ class TestErrors:
         assert err.startswith("usage error: ") and named in err
         assert not out.exists()
 
+    @staticmethod
+    def _one_point_predict(ex1_files):
+        """Fit EX1 and return the argv of a one-point nested predict."""
+        tmp, train, config = ex1_files
+        bundle = tmp / "model.json"
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(bundle)]) == 0
+        query = tmp / "q.csv"
+        write_query(query, [0.5])
+        return ["predict", "--bundle", str(bundle), "--query", str(query),
+                "--out", str(tmp / "o.csv")]
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_thread_variable_is_usage_error(self, ex1_files, capsys,
+                                                monkeypatch, value):
+        predict = self._one_point_predict(ex1_files)
+        monkeypatch.setenv("NESTEDKRIG_THREADS", value)
+        capsys.readouterr()
+        assert main(predict) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "NESTEDKRIG_THREADS" in err
+        assert not (ex1_files[0] / "o.csv").exists()
+        monkeypatch.setenv("NESTEDKRIG_THREADS", "")
+        assert main(predict) == 0
+
+    def test_thread_variable_unread_when_a_count_is_given(self, ex1_files,
+                                                          monkeypatch):
+        predict = self._one_point_predict(ex1_files)
+        monkeypatch.setenv("NESTEDKRIG_THREADS", "two")
+        assert main(predict + ["--threads", "1"]) == 0
+        tmp, _, config = ex1_files
+        config.write_text(EX1_CONFIG + "\n[run]\nthreads = 1\n")
+        assert main(predict + ["--config", str(config)]) == 0
+
     def test_zero_threads_and_full_cap_take_the_config_values(self, ex1_files,
                                                               capsys):
         tmp, train, config = ex1_files
@@ -398,6 +433,26 @@ def test_bad_bundles_exit_2_naming_the_file(ex1_files, capsys, spoil):
     assert not out.exists()
     with pytest.raises(BundleError):
         load_bundle(bundle)
+
+
+def test_simulated_csv_fits_and_predicts(tmp_path):
+    # simulate writes `#` comment lines above its header; fit reads them back
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(EX1_CONFIG)
+    sim, bundle = tmp_path / "sim.csv", tmp_path / "model.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim),
+                 "--points", "30", "--seed", "2"]) == 0
+    assert sim.read_text().startswith("# ")
+    assert main(["fit", "--config", str(cfg), "--train", str(sim),
+                 "--out", str(bundle)]) == 0
+    bun = load_bundle(str(bundle))
+    assert bun["X"].shape == (30, 1)
+    query, out = tmp_path / "q.csv", tmp_path / "pred.csv"
+    write_query(query, [0.25, 0.5])
+    assert main(["predict", "--bundle", str(bundle), "--query", str(query),
+                 "--out", str(out), "--with-variance"]) == 0
+    rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
+    assert rows[0] == "mean,variance" and len(rows) == 3
 
 
 class TestDeterminism:

@@ -98,10 +98,24 @@ class TestLoadCsv:
                 load(path)
             assert err.value.line == 3 and err.value.column == 1
 
+    def test_comment_lines_skipped_with_physical_line_numbers(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# kernel.lengthscales=0.2\n# seed=1\nx,y\n0.1,1.0\n"
+                        "# between rows\n0.2,2.0\n")
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.X[:, 0], [0.1, 0.2])
+        np.testing.assert_array_equal(ds.y, [1.0, 2.0])
+        path.write_text("# a\n\n# b\nx,y\n0.1,1.0\n# c\n\nabc,2.0\n")
+        for load in (load_csv, load_points_csv):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert err.value.line == 8 and err.value.column == 1
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         for load in (load_csv, load_points_csv):
-            for text in ("", "x,y\n", "x,y\n\n  ,  \n"):
+            for text in ("", "x,y\n", "x,y\n\n  ,  \n", "# only\n",
+                         "# a\nx,y\n# b\n"):
                 path.write_text(text)
                 with pytest.raises(EmptyFile):
                     load(path)

@@ -15,7 +15,8 @@ from nestedkrig.estimation import (LOO_VARIANCE_FLOOR, LooRecord, SgdConfig,
 from nestedkrig.exceptions import NotFactorizable
 from nestedkrig.gpcore import SubModelBank
 from nestedkrig.linalg import factor_spd_stack
-from nestedkrig.tree import AggregationTree, plan_tree, run_layers
+from nestedkrig.tree import (PREDICT_CHUNK, AggregationTree, plan_tree,
+                             run_layers, stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -137,6 +138,35 @@ class TestLooPredict:
         t_small, t_large = timed(30), timed(240)
         # eight times the work within a factor-2 envelope of linear growth
         assert t_large / t_small < 16.0
+
+
+    def test_records_across_chunk_boundaries(self):
+        # three chunks: every record equals a direct stream_layers call on
+        # its PREDICT_CHUNK slice, and splitting the indices at a chunk
+        # boundary changes no bit
+        n = 2 * PREDICT_CHUNK + 40
+        X = np.linspace(0.0, 1.0, n).reshape(-1, 1)
+        kern = nk.KernelSpec("matern52", 1.5, (0.05,))
+        ds = nk.Dataset(X=X, y=np.sin(9.0 * X[:, 0]) + X[:, 0])
+        part = nk.partition_consecutive(X, 32)
+        tree = AggregationTree.flat(n, 32)
+        records = loo_predict(ds, part, tree, kern)
+        bank = SubModelBank(kern, X, ds.y, part)
+        want = []
+        for lo in range(0, n, PREDICT_CHUNK):
+            idx = np.arange(lo, min(lo + PREDICT_CHUNK, n))
+            s = stream_layers(bank, tree, X[idx], idx)
+            v = np.maximum((kern.variance - s.root_cov) / kern.variance,
+                           LOO_VARIANCE_FLOOR)
+            want += [LooRecord(int(i), float(m), float(u))
+                     for i, m, u in zip(idx, s.mean, v)]
+        split = (loo_predict(ds, part, tree, kern, np.arange(PREDICT_CHUNK))
+                 + loo_predict(ds, part, tree, kern, np.arange(PREDICT_CHUNK, n)))
+
+        def bits(recs):
+            return [(r.index, r.m_loo.hex(), r.v_loo.hex()) for r in recs]
+
+        assert bits(records) == bits(want) == bits(split)
 
 
 class TestCriteria:

@@ -132,6 +132,44 @@ def test_only_data_writes_files():
     assert {name: calls for name, calls in writers.items() if calls} == {}
 
 
+def _query_loop_names(body):
+    """Names of the query loop's chunk size and thread pool in ``body``."""
+    names = _names(body)
+    for node in body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ImportFrom) and sub.module:
+                names.add(sub.module)
+    return {name for name in names
+            if name in ("PREDICT_CHUNK", "ThreadPoolExecutor")
+            or name.split(".")[0] == "concurrent"}
+
+
+def test_guard_sees_the_query_loop_names():
+    source = ("from concurrent.futures import ThreadPoolExecutor\n"
+              "import concurrent.futures\nfrom .tree import PREDICT_CHUNK\n"
+              "tree.PREDICT_CHUNK\nfrom .tree import map_chunks\n")
+    assert _query_loop_names(ast.parse(source).body) == {
+        "PREDICT_CHUNK", "ThreadPoolExecutor", "concurrent.futures"}
+
+
+def test_only_the_tree_owns_the_query_loop():
+    # tree.map_chunks alone reads the chunk size and starts threads; cli's
+    # one mention is a separate import that re-exports PREDICT_CHUNK for the
+    # cost model of perfbench/run.py, which reads cli.PREDICT_CHUNK
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tree.py":
+            continue
+        body = ast.parse(path.read_text()).body
+        if path.name == "cli.py":
+            body = [node for node in body if not (
+                isinstance(node, ast.ImportFrom) and node.module == "tree"
+                and [alias.name for alias in node.names] == ["PREDICT_CHUNK"])]
+        if _query_loop_names(body):
+            found[path.name] = sorted(_query_loop_names(body))
+    assert found == {}
+
+
 def test_traced_names_exist():
     # perfbench/tracing.py wraps these by name; a rename must fail here
     tracing = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestedkrig as nk
+import nestedkrig.tree as tree_module
+from nestedkrig import cli, estimation
 from nestedkrig.aggregation import aggregate
 from nestedkrig.exceptions import InvalidHeight, InvalidTree
 from nestedkrig.gpcore import FullModel, SubModelBank, submodel_predict
-from nestedkrig.tree import (AggregationTree, complexity_estimate,
-                             nested_predict, nested_predict_batch, plan_tree,
-                             run_layers, stream_layers)
+from nestedkrig.tree import (PREDICT_CHUNK, AggregationTree, complexity_estimate,
+                             map_chunks, nested_predict, nested_predict_batch,
+                             plan_tree, run_layers, stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -292,6 +294,74 @@ class TestStreamedFirstLayer:
         last_children = sorted({max(node) for node in plan.tree.levels[0]})
         assert rows == [last_children, [plan.p - 1], last_children]
         assert plan.tree.first_layer_schedule is plan.tree.first_layer_schedule
+
+
+class TestQueryLoop:
+    @pytest.mark.parametrize("q", [1, PREDICT_CHUNK, 2 * PREDICT_CHUNK + 77])
+    def test_bounds_and_output_at_one_and_two_threads(self, q):
+        rng = np.random.default_rng(q)
+        X = rng.uniform(0, 1, (40, 1))
+        bank = SubModelBank(nk.KernelSpec("matern52", 1.0, (0.2,)), X,
+                            np.sin(6.0 * X[:, 0]), nk.partition_consecutive(X, 4))
+        tree = AggregationTree.flat(40, 4)
+        Xq = rng.uniform(0, 1, (q, 1))
+        want = [(lo, min(lo + PREDICT_CHUNK, q))
+                for lo in range(0, q, PREDICT_CHUNK)]
+        direct = [np.concatenate(parts) for parts in zip(
+            *(nested_predict_batch(bank, tree, Xq[lo:hi]) for lo, hi in want))]
+        for threads in (1, 2):
+            seen = []
+
+            def evaluate(lo, hi):
+                seen.append((lo, hi))
+                return nested_predict_batch(bank, tree, Xq[lo:hi])
+
+            means, variances = map_chunks(evaluate, q, threads)
+            assert sorted(seen) == want
+            assert np.array_equal(means, direct[0])
+            assert np.array_equal(variances, direct[1])
+
+    def test_predict_and_loo_share_the_chunk_size(self, tmp_path, monkeypatch):
+        # one patch of tree.PREDICT_CHUNK reaches both multi-point passes
+        monkeypatch.setattr(tree_module, "PREDICT_CHUNK", 7)
+        X = np.linspace(0.0, 1.0, 24).reshape(-1, 1)
+        y = np.sin(6.0 * X[:, 0])
+        train, query = tmp_path / "train.csv", tmp_path / "q.csv"
+        train.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n"
+                                           for a, b in zip(X[:, 0].tolist(),
+                                                           y.tolist())))
+        query.write_text("x\n" + "".join(f"{i / 19.0!r}\n" for i in range(20)))
+        bundle = tmp_path / "model.json"
+        assert cli.main(["fit", "--train", str(train), "--out", str(bundle)]) == 0
+
+        batches = []
+        real_batch = cli.nested_predict_batch
+
+        def batch(bank, tree, Xq):
+            batches.append(Xq.shape[0])
+            return real_batch(bank, tree, Xq)
+
+        monkeypatch.setattr(cli, "nested_predict_batch", batch)
+        assert cli.main(["predict", "--bundle", str(bundle), "--query",
+                         str(query), "--out", str(tmp_path / "p.csv"),
+                         "--threads", "1"]) == 0
+        assert batches == [7, 7, 6]
+
+        deleted = []
+        real_stream = estimation.stream_layers
+
+        def stream(bank, tree, Xq, gone):
+            deleted.append(gone.tolist())
+            return real_stream(bank, tree, Xq, gone)
+
+        monkeypatch.setattr(estimation, "stream_layers", stream)
+        indices = np.arange(3, 23)
+        records = estimation.loo_predict(
+            nk.Dataset(X=X, y=y), nk.partition_consecutive(X, 3),
+            AggregationTree.flat(24, 3), nk.KernelSpec("matern52", 1.0, (0.2,)),
+            indices)
+        assert [r.index for r in records] == indices.tolist()
+        assert deleted == [indices[lo:lo + 7].tolist() for lo in (0, 7, 14)]
 
 
 class TestPlanTree:
