@@ -74,21 +74,6 @@ def _design_sizes(text):
     return sizes
 
 
-def _thread_count(flag_value, cfg: RunConfig) -> int:
-    """The flag, else ``run.threads``, else NESTEDKRIG_THREADS, else 1.
-
-    The variable is read only when neither of the first two gives a count;
-    set and non-empty, it must be an integer of at least 1.
-    """
-    if flag_value or cfg.run.threads:
-        return flag_value or cfg.run.threads
-    text = os.environ.get("NESTEDKRIG_THREADS", "")
-    try:
-        return _at_least(1)(text) if text else 1
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"NESTEDKRIG_THREADS: {exc}") from None
-
-
 def _build_layout(cfg: RunConfig, dataset):
     """Partition and tree implied by the configuration."""
     n = dataset.n
@@ -199,10 +184,8 @@ def cmd_predict(args) -> int:
     cfg = load_config(args.config)
     bundle = load_bundle(args.bundle)
     Xq = load_points_csv(args.query)
-    threads = _thread_count(args.threads, cfg)
-    full_cap = args.full_cap if args.full_cap else cfg.run.full_cap
-    means, variances = _predict_arrays(bundle, args.method, Xq, threads,
-                                       full_cap)
+    means, variances = _predict_arrays(bundle, args.method, Xq,
+                                       cfg.run.threads, cfg.run.full_cap)
     columns = ["mean", "variance"] if args.with_variance else ["mean"]
     write_table(args.out, [*bundle["config"], f"method={args.method}"], columns,
                 zip(means, variances) if args.with_variance else zip(means))
@@ -299,8 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", default="nested", choices=PREDICT_METHODS)
     p.add_argument("--with-variance", action="store_true")
-    p.add_argument("--threads", type=_at_least(0), default=0)
-    p.add_argument("--full-cap", type=_at_least(0), default=0)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("simulate", help="sample prior GP paths on a grid")

@@ -57,7 +57,7 @@ class DataConfig:
 
 @dataclass
 class RunSettings:
-    threads: int = 0  # 0: NESTEDKRIG_THREADS or 1
+    threads: int = 0  # predict's query threads; 0 and 1 run serially
     full_cap: int = 5000
 
 

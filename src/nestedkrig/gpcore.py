@@ -123,34 +123,37 @@ class FullModel:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def _check_query(self, Xq) -> np.ndarray:
+    def _condition(self, Xq):
+        """The step the three query methods share: the checked queries, the
+        prior covariance C = k(X, Xq) and V solving L V = C."""
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         if Xq.shape[1] != self.kernel.dim:
             raise DimensionMismatch("query dimension does not match the kernel")
-        return Xq
+        C = kernels.cross_matrix(self.kernel, self.X, Xq)
+        return Xq, C, solve_lower(self.factor.lower, C)
+
+    def _cond_cov(self, Xq, V):
+        cov = kernels.cross_matrix(self.kernel, Xq, Xq) - V.T @ V
+        return 0.5 * (cov + cov.T)
 
     def predict(self, Xq):
         """Posterior means and variances at query points, (q,) and (q,).
 
         Variances are clamped at zero from below.
         """
-        Xq = self._check_query(Xq)
-        C = kernels.cross_matrix(self.kernel, self.X, Xq)
-        means = C.T @ self.alpha
-        V = solve_lower(self.factor.lower, C)
+        _, C, V = self._condition(Xq)
         variances = np.maximum(self.kernel.variance - np.sum(V * V, axis=0), 0.0)
-        return means, variances
+        return C.T @ self.alpha, variances
 
     def cond_cov(self, Xq):
         """Posterior covariance matrix at query points, (q, q)."""
-        Xq = self._check_query(Xq)
-        C = kernels.cross_matrix(self.kernel, self.X, Xq)
-        V = solve_lower(self.factor.lower, C)
-        cov = kernels.cross_matrix(self.kernel, Xq, Xq) - V.T @ V
-        return 0.5 * (cov + cov.T)
+        Xq, _, V = self._condition(Xq)
+        return self._cond_cov(Xq, V)
 
     def posterior(self, Xq):
-        return self.predict(Xq)[0], self.cond_cov(Xq)
+        """Posterior means and covariance matrix, (q,) and (q, q)."""
+        Xq, C, V = self._condition(Xq)
+        return C.T @ self.alpha, self._cond_cov(Xq, V)
 
 
 class SubModelBank:

@@ -71,21 +71,6 @@ class KernelSpec:
             f"for every dimension or a single one for all")
 
 
-def _correlation(family: str, h: np.ndarray) -> np.ndarray:
-    """Product correlation over the last axis of scaled distances h >= 0."""
-    if family == "squared-exponential":
-        return np.exp(-0.5 * np.sum(h * h, axis=-1))
-    if family == "exponential":
-        return np.exp(-np.sum(h, axis=-1))
-    if family == "matern32":
-        u = _SQRT3 * h
-        return np.prod((1.0 + u) * np.exp(-u), axis=-1)
-    if family == "matern52":
-        u = _SQRT5 * h
-        return np.prod((1.0 + u + u * u / 3.0) * np.exp(-u), axis=-1)
-    raise ValueError(f"unknown kernel family {family!r}")
-
-
 def _corr_2d(family: str, h: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """One-dimensional correlation factor, in place on h >= 0.
 
@@ -96,20 +81,20 @@ def _corr_2d(family: str, h: np.ndarray, poly: np.ndarray) -> np.ndarray:
     if family == "exponential":
         np.negative(h, out=h)
         return np.exp(h, out=h)
+    # Matern nu scales by -sqrt(2 nu): h then holds -u, which np.exp
+    # takes as it stands, and the polynomial in u subtracts h
     if family == "matern32":
-        np.multiply(h, _SQRT3, out=h)
-        np.add(h, 1.0, out=poly)
-        np.negative(h, out=h)
+        np.multiply(h, -_SQRT3, out=h)
+        np.subtract(1.0, h, out=poly)
         np.exp(h, out=h)
         np.multiply(h, poly, out=h)
         return h
     if family == "matern52":
-        np.multiply(h, _SQRT5, out=h)
+        np.multiply(h, -_SQRT5, out=h)
         np.multiply(h, h, out=poly)
         np.multiply(poly, 1.0 / 3.0, out=poly)
-        poly += h
+        poly -= h
         poly += 1.0
-        np.negative(h, out=h)
         np.exp(h, out=h)
         np.multiply(h, poly, out=h)
         return h
@@ -117,15 +102,14 @@ def _corr_2d(family: str, h: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 
 def eval(spec: KernelSpec, x, y) -> float:
-    """Covariance between two points."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.shape[0] != spec.dim or yv.shape[0] != spec.dim:
+    """Covariance between two points: the one entry of ``cross_matrix``."""
+    xv = np.asarray(x, dtype=float).reshape(1, -1)
+    yv = np.asarray(y, dtype=float).reshape(1, -1)
+    if xv.shape[1] != spec.dim or yv.shape[1] != spec.dim:
         raise DimensionMismatch(
-            f"points of dimension {xv.shape[0]}/{yv.shape[0]} against a "
+            f"points of dimension {xv.shape[1]}/{yv.shape[1]} against a "
             f"{spec.dim}-dimensional kernel")
-    h = np.abs(xv - yv) / np.asarray(spec.lengthscales)
-    return float(spec.variance * _correlation(spec.family, h))
+    return float(cross_matrix(spec, xv, yv)[0, 0])
 
 
 def cross_matrix(spec: KernelSpec, A, B) -> np.ndarray:

@@ -5,19 +5,16 @@ summary prints one PASS/FAIL line per criterion.  Tolerances are pinned
 here, not configurable.
 """
 
+import ctypes
 import json
 import time
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 from conftest import random_kernel, separated_points
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - measurement still works, noisier
-    from contextlib import nullcontext as threadpool_limits
 
 import nestedkrig as nk
 from nestedkrig import kernels, metrics
@@ -35,6 +32,36 @@ EX1_KERNEL = KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
 EX1_F = np.sin(2 * np.pi * EX1_X[:, 0]) + EX1_X[:, 0]
 EX1_PART = nk.Partition(labels=np.array([0, 0, 0, 1, 1]), p=2)
+
+
+@contextmanager
+def one_blas_thread():
+    """Pin BLAS to one thread and restore its old count afterwards.
+
+    threadpoolctl when it is installed, else numpy's own OpenBLAS through
+    its thread-count symbols; a BLAS with neither runs unpinned.
+    """
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        pass
+    else:
+        with threadpool_limits(1):
+            yield
+        return
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):  # pragma: no cover - noisier, still valid
+        yield
+        return
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
 
 
 def singleton_instance(rng, trial):
@@ -247,7 +274,7 @@ def test_c08_complexity_scaling_and_memory():
     # the unit the n^2 cost model describes, and pinning the BLAS pool keeps
     # the measurement stable
     times = {n: np.inf for n in setups}
-    with threadpool_limits(1):
+    with one_blas_thread():
         for n, (bank, tree, Xq) in setups.items():
             nested_predict(bank, tree, Xq[0])
         for _ in range(2):
@@ -407,24 +434,29 @@ seed = 3
     query.write_text("\n".join(
         ["x"] + [repr(float(v)) for v in np.linspace(0, 1, 1200)]) + "\n")
 
+    # predict's thread count comes from its own config: 1 at tag a, 4 at b
+    threads = {tag: tmp_path / f"threads_{tag}.cfg" for tag in ("a", "b")}
+    threads["a"].write_text("[run]\nthreads = 1\n")
+    threads["b"].write_text("[run]\nthreads = 4\n")
+
     for tag in ("a", "b"):
         assert main(["fit", "--config", str(config), "--train", str(train),
                      "--out", str(tmp_path / f"model_{tag}.json")]) == 0
         assert main(["predict", "--bundle", str(tmp_path / f"model_{tag}.json"),
                      "--query", str(query), "--out", str(tmp_path / f"pred_{tag}.csv"),
-                     "--with-variance", "--threads", "1" if tag == "a" else "4",
+                     "--config", str(threads[tag]), "--with-variance",
                      "--method", "nested"]) == 0
         # the exact model's chunks: concurrent triangular solves at tag b
         assert main(["predict", "--bundle", str(tmp_path / f"model_{tag}.json"),
                      "--query", str(query),
                      "--out", str(tmp_path / f"full_{tag}.csv"),
-                     "--with-variance", "--threads", "1" if tag == "a" else "4",
+                     "--config", str(threads[tag]), "--with-variance",
                      "--method", "full"]) == 0
         # a baseline rule's chunks, on a pool of four at tag b
         assert main(["predict", "--bundle", str(tmp_path / f"model_{tag}.json"),
                      "--query", str(query),
                      "--out", str(tmp_path / f"rbcm_{tag}.csv"),
-                     "--with-variance", "--threads", "1" if tag == "a" else "4",
+                     "--config", str(threads[tag]), "--with-variance",
                      "--method", "rbcm"]) == 0
         assert main(["simulate", "--config", str(config),
                      "--out", str(tmp_path / f"sim_{tag}.csv"),

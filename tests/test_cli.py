@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import nestedkrig as nk
 from nestedkrig import baselines, cli, metrics
 from nestedkrig.bundle import load_bundle
 from nestedkrig.cli import main
+from nestedkrig.config import RunSettings
 from nestedkrig.exceptions import BundleError
 from nestedkrig.tree import PREDICT_CHUNK
 
@@ -303,89 +306,21 @@ class TestErrors:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--threads", "-3"], "--threads"),
-        (["--threads", "two"], "--threads"),
-        (["--full-cap", "-5"], "--full-cap"),
-    ])
-    def test_predict_flag_values_are_usage_errors(self, ex1_files, capsys,
-                                                  flags, named):
-        tmp, train, config = ex1_files
-        bundle = tmp / "model.json"
-        assert main(["fit", "--config", str(config), "--train", str(train),
-                     "--out", str(bundle)]) == 0
-        query = tmp / "q.csv"
-        write_query(query, [0.5])
-        out = tmp / "o.csv"
-        capsys.readouterr()
-        assert main(["predict", "--bundle", str(bundle), "--query", str(query),
-                     "--out", str(out), "--method", "full"] + flags) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and named in err
-        assert not out.exists()
-
-    @staticmethod
-    def _one_point_predict(ex1_files):
-        """Fit EX1 and return the argv of a one-point nested predict."""
-        tmp, train, config = ex1_files
-        bundle = tmp / "model.json"
-        assert main(["fit", "--config", str(config), "--train", str(train),
-                     "--out", str(bundle)]) == 0
-        query = tmp / "q.csv"
-        write_query(query, [0.5])
-        return ["predict", "--bundle", str(bundle), "--query", str(query),
-                "--out", str(tmp / "o.csv")]
-
-    @pytest.mark.parametrize("value", ["two", "0"])
-    def test_bad_thread_variable_is_usage_error(self, ex1_files, capsys,
-                                                monkeypatch, value):
-        predict = self._one_point_predict(ex1_files)
-        monkeypatch.setenv("NESTEDKRIG_THREADS", value)
-        capsys.readouterr()
-        assert main(predict) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and "NESTEDKRIG_THREADS" in err
-        assert not (ex1_files[0] / "o.csv").exists()
-        monkeypatch.setenv("NESTEDKRIG_THREADS", "")
-        assert main(predict) == 0
-
-    def test_thread_variable_unread_when_a_count_is_given(self, ex1_files,
-                                                          monkeypatch):
-        predict = self._one_point_predict(ex1_files)
-        monkeypatch.setenv("NESTEDKRIG_THREADS", "two")
-        assert main(predict + ["--threads", "1"]) == 0
-        tmp, _, config = ex1_files
-        config.write_text(EX1_CONFIG + "\n[run]\nthreads = 1\n")
-        assert main(predict + ["--config", str(config)]) == 0
-
-    def test_zero_threads_and_full_cap_take_the_config_values(self, ex1_files,
-                                                              capsys):
-        tmp, train, config = ex1_files
-        bundle = tmp / "model.json"
-        assert main(["fit", "--config", str(config), "--train", str(train),
-                     "--out", str(bundle)]) == 0
-        query = tmp / "q.csv"
-        write_query(query, [0.5])
-        config.write_text(EX1_CONFIG + "\n[run]\nthreads = 2\nfull_cap = 3\n")
-        predict = ["predict", "--config", str(config), "--bundle", str(bundle),
-                   "--query", str(query), "--out", str(tmp / "o.csv"),
-                   "--threads", "0", "--full-cap", "0"]
-        capsys.readouterr()
-        assert main(predict + ["--method", "full"]) == 1
-        assert "exceeds the cap 3" in capsys.readouterr().err
-        assert main(predict) == 0
-
-    def test_full_cap_refusal(self, ex1_files):
+    def test_full_cap_refusal(self, ex1_files, capsys):
         tmp, train, config = ex1_files
         bundle = tmp / "model.json"
         main(["fit", "--config", str(config), "--train", str(train),
               "--out", str(bundle)])
         query = tmp / "q.csv"
         write_query(query, [0.5])
-        rc = main(["predict", "--bundle", str(bundle), "--query", str(query),
-                   "--out", str(tmp / "o.csv"), "--method", "full",
-                   "--full-cap", "2"])
+        config.write_text("[run]\nfull_cap = 2\n")
+        capsys.readouterr()
+        rc = main(["predict", "--config", str(config), "--bundle", str(bundle),
+                   "--query", str(query), "--out", str(tmp / "o.csv"),
+                   "--method", "full"])
         assert rc == 1
+        assert "exceeds the cap 2" in capsys.readouterr().err
+        assert not (tmp / "o.csv").exists()
 
     def test_query_dimension_mismatch(self, ex1_files):
         tmp, train, config = ex1_files
@@ -396,6 +331,17 @@ class TestErrors:
         query.write_text("a,b\n0.1,0.2\n")
         assert main(["predict", "--bundle", str(bundle), "--query", str(query),
                      "--out", str(tmp / "o.csv")]) == 1
+
+
+def test_run_settings_come_from_the_config_alone():
+    # a [run] key with a flag of the same name would give one setting two
+    # sources and a precedence rule between them
+    run_keys = {f.name for f in fields(RunSettings)}
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, command in commands.items():
+        clash = run_keys & {a.dest for a in command._actions}
+        assert not clash, f"{name} has flags for run keys {sorted(clash)}"
 
 
 # a whole file, or an edit of a fitted bundle's payload
@@ -475,11 +421,12 @@ class TestDeterminism:
               "--out", str(bundle)])
         query = tmp / "q.csv"
         write_query(query, np.linspace(0, 1, 1500))
-        for method in ("nested",) + baselines.METHODS:
+        for method in ("nested", "full") + baselines.METHODS:
             for threads, name in ((1, "t1.csv"), (4, "t4.csv")):
-                assert main(["predict", "--bundle", str(bundle), "--query",
-                             str(query), "--out", str(tmp / name),
-                             "--with-variance", "--threads", str(threads),
+                config.write_text(f"[run]\nthreads = {threads}\n")
+                assert main(["predict", "--config", str(config), "--bundle",
+                             str(bundle), "--query", str(query), "--out",
+                             str(tmp / name), "--with-variance",
                              "--method", method]) == 0
             assert ((tmp / "t1.csv").read_bytes()
                     == (tmp / "t4.csv").read_bytes()), method
@@ -505,9 +452,11 @@ class TestDeterminism:
         query.write_text("x1,x2\n" + "".join(
             f"{a!r},{b!r}\n" for a, b in Q.tolist()))
         for threads in (1, 4):
-            assert main(["predict", "--bundle", str(bundle), "--query",
-                         str(query), "--out", str(tmp_path / f"t{threads}.csv"),
-                         "--with-variance", "--threads", str(threads)]) == 0
+            config.write_text(f"[run]\nthreads = {threads}\n")
+            assert main(["predict", "--config", str(config), "--bundle",
+                         str(bundle), "--query", str(query), "--out",
+                         str(tmp_path / f"t{threads}.csv"),
+                         "--with-variance"]) == 0
         assert ((tmp_path / "t1.csv").read_bytes()
                 == (tmp_path / "t4.csv").read_bytes())
 

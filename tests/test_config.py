@@ -69,6 +69,9 @@ def test_values_parse_by_field_type(tmp_path):
     "[estimation]\na = -5\n",
     "[estimation]\nq = 0\n",
     "[estimation]\nn_iter = -1\n",
+    "[run]\nthreads = -3\n",
+    "[run]\nthreads = two\n",
+    "[run]\nfull_cap = 0\n",
 ])
 def test_malformed_or_invalid_files_raise_config_error(tmp_path, text):
     with pytest.raises(ConfigError):

@@ -64,6 +64,21 @@ class TestFullModel:
         single = model.cond_cov(Xq[1:2])
         assert single[0, 0] == pytest.approx(v[1], abs=1e-12)
 
+    def test_posterior_conditions_once(self):
+        # one k(X, Xq) and one solve L V = k(X, Xq) give the means and the
+        # covariance, with the bits of predict and cond_cov
+        model = FullModel(EX1_KERNEL, EX1_X, EX1_F)
+        Xq = np.array([[0.2], [0.6], [0.85], [0.3]])
+        with mock.patch.object(kernels, "cross_matrix",
+                               wraps=kernels.cross_matrix) as kernel_calls, \
+                mock.patch.object(gpcore, "solve_lower",
+                                  wraps=gpcore.solve_lower) as solves:
+            means, cov = model.posterior(Xq)
+        assert [len(c.args[1]) for c in kernel_calls.call_args_list] == [5, 4]
+        assert solves.call_count == 1
+        assert np.array_equal(means, model.predict(Xq)[0])
+        assert np.array_equal(cov, model.cond_cov(Xq))
+
     def test_cond_cov_zero_at_design(self):
         model = FullModel(EX1_KERNEL, EX1_X, EX1_F)
         cov = model.cond_cov(EX1_X[1:3])

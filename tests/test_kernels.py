@@ -9,6 +9,20 @@ from nestedkrig.kernels import FAMILIES, KernelSpec, cross_matrix, eval
 from nestedkrig.linalg import factor_spd
 
 
+def closed_form(spec, x, y):
+    """The covariance of two points, written out family by family."""
+    h = np.abs(np.asarray(x) - np.asarray(y)) / np.asarray(spec.lengthscales)
+    if spec.family == "squared-exponential":
+        return spec.variance * np.exp(-0.5 * np.sum(h * h))
+    if spec.family == "exponential":
+        return spec.variance * np.exp(-np.sum(h))
+    if spec.family == "matern32":
+        u = np.sqrt(3.0) * h
+        return spec.variance * np.prod((1.0 + u) * np.exp(-u))
+    u = np.sqrt(5.0) * h
+    return spec.variance * np.prod((1.0 + u + u * u / 3.0) * np.exp(-u))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("nope", 1.0, (0.1,))
@@ -90,8 +104,19 @@ class TestCrossMatrix:
             K = cross_matrix(spec, A, B)
             for i in range(4):
                 for j in range(6):
-                    assert K[i, j] == pytest.approx(eval(spec, A[i], B[j]),
-                                                    rel=1e-14)
+                    assert K[i, j] == eval(spec, A[i], B[j])
+                    assert K[i, j] == pytest.approx(
+                        closed_form(spec, A[i], B[j]), rel=1e-14)
+
+    def test_eval_is_bitwise_a_cross_matrix_entry(self):
+        rng = np.random.default_rng(6)
+        A = rng.uniform(0, 1, (60, 2))
+        B = rng.uniform(0, 1, (50, 2))
+        for family in FAMILIES:
+            spec = KernelSpec(family, 1.3, (0.3, 0.2))
+            K = cross_matrix(spec, A, B)
+            values = np.array([[eval(spec, a, b) for b in B] for a in A])
+            assert np.array_equal(values, K), family
 
     def test_gram_factors_with_tiny_jitter(self):
         rng = np.random.default_rng(2)

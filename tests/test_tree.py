@@ -342,9 +342,11 @@ class TestQueryLoop:
             return real_batch(bank, tree, Xq)
 
         monkeypatch.setattr(cli, "nested_predict_batch", batch)
-        assert cli.main(["predict", "--bundle", str(bundle), "--query",
-                         str(query), "--out", str(tmp_path / "p.csv"),
-                         "--threads", "1"]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("[run]\nthreads = 1\n")
+        assert cli.main(["predict", "--config", str(config), "--bundle",
+                         str(bundle), "--query", str(query), "--out",
+                         str(tmp_path / "p.csv")]) == 0
         assert batches == [7, 7, 6]
 
         deleted = []
