@@ -14,13 +14,12 @@ from .data import (CsvSchema, Dataset, Partition, load_csv, partition_consecutiv
 from .estimation import (LooRecord, SgdConfig, estimate_sigma2,
                          grid_profile_loglik, loo_criterion, loo_predict,
                          sgd_fit, sgd_fit_two_phase)
-from .gpcore import (FullModel, SubModelBank, sample_conditional, sample_paths,
-                     submodel_predict)
+from .gpcore import FullModel, SubModelBank, sample_conditional, sample_paths
 from .kernels import KernelSpec, cross_matrix
 from .linalg import SpdFactor, factor_spd, pseudo_solve, solve
-from .metrics import criteria, run_benchmark_51, run_consistency_demo
-from .tree import (AggregationTree, complexity_estimate, nested_predict,
-                   nested_predict_batch, plan_tree)
+from .metrics import criteria, run_consistency_demo
+from .tree import (AggregationTree, complexity_estimate, nested_predict_batch,
+                   plan_tree)
 
 __version__ = "0.1.0"
 
@@ -31,8 +30,8 @@ __all__ = [
     "aggregated_posterior", "complexity_estimate", "criteria", "cross_matrix",
     "diagnostics_vs_full", "estimate_sigma2", "factor_spd",
     "grid_profile_loglik", "load_csv", "loo_criterion", "loo_predict",
-    "nested_predict", "nested_predict_batch", "partition_consecutive",
-    "partition_kmeans", "partition_random", "pseudo_solve", "run_benchmark_51",
-    "run_consistency_demo", "sample_conditional", "sample_paths", "sgd_fit",
-    "sgd_fit_two_phase", "solve", "submodel_predict", "plan_tree",
+    "nested_predict_batch", "partition_consecutive", "partition_kmeans",
+    "partition_random", "pseudo_solve", "run_consistency_demo",
+    "sample_conditional", "sample_paths", "sgd_fit", "sgd_fit_two_phase",
+    "solve", "plan_tree",
 ]

@@ -115,10 +115,6 @@ class AggregatedProcess:
         return self._assemble(Za, Zb, kernels.cross_matrix(kernel, Za, Zb),
                               kernels.cross_matrix(kernel, X, X), la, lb, kXa, kXb)
 
-    def cov(self, x, x2) -> float:
-        """Prior covariance between two points."""
-        return float(self.prior_cov(np.atleast_2d(x), np.atleast_2d(x2))[0, 0])
-
     def posterior(self, Xq, X=None, f=None):
         """Condition the aggregated process on observed values.
 
@@ -183,16 +179,29 @@ class DiagnosticsVsFull:
     eq_var_rhs: float
 
 
-def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x,
-                        tree: AggregationTree = None) -> DiagnosticsVsFull:
-    """Compare the nested predictor against the exact full model at one point.
+def diagnostics_vs_full(full: FullModel, bank: SubModelBank, Xq,
+                        tree: AggregationTree = None) -> list:
+    """Compare the nested predictor against the exact full model at each point.
 
-    The predictor is the one over ``tree``, by default the flat tree (the
-    pointwise aggregation of every expert).  Requires interpolating linear
-    experts (simple Kriging on a partition).
+    ``Xq`` is an (m, d) array of points; returns one
+    :class:`DiagnosticsVsFull` per row.  The predictor is the one over
+    ``tree``, by default the flat tree (the pointwise aggregation of every
+    expert).  Requires interpolating linear experts (simple Kriging on a
+    partition).  The design weights lambda(X) of the n design points and
+    k(X, X) are built once; each point then takes a one-query pass of its
+    own, so every row has the bits of a one-point call.
     """
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
     process = AggregatedProcess(bank, tree)
+    KXX = kernels.cross_matrix(bank.kernel, bank.X, bank.X)
+    lam_X = process._design_weights(bank.X)
+    return [_diagnostics_at(full, process, KXX, lam_X, x2)
+            for x2 in np.atleast_2d(np.asarray(Xq, dtype=float))[:, None]]
+
+
+def _diagnostics_at(full: FullModel, process: AggregatedProcess, KXX, lam_X,
+                    x2) -> DiagnosticsVsFull:
+    """:func:`diagnostics_vs_full` at one (1, d) point, given k(X, X) and lambda(X)."""
+    bank = process.bank
     m_A, v_A, lam, kM = nested_design_weights(bank, process.tree, x2)
     m_A, v_A, lam_agg, kM = float(m_A[0]), float(v_A[0]), lam[:, 0], kM[0]
     kxx = bank.kernel.variance
@@ -213,7 +222,9 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, x,
     diff = L.T @ (lam_agg - lam_full)
     eq_mean_lhs = float(diff @ diff)
 
-    kAXx = process.prior_cov(bank.X, x2)[:, 0]
+    # the modified prior k_A(X, x), assembled as prior_cov(X, x) does
+    kBx = kernels.cross_matrix(bank.kernel, bank.X, x2)
+    kAXx = process._assemble(bank.X, x2, kBx, KXX, lam_X, lam, KXX, kBx)[:, 0]
     u = solve_lower(L, kXx - kAXx)
     eq_mean_rhs = float(u @ u)
 

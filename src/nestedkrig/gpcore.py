@@ -32,9 +32,9 @@ class Layer1(NamedTuple):
     k : (q, p) covariances Cov(M_i(x), Y(x))
     K : (q, p, p) cross-covariances Cov(M_i(x), M_j(x))
 
-    This is the input of ``tree.run_layers`` and ``submodel_predict``
-    only; the nested predictor never builds it (``tree.stream_layers``
-    consumes the rows of K as they are filled).
+    This is the input of ``tree.run_layers`` only; the nested predictor
+    never builds it (``tree.stream_layers`` consumes the rows of K as they
+    are filled).
     """
 
     M: np.ndarray
@@ -92,10 +92,9 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
             W = wpool[:q * stop].reshape(q, stop)
             np.matmul(Ag.T, B, out=W)
             W *= AT[:, :stop]
-            seg = np.add.reduceat(W, starts[:g], axis=1)
-            row[:, :g] = seg
+            np.add.reduceat(W, starts[:g], axis=1, out=row[:, :g])
             if window == p:
-                out[:, :g, g] = seg
+                out[:, :g, g] = row[:, :g]
         if g == p - 1:
             # the consumer's last step is often its largest (a root solve)
             del AT
@@ -363,12 +362,6 @@ class SubModelBank:
         del AT
         self.cross_cov_rows(weights, kM, K)
         return Layer1(M=M, k=kM, K=K)
-
-
-def submodel_predict(bank: SubModelBank, x):
-    """Expert statistics at a single point: (M, kM, KM) of shapes (p,), (p,), (p, p)."""
-    L1 = bank.layer1(np.atleast_2d(np.asarray(x, dtype=float)))
-    return L1.M[0], L1.k[0], L1.K[0]
 
 
 def sample_gaussian(mean, cov, count: int, seed, var_scale: float = 0.0) -> np.ndarray:

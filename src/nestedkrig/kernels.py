@@ -101,17 +101,6 @@ def _corr_2d(family: str, h: np.ndarray, poly: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def eval(spec: KernelSpec, x, y) -> float:
-    """Covariance between two points: the one entry of ``cross_matrix``."""
-    xv = np.asarray(x, dtype=float).reshape(1, -1)
-    yv = np.asarray(y, dtype=float).reshape(1, -1)
-    if xv.shape[1] != spec.dim or yv.shape[1] != spec.dim:
-        raise DimensionMismatch(
-            f"points of dimension {xv.shape[1]}/{yv.shape[1]} against a "
-            f"{spec.dim}-dimensional kernel")
-    return float(cross_matrix(spec, xv, yv)[0, 0])
-
-
 def cross_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Covariance matrix between two point sets, shape (n, m).
 

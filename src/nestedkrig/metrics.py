@@ -135,12 +135,6 @@ def replication_reports(rep, instance) -> list:
             for method in BENCH_METHODS]
 
 
-def run_benchmark_51(seed_set) -> list:
-    """Replicate the simulated comparison; one report per method and replication."""
-    return [report for rep, seed in enumerate(seed_set)
-            for report in replication_reports(rep, benchmark_instance(seed))]
-
-
 def summarize_medians(reports) -> dict:
     """Median of each criterion per method, as a nested dict."""
     out = {}

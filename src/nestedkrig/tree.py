@@ -325,13 +325,6 @@ def nested_design_weights(bank: SubModelBank, tree: AggregationTree, Xq):
             bank.design_weights(s.weights, beta), s.k)
 
 
-def nested_predict(bank: SubModelBank, tree: AggregationTree, x):
-    """Nested prediction at a single point: (mean, variance)."""
-    means, variances = nested_predict_batch(
-        bank, tree, np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(means[0]), float(variances[0])
-
-
 @dataclass(frozen=True)
 class TreePlan:
     """Planner output: group count, the tree, and the nominal child counts."""

@@ -10,7 +10,6 @@ run.
 import numpy as np
 
 import nestedkrig as nk
-from nestedkrig import kernels
 
 _ACCEPTANCE = {}
 
@@ -63,36 +62,3 @@ def random_instance(rng, d=None, n=None, p=None):
     f = nk.sample_paths(kern, X, 1, int(rng.integers(2 ** 31)))[0]
     part = nk.partition_random(n, p, int(rng.integers(2 ** 31)))
     return kern, X, f, part
-
-
-def dense_expert_stats(kern, X, f, groups, x):
-    """Independent dense-matrix oracle for the expert statistics at x.
-
-    Builds every quantity from explicit matrix inverses of the group Gram
-    matrices, sharing no code with the production path.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    kxx = kernels.cross_matrix(kern, x, x)[0, 0]
-    p = len(groups)
-    M = np.empty(p)
-    kM = np.empty(p)
-    KM = np.empty((p, p))
-    inv = [np.linalg.inv(kernels.cross_matrix(kern, X[idx], X[idx]))
-           for idx in groups]
-    for i, gi in enumerate(groups):
-        kxi = kernels.cross_matrix(kern, x, X[gi])
-        M[i] = (kxi @ inv[i] @ f[gi]).item()
-        kM[i] = (kxi @ inv[i] @ kxi.T).item()
-        for j, gj in enumerate(groups):
-            kxj = kernels.cross_matrix(kern, x, X[gj])
-            KM[i, j] = (kxi @ inv[i]
-                        @ kernels.cross_matrix(kern, X[gi], X[gj])
-                        @ inv[j] @ kxj.T).item()
-    return kxx, M, kM, KM
-
-
-def dense_aggregate(kern, X, f, groups, x):
-    """Dense oracle for the aggregated mean/variance at x (pseudo-inverse weights)."""
-    kxx, M, kM, KM = dense_expert_stats(kern, X, f, groups, x)
-    alpha = np.linalg.pinv(KM) @ kM
-    return float(alpha @ M), float(kxx - alpha @ kM)

@@ -15,6 +15,8 @@ from unittest import mock
 
 import numpy as np
 from conftest import random_kernel, separated_points
+from reference import (nested_predict, process_cov, run_benchmark_51,
+                       submodel_predict)
 
 import nestedkrig as nk
 from nestedkrig import kernels, metrics
@@ -23,10 +25,9 @@ from nestedkrig.aggregation import AggregatedProcess, aggregate, diagnostics_vs_
 from nestedkrig.cli import main
 from nestedkrig.estimation import (SgdConfig, estimate_sigma2,
                                    grid_profile_loglik, loo_predict, sgd_fit)
-from nestedkrig.gpcore import FullModel, SubModelBank, submodel_predict
+from nestedkrig.gpcore import FullModel, SubModelBank
 from nestedkrig.kernels import KernelSpec
-from nestedkrig.tree import (AggregationTree, nested_predict,
-                             nested_predict_batch, plan_tree)
+from nestedkrig.tree import AggregationTree, nested_predict_batch, plan_tree
 
 EX1_KERNEL = KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -180,7 +181,7 @@ def _random_instance(rng):
 def _identity_gaps(kern, X, f, part, x):
     bank = SubModelBank(kern, X, f, part)
     full = FullModel(kern, X, f)
-    d = diagnostics_vs_full(full, bank, x)
+    d = diagnostics_vs_full(full, bank, np.atleast_2d(x))[0]
     # identity values carry variance units; a tiny variance-scaled floor
     # keeps the relative check meaningful when the true gap is exactly zero
     floor = 1e-8 * kern.variance
@@ -197,11 +198,11 @@ def test_c05_modified_prior_kernel_identities():
     rng = np.random.default_rng(31)
     # variance preservation is exact, not approximate
     for x in rng.uniform(0, 1, 25):
-        assert process.cov([x], [x]) == EX1_KERNEL.variance
+        assert process_cov(process, [x], [x]) == EX1_KERNEL.variance
     # on design-point pairs the modified prior coincides with the kernel
     for xa in EX1_X[:, 0]:
         for xb in EX1_X[:, 0]:
-            got = process.cov([xa], [xb])
+            got = process_cov(process, [xa], [xb])
             want = nk.cross_matrix(EX1_KERNEL, [[xa]], [[xb]])[0, 0]
             assert abs(got - want) <= 1e-8
     # both error-vs-kernel-difference identities on the worked example
@@ -214,9 +215,9 @@ def test_c05_modified_prior_kernel_identities():
         bank = SubModelBank(kern, X, f, part)
         process = AggregatedProcess(bank)
         x = rng.uniform(0.05, 0.95, X.shape[1])
-        assert process.cov(x, x) == kern.variance
+        assert process_cov(process, x, x) == kern.variance
         i, j = rng.integers(X.shape[0]), rng.integers(X.shape[0])
-        got = process.cov(X[i], X[j])
+        got = process_cov(process, X[i], X[j])
         want = nk.cross_matrix(kern, X[i:i + 1], X[j:j + 1])[0, 0]
         assert abs(got - want) <= 1e-8
         r1, r2 = _identity_gaps(kern, X, f, part, x)
@@ -225,7 +226,7 @@ def test_c05_modified_prior_kernel_identities():
 
 def test_c06_simulated_comparison_rankings():
     started = time.time()
-    reports = metrics.run_benchmark_51([7 + r for r in range(50)])
+    reports = run_benchmark_51([7 + r for r in range(50)])
     assert len(reports) == 50 * len(metrics.BENCH_METHODS)
     med = metrics.summarize_medians(reports)
     rivals = [m for m in ("poe", "gpoe2", "bcm", "rbcm", "spv")]

@@ -2,17 +2,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (dense_aggregate, dense_expert_stats, random_instance,
-                      random_kernel, separated_points)
+from conftest import random_instance, random_kernel, separated_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (dense_aggregate, dense_expert_stats, dense_process_cov,
+                       flat_posterior, flat_prior_cov, kernel_eval,
+                       process_cov, reference_prior_cov, submodel_predict)
 
 import nestedkrig as nk
-from nestedkrig import kernels
+from nestedkrig import aggregation, kernels
 from nestedkrig.aggregation import (AggregatedProcess, aggregate,
                                     aggregated_posterior, diagnostics_vs_full)
-from nestedkrig.gpcore import FullModel, SubModelBank, sample_conditional, submodel_predict
-from nestedkrig.linalg import factor_spd, solve, solve_weights
+from nestedkrig.gpcore import FullModel, SubModelBank, sample_conditional
+from nestedkrig.linalg import solve_lower
 from nestedkrig.tree import (PLAN_MODES, nested_design_weights,
                              nested_predict_batch, plan_tree)
 
@@ -24,107 +26,6 @@ EX1_PART = nk.Partition(labels=np.array([0, 0, 0, 1, 1]), p=2)
 
 def ex1_bank():
     return SubModelBank(EX1_KERNEL, EX1_X, EX1_F, EX1_PART)
-
-
-def dense_lambda_weights(kern, X, groups, x):
-    """Full-design weight vector of the aggregated predictor, densely built."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = X.shape[0]
-    p = len(groups)
-    Lam = np.zeros((p, n))
-    for i, gi in enumerate(groups):
-        Ki = kernels.cross_matrix(kern, X[gi], X[gi])
-        Lam[i, gi] = np.linalg.solve(Ki, kernels.cross_matrix(kern, X[gi], x))[:, 0]
-    K = kernels.cross_matrix(kern, X, X)
-    kM = Lam @ kernels.cross_matrix(kern, X, x)[:, 0]
-    KM = Lam @ K @ Lam.T
-    alpha = np.linalg.pinv(KM) @ kM
-    return Lam.T @ alpha
-
-
-def dense_process_cov(kern, X, groups, xa, xb):
-    """Independent dense assembly of the modified prior covariance."""
-    K = kernels.cross_matrix(kern, X, X)
-    la = dense_lambda_weights(kern, X, groups, xa)
-    lb = dense_lambda_weights(kern, X, groups, xb)
-    xa = np.atleast_2d(xa)
-    xb = np.atleast_2d(xb)
-    kab = kernels.cross_matrix(kern, xa, xb)[0, 0]
-    kXa = kernels.cross_matrix(kern, X, xa)[:, 0]
-    kXb = kernels.cross_matrix(kern, X, xb)[:, 0]
-    return kab + 2.0 * la @ K @ lb - la @ kXb - lb @ kXa
-
-
-def reference_prior_cov(bank, Za, Zb):
-    """The modified prior assembled group by group, over all p^2 group pairs.
-
-    Per-group weighted loadings V_g = alpha_g a_g and covariance rows C_g,
-    and one kernel block k(X_g, X_h) per group pair.
-    """
-    def stats(Z):
-        A = bank.expert_weights(Z)[2].T
-        L1 = bank.layer1(Z)
-        alpha, _ = solve_weights(L1.K, L1.k)
-        V = [A[lo:hi] * alpha[:, g] for g, (lo, hi) in enumerate(bank.spans)]
-        return V, [kernels.cross_matrix(bank.kernel, bank._Xc[lo:hi], Z)
-                   for lo, hi in bank.spans]
-
-    Za = np.atleast_2d(np.asarray(Za, dtype=float))
-    Zb = np.atleast_2d(np.asarray(Zb, dtype=float))
-    Va, Ca = stats(Za)
-    Vb, Cb = stats(Zb)
-    quad = np.zeros((Za.shape[0], Zb.shape[0]))
-    for g, (glo, ghi) in enumerate(bank.spans):
-        for h, (hlo, hhi) in enumerate(bank.spans):
-            B = kernels.cross_matrix(bank.kernel, bank._Xc[glo:ghi],
-                                     bank._Xc[hlo:hhi])
-            quad += Va[g].T @ B @ Vb[h]
-    cross_ab = sum(Va[g].T @ Cb[g] for g in range(bank.p))
-    cross_ba = sum(Vb[g].T @ Ca[g] for g in range(bank.p))
-    out = kernels.cross_matrix(bank.kernel, Za, Zb) \
-        + 2.0 * quad - cross_ab - cross_ba.T
-    same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
-    out[same] = bank.kernel.variance
-    return out
-
-
-def flat_design_weights(bank, Z):
-    """Flat BLUE design weights built outside the tree engine.
-
-    Materialised layer-1 statistics, one batched weight solve, and the
-    bank's design weights: the path the modified prior took before the tree
-    engine supplied its weights.
-    """
-    AT = bank.expert_weights(Z)[2]
-    L1 = bank.layer1(Z)
-    alpha, _ = solve_weights(L1.K, L1.k)
-    return bank.design_weights(AT, alpha)
-
-
-def flat_prior_cov(bank, Za, Zb):
-    """The modified prior on flat design weights, one kernel block per product."""
-    kernel, X = bank.kernel, bank.X
-    la, kXa = flat_design_weights(bank, Za), kernels.cross_matrix(kernel, X, Za)
-    if Zb.shape == Za.shape and np.array_equal(Za, Zb):
-        lb, kXb = la, kXa
-    else:
-        lb, kXb = flat_design_weights(bank, Zb), kernels.cross_matrix(kernel, X, Zb)
-    quad = la.T @ kernels.cross_matrix(kernel, X, X) @ lb
-    out = kernels.cross_matrix(kernel, Za, Zb) \
-        + 2.0 * quad - la.T @ kXb - (lb.T @ kXa).T
-    same = np.all(Za[:, None, :] == Zb[None, :, :], axis=-1)
-    out[same] = kernel.variance
-    return out
-
-
-def flat_posterior(bank, Xq, X, f):
-    """Conditioning of ``flat_prior_cov`` on (X, f): (means, variances, cov)."""
-    fac = factor_spd(flat_prior_cov(bank, X, X))
-    KqX = flat_prior_cov(bank, Xq, X)
-    means = KqX @ solve(fac, f)
-    cov = flat_prior_cov(bank, Xq, Xq) - KqX @ solve(fac, KqX.T)
-    cov = 0.5 * (cov + cov.T)
-    return means, np.maximum(np.diag(cov), 0.0), cov
 
 
 def planned_instance(rng, mode, height, kmeans):
@@ -255,20 +156,21 @@ class TestProcessView:
     def test_variance_preserved_exactly(self):
         bank = ex1_bank()
         for x in (0.13, 0.3, 0.77):
-            assert AggregatedProcess(bank).cov([x], [x]) == EX1_KERNEL.variance
+            got = process_cov(AggregatedProcess(bank), [x], [x])
+            assert got == EX1_KERNEL.variance
 
     def test_design_pairs_match_original_kernel(self):
         bank = ex1_bank()
         for xa in EX1_X[:, 0]:
             for xb in EX1_X[:, 0]:
-                got = AggregatedProcess(bank).cov([xa], [xb])
-                want = kernels.eval(EX1_KERNEL, [xa], [xb])
+                got = process_cov(AggregatedProcess(bank), [xa], [xb])
+                want = kernel_eval(EX1_KERNEL, [xa], [xb])
                 assert got == pytest.approx(want, abs=1e-8)
 
     def test_against_dense_oracle_on_sweep(self):
         bank = ex1_bank()
         for xb in np.linspace(0.0, 1.0, 21):
-            got = AggregatedProcess(bank).cov([0.3], [xb])
+            got = process_cov(AggregatedProcess(bank), [0.3], [xb])
             want = dense_process_cov(EX1_KERNEL, EX1_X, EX1_PART.groups(),
                                      [0.3], [xb])
             assert got == pytest.approx(want, abs=1e-10)
@@ -280,7 +182,7 @@ class TestProcessView:
             bank = SubModelBank(kern, X, f, part)
             xa = rng.uniform(0, 1, X.shape[1])
             xb = rng.uniform(0, 1, X.shape[1])
-            got = AggregatedProcess(bank).cov(xa, xb)
+            got = process_cov(AggregatedProcess(bank), xa, xb)
             want = dense_process_cov(kern, X, part.groups(), xa, xb)
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -346,8 +248,8 @@ class TestProcessView:
 
     def test_symmetry(self):
         bank = ex1_bank()
-        a = AggregatedProcess(bank).cov([0.22], [0.61])
-        b = AggregatedProcess(bank).cov([0.61], [0.22])
+        a = process_cov(AggregatedProcess(bank), [0.22], [0.61])
+        b = process_cov(AggregatedProcess(bank), [0.61], [0.22])
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -381,14 +283,14 @@ class TestDiagnostics:
     def test_zero_gaps_at_design_point(self):
         bank = ex1_bank()
         full = FullModel(EX1_KERNEL, EX1_X, EX1_F)
-        d = diagnostics_vs_full(full, bank, [0.3])
+        d = diagnostics_vs_full(full, bank, [[0.3]])[0]
         assert d.mean_gap == pytest.approx(0.0, abs=1e-8)
         assert d.var_gap == pytest.approx(0.0, abs=1e-8)
 
     def test_example1_bounds_and_identities(self):
         bank = ex1_bank()
         full = FullModel(EX1_KERNEL, EX1_X, EX1_F)
-        d = diagnostics_vs_full(full, bank, [0.6])
+        d = diagnostics_vs_full(full, bank, [[0.6]])[0]
         assert d.var_gap >= -1e-8
         assert d.var_gap <= d.bound + 1e-8
         assert d.eq_mean_lhs == pytest.approx(d.eq_mean_rhs, rel=1e-6)
@@ -402,9 +304,7 @@ class TestDiagnostics:
         part = nk.Partition(labels=np.arange(12), p=12)
         bank = SubModelBank(kern, X, f, part)
         full = FullModel(kern, X, f)
-        for _ in range(10):
-            x = rng.uniform(0, 1, 1)
-            d = diagnostics_vs_full(full, bank, x)
+        for d in diagnostics_vs_full(full, bank, rng.uniform(0, 1, (10, 1))):
             assert d.mean_gap == pytest.approx(0.0, abs=1e-8)
             assert d.var_gap == pytest.approx(0.0, abs=1e-8)
 
@@ -412,9 +312,35 @@ class TestDiagnostics:
         # orthogonality of the full-model residual makes the two gaps equal
         bank = ex1_bank()
         full = FullModel(EX1_KERNEL, EX1_X, EX1_F)
-        for x in (0.2, 0.45, 0.8):
-            d = diagnostics_vs_full(full, bank, [x])
+        for d in diagnostics_vs_full(full, bank, [[0.2], [0.45], [0.8]]):
             assert d.var_gap == pytest.approx(d.eq_mean_lhs, rel=1e-8, abs=1e-12)
+
+    def test_batch_has_the_bits_of_one_point_calls(self):
+        # lambda(X) is built once per call, and every row of a batch equals
+        # a one-point call, on a flat and on a height-3 tree
+        rng = np.random.default_rng(9)
+        for mode, height in (("two_layer_sqrt", 2), ("equilibrated", 3)):
+            kern, X, f, part, tree = planned_instance(rng, mode, height, True)
+            bank = SubModelBank(kern, X, f, part)
+            full = FullModel(kern, X, f)
+            Xq = rng.uniform(0, 1, (6, X.shape[1]))
+            Xq[2] = X[rng.integers(X.shape[0])]
+            with mock.patch.object(aggregation, "nested_design_weights",
+                                   wraps=aggregation.nested_design_weights) as calls:
+                batch = diagnostics_vs_full(full, bank, Xq, tree)
+            assert [len(c.args[2]) for c in calls.call_args_list] == \
+                [X.shape[0]] + [1] * 6
+            assert batch == [diagnostics_vs_full(full, bank, x[None], tree)[0]
+                             for x in Xq]
+            # each row's k_A(X, x) is the one prior_cov assembles
+            process, L = AggregatedProcess(bank, tree), full.factor.lower
+            for x, d in zip(Xq, batch):
+                kXx = kernels.cross_matrix(kern, X, x[None])[:, 0]
+                kAXx = process.prior_cov(X, x[None])[:, 0]
+                u = solve_lower(L, kXx - kAXx)
+                w_full, w_agg = solve_lower(L, kXx), solve_lower(L, kAXx)
+                assert d.eq_mean_rhs == float(u @ u)
+                assert d.eq_var_rhs == float(w_full @ w_full - w_agg @ w_agg)
 
 
 class TestPlannedTrees:
@@ -440,17 +366,24 @@ class TestPlannedTrees:
                                    rtol=0, atol=1e-8)
         # the design weights reproduce the nested predictor's mean
         means, _, lam, _ = nested_design_weights(bank, tree, Xq)
-        m_nested, _ = nested_predict_batch(bank, tree, Xq)
+        m_nested, v_nested = nested_predict_batch(bank, tree, Xq)
         assert np.array_equal(means, m_nested)
         np.testing.assert_allclose(lam.T @ f, m_nested, rtol=1e-12,
                                    atol=1e-12 * np.abs(f).max())
+        # conditioning the tree's modified prior on the data gives back the
+        # nested predictor
+        post_m, post_cov = process.posterior(Xq)
+        post_v = np.diag(post_cov)
+        np.testing.assert_allclose(post_m, m_nested, rtol=0,
+                                   atol=1e-8 * np.abs(f).max())
+        np.testing.assert_allclose(post_v, v_nested, rtol=0,
+                                   atol=1e-8 * kern.variance)
         floor = 1e-8 * kern.variance
 
         def rel(a, b):
             return abs(a - b) / max(abs(a), abs(b), floor)
 
-        for x in Xq[1:]:
-            d = diagnostics_vs_full(full, bank, x, tree)
+        for d in diagnostics_vs_full(full, bank, Xq[1:], tree):
             assert rel(d.eq_mean_lhs, d.eq_mean_rhs) <= 1e-6
             assert rel(d.eq_var_lhs, d.eq_var_rhs) <= 1e-6
             assert -1e-8 <= d.var_gap <= d.bound + 1e-8

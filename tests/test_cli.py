@@ -141,7 +141,7 @@ class TestFitPredict:
         part = nk.partition_consecutive(EX1_X, 2)
         bank = nk.SubModelBank(kern, EX1_X, EX1_F, part)
         full = nk.FullModel(kern, EX1_X, EX1_F)
-        d = nk.diagnostics_vs_full(full, bank, [0.6])
+        d = nk.diagnostics_vs_full(full, bank, [[0.6]])[0]
         assert m_n - m_f == pytest.approx(d.mean_gap, abs=1e-10)
         assert v_n - v_f == pytest.approx(d.var_gap, abs=1e-10)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reference_kmeans
 
 from nestedkrig import data
 from nestedkrig.data import (CsvSchema, Dataset, Partition, format_number,
@@ -13,52 +14,6 @@ from nestedkrig.data import (CsvSchema, Dataset, Partition, format_number,
                              partition_kmeans, partition_random, write_json,
                              write_table)
 from nestedkrig.exceptions import EmptyFile, InvalidGroupCount, ParseError
-
-
-def reference_kmeans(X, p, seed=0):
-    """The direct k-means: (labels, number of empty-cluster repairs).
-
-    Every Lloyd step forms the (n, p, d) difference array and sums its
-    squares over the last axis, and every centroid is the mean of a boolean
-    mask over all n points.  ``partition_kmeans`` must return these labels
-    bit for bit.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    rng = np.random.default_rng(seed)
-    centroids = np.empty((p, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
-    for k in range(1, p):
-        total = d2.sum()
-        if total <= 0.0:
-            centroids[k] = X[rng.integers(n)]
-        else:
-            centroids[k] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centroids[k]) ** 2, axis=1))
-
-    repairs = 0
-    for _ in range(data.KMEANS_MAX_ITER):
-        dist = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(dist, axis=1)
-        counts = np.bincount(labels, minlength=p)
-        for empty in np.flatnonzero(counts == 0):
-            donor = int(np.argmax(counts))
-            members = np.flatnonzero(labels == donor)
-            far = members[np.argmax(
-                np.sum((X[members] - centroids[donor]) ** 2, axis=1))]
-            labels[far] = empty
-            counts[donor] -= 1
-            counts[empty] += 1
-            repairs += 1
-        new_centroids = np.empty_like(centroids)
-        for k in range(p):
-            new_centroids[k] = X[labels == k].mean(axis=0)
-        move = np.max(np.abs(new_centroids - centroids))
-        centroids = new_centroids
-        if move < data.KMEANS_TOL:
-            break
-    return labels, repairs
 
 
 class TestDataset:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_instance
+from reference import nested_predict
 
 import nestedkrig as nk
 from nestedkrig import gpcore, kernels
@@ -50,7 +51,7 @@ class TestLooPredict:
             part_small = nk.Partition(labels=EX1_PART.labels[keep], p=2)
             bank = nk.SubModelBank(EX1_KERNEL, EX1_X[keep], EX1_F[keep],
                                    part_small)
-            m, v = nk.nested_predict(bank, EX1_TREE, EX1_X[i])
+            m, v = nested_predict(bank, EX1_TREE, EX1_X[i])
             assert rec.m_loo == pytest.approx(m, abs=1e-10)
             assert rec.v_loo == pytest.approx(v / EX1_KERNEL.variance, abs=1e-10)
 
@@ -75,7 +76,7 @@ class TestLooPredict:
             keep = np.arange(X.shape[0]) != i
             bank = nk.SubModelBank(kern, X[keep], f[keep],
                                    nk.Partition(labels=part.labels[keep], p=part.p))
-            m, v = nk.nested_predict(bank, tree, X[i])
+            m, v = nested_predict(bank, tree, X[i])
             assert rec.m_loo == pytest.approx(m, abs=1e-9)
             assert rec.v_loo == pytest.approx(v / kern.variance, abs=1e-9)
 

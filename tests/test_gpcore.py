@@ -4,16 +4,20 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import dense_expert_stats, random_instance
+from conftest import random_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (ReferenceBank, dense_expert_stats, reference_fill,
+                       reference_fill_expert_cross_cov, reference_group_factors,
+                       reference_group_weights, reference_loo_weights,
+                       reference_moments, submodel_predict)
 
 import nestedkrig as nk
 from nestedkrig import baselines, estimation, gpcore, kernels, linalg
 from nestedkrig.estimation import loo_predict
 from nestedkrig.exceptions import DimensionMismatch
 from nestedkrig.gpcore import (FullModel, SubModelBank, sample_conditional,
-                               sample_gaussian, sample_paths, submodel_predict)
+                               sample_gaussian, sample_paths)
 from nestedkrig.tree import AggregationTree, nested_predict_batch, plan_tree
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
@@ -156,54 +160,6 @@ class TestSubModelBank:
         assert np.all(v_full[:, None] <= expert_mse + 1e-8)
 
 
-def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
-                                    row_done=None):
-    """The fill on (n, q) weight columns that no caller hands over.
-
-    It keeps a transposed copy of ``weights`` next to them and multiplies
-    by ``weights[stop:stop + c].T``, calling ``row_done(g)`` after every
-    row.  ``fill_expert_cross_cov`` must fill the same bits.
-    """
-    p = len(starts)
-    q, window = weights.shape[1], out.shape[1]
-    if p > 1:
-        stackedT = np.ascontiguousarray(weights.T)
-        bounds = np.concatenate([starts, [Xcat.shape[0]]])
-        c_max = int(np.diff(bounds).max())
-        m_max = int(starts[-1])
-        bpool = np.empty(c_max * m_max)
-        wpool = np.empty(q * m_max)
-    for g in range(p):
-        row = out[:, g % window]
-        row[:, g] = diag[:, g]
-        if g > 0:
-            stop = int(starts[g])
-            c = int(bounds[g + 1] - bounds[g])
-            B = bpool[:c * stop].reshape(c, stop)
-            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B)
-            W = wpool[:q * stop].reshape(q, stop)
-            np.matmul(weights[stop:stop + c].T, B, out=W)
-            W *= stackedT[:, :stop]
-            seg = np.add.reduceat(W, starts[:g], axis=1)
-            row[:, :g] = seg
-            if window == p:
-                out[:, :g, g] = seg
-        if row_done is not None:
-            row_done(g)
-
-
-def reference_fill(kernel, Xcat, starts, weights, out, diag, row_done=None):
-    """``reference_fill_expert_cross_cov`` behind the fill's interface."""
-    A = np.ascontiguousarray(weights.pop().T)
-    row_done = row_done or {}
-
-    def each_row(g):
-        if g in row_done:
-            row_done[g]()
-
-    reference_fill_expert_cross_cov(kernel, Xcat, starts, A, out, diag, each_row)
-
-
 @st.composite
 def fill_cases(draw):
     """A random design on an unequal partition, a tree over it and queries."""
@@ -265,30 +221,6 @@ class TestFillReference:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert loo == loo_want
-
-
-def reference_group_factors(kernel, Xc, spans):
-    """The per-group bank build: one kernel matrix, factorization and solve each.
-
-    Returns the inverse factors R_g and the jitter of every group;
-    ``SubModelBank`` must give each group the same bits.
-    """
-    inv_factors, jitter = [], []
-    for lo, hi in spans:
-        fac = linalg.factor_spd(kernels.cross_matrix(kernel, Xc[lo:hi], Xc[lo:hi]))
-        inv_factors.append(sla.solve_triangular(fac.lower, np.eye(hi - lo),
-                                                lower=True))
-        jitter.append(fac.applied_jitter)
-    return inv_factors, np.array(jitter)
-
-
-class ReferenceBank(SubModelBank):
-    """A bank whose inverse factors come from the per-group build."""
-
-    def __init__(self, kernel, X, y, partition):
-        super().__init__(kernel, X, y, partition)
-        self.inv_factors, self.applied_jitter = reference_group_factors(
-            kernel, self._Xc, self.spans)
 
 
 def assert_same_factors(bank, inv_factors, jitter):
@@ -386,47 +318,6 @@ class TestBankReference:
         bank = SubModelBank(kern, X, f, part)
         np.testing.assert_array_equal(bank.point_order[bank.major_row],
                                       np.arange(bank.n))
-
-
-def reference_group_weights(bank, Xq):
-    """Covariances C = k(X, Xq) and group-major Kriging weight columns A, (n, q).
-
-    The whole-design evaluation the bank's tiled layer-1 pass replaced:
-    rows follow the group-major design order, and the rows of group g
-    hold a_g = R_g' (R_g C_g).
-    """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    C = kernels.cross_matrix(bank.kernel, bank._Xc, Xq)
-    A = np.empty_like(C)
-    for (lo, hi), R in zip(bank.spans, bank.inv_factors):
-        A[lo:hi] = R.T @ (R @ C[lo:hi])
-    return C, A
-
-
-def reference_loo_weights(bank, indices):
-    """``reference_group_weights`` at design points ``indices``, each deleted from its group."""
-    C, A = reference_group_weights(bank, bank.X[indices])
-    row = bank.major_row
-    for t, i in enumerate(indices):
-        g = bank.labels[i]
-        lo, hi = bank.spans[g]
-        R = bank.inv_factors[g]
-        j = row[i] - lo
-        r = R[j:, j]
-        A[lo:hi, t] = -(R[j:].T @ r) / (r @ r)
-        A[row[i], t] = 0.0
-    return C, A
-
-
-def reference_moments(bank, C, A):
-    """Expert means and covariances from whole-design (C, A), as transposed (p, q) buffers."""
-    p, q = bank.p, C.shape[1]
-    M = np.empty((p, q))
-    kM = np.empty((p, q))
-    for g, (lo, hi) in enumerate(bank.spans):
-        M[g] = bank._yc[lo:hi] @ A[lo:hi]
-        kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
-    return M.T, kM.T
 
 
 @st.composite

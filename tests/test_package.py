@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import nestedkrig as nk
 from nestedkrig.cli import main
@@ -14,6 +15,17 @@ SRC = pathlib.Path(nk.__file__).parent
 # the group-major layout and the group factors of SubModelBank
 BANK_LAYOUT = {"spans", "point_order", "inv_factors", "major_row", "_Xc",
                "_starts", "_yc"}
+
+# public names that no other code in the package names: the desk tools,
+# which carry the paper's claims, the cost model that perfbench/run.py
+# reads, and the materialised path that perfbench/tracing.py wraps by name
+UNCALLED_KEPT = {
+    "aggregation.aggregate", "aggregation.aggregated_posterior",
+    "aggregation.AggregatedProcess.prior_cov",
+    "aggregation.diagnostics_vs_full", "gpcore.FullModel.cond_cov",
+    "gpcore.sample_conditional", "tree.complexity_estimate",
+    "tree.run_layers", "gpcore.SubModelBank.layer1",
+}
 
 
 def test_public_names_resolve():
@@ -46,19 +58,26 @@ def test_estimation_and_metrics_factor_no_group_covariance():
         assert not names & {"factor_spd", "factor_spd_stack"}, name
 
 
+def _name_counts(nodes, attributes_only=False):
+    """How often ``nodes`` name each identifier: variables, attributes and
+    imports, or with ``attributes_only`` attribute accesses alone."""
+    out = Counter()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                out[sub.attr] += 1
+            elif attributes_only:
+                continue
+            elif isinstance(sub, ast.Name):
+                out[sub.id] += 1
+            elif isinstance(sub, ast.alias):
+                out[sub.name] += 1
+    return out
+
 
 def _names(nodes):
     """Identifiers that ``nodes`` name: variables, attributes and imports."""
-    out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                out.add(sub.name)
-    return out
+    return set(_name_counts(nodes))
 
 
 def test_only_the_tree_engine_solves_aggregation_weights():
@@ -93,6 +112,43 @@ def test_only_the_bank_reads_materialised_statistics():
         if path.name != "tree.py" and "run_layers" in _names([tree]):
             runners.append(path.name)
     assert callers == [] and runners == []
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public module-level function and class
+    in ``tree`` and of each public method of those classes."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if (isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_")):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public function, class or method must be named in the package
+    # outside its own definition (the re-exports of __init__ do not count):
+    # code that only tests call belongs in tests/reference.py
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    names = _name_counts(modules.values())
+    attributes = _name_counts(modules.values(), attributes_only=True)
+    unused = set()
+    for module, tree in modules.items():
+        for qualname, node in _public_definitions(tree):
+            # a method is reached as an attribute: a variable of the same
+            # name does not call it
+            method = "." in qualname
+            name = qualname.rpartition(".")[2]
+            counts = attributes if method else names
+            if counts[name] == _name_counts([node], method)[name]:
+                unused.add(f"{module}.{qualname}")
+    assert sorted(unused - UNCALLED_KEPT) == []
+    # a kept name that gains a caller leaves the list
+    assert sorted(UNCALLED_KEPT - unused) == []
 
 
 def _write_calls(tree):

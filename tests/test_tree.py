@@ -4,16 +4,17 @@ import pytest
 from conftest import random_instance, random_kernel, separated_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import nested_predict, submodel_predict
 
 import nestedkrig as nk
 import nestedkrig.tree as tree_module
 from nestedkrig import cli, estimation
 from nestedkrig.aggregation import aggregate
 from nestedkrig.exceptions import InvalidHeight, InvalidTree
-from nestedkrig.gpcore import FullModel, SubModelBank, submodel_predict
+from nestedkrig.gpcore import FullModel, SubModelBank
 from nestedkrig.tree import (PREDICT_CHUNK, AggregationTree, complexity_estimate,
-                             map_chunks, nested_predict, nested_predict_batch,
-                             plan_tree, run_layers, stream_layers)
+                             map_chunks, nested_predict_batch, plan_tree,
+                             run_layers, stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
