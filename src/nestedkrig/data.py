@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -125,7 +126,7 @@ def _read_columns(path, select) -> np.ndarray:
                 except ValueError:
                     raise ParseError(lineno, col + 1,
                                      f"cannot parse {cell!r} as a number") from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ParseError(lineno, col + 1,
                                      f"non-finite value {cell!r}")
                 parsed.append(value)

@@ -43,7 +43,7 @@ class Layer1(NamedTuple):
 
 
 def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
-                          diag, row_done=None):
+                          offsets, diag, row_done=None):
     """Fill the expert covariances a_g' k(X_g, X_h) a_h, one block row at a time.
 
     ``Xcat`` holds the design points in group-major order, ``starts`` the p
@@ -53,11 +53,11 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
     The fill takes that array out of the list, so when the caller keeps no
     other reference, the fill owns the weights and frees them, with its
     operand pools, before the callback of row p - 1 (on a flat tree, the
-    root solve).  ``out`` is a (q, w, p) window of the (q, p, p) matrix K:
-    row g, that is K[:, g, :g+1], goes to ``out[:, g % w]``.  With w = p,
-    ``out`` is all of K and the mirrored column K[:, :g, g] is written too.
-    ``row_done``, if given, maps row indices to functions of no arguments;
-    ``row_done[g]()`` runs as soon as row g is in.
+    root solve).  ``out`` is a flat (q, size) buffer that takes row g of
+    K's lower triangle, K[:, g, :g+1], at columns ``offsets[g]`` on: g·p
+    is all of K in place, g(g+1)/2 the packed triangle and (g % w)·p a
+    ring of w rows.  ``row_done``, if given, maps row indices to functions
+    of no arguments; ``row_done[g]()`` runs as soon as row g is in.
 
     Each block row is a single covariance block against all earlier
     groups, one matrix product and one segmented reduction, so the Python
@@ -67,7 +67,7 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
     """
     p = len(starts)
     AT = weights.pop()
-    q, window = AT.shape[0], out.shape[1]
+    q = AT.shape[0]
     row_done = row_done or {}
     if p > 1:
         bounds = np.concatenate([starts, [Xcat.shape[0]]])
@@ -77,7 +77,7 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
         bpool = np.empty(c_max * m_max)
         wpool = np.empty(q * m_max)
     for g in range(p):
-        row = out[:, g % window]
+        row = out[:, offsets[g]:offsets[g] + g + 1]
         row[:, g] = diag[:, g]
         if g > 0:
             stop = int(starts[g])
@@ -93,8 +93,6 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
             np.matmul(Ag.T, B, out=W)
             W *= AT[:, :stop]
             np.add.reduceat(W, starts[:g], axis=1, out=row[:, :g])
-            if window == p:
-                out[:, :g, g] = row[:, :g]
         if g == p - 1:
             # the consumer's last step is often its largest (a root solve)
             del AT
@@ -334,33 +332,35 @@ class SubModelBank:
         diag = np.concatenate([np.diag(R) for _, R in pairs])
         return float(z @ z), -2.0 * float(np.log(diag).sum())
 
-    def cross_cov_rows(self, weights, kM, out, row_done=None):
+    def cross_cov_rows(self, weights, kM, out, offsets, row_done=None):
         """Expert cross-covariances from query-major weights, row by row.
 
         ``weights`` is a one-element list holding the (q, n) transpose of
         the weight columns A (from ``expert_weights``), which the fill takes
-        over; ``kM`` is the (q, p) diagonal from the same pass; ``out`` and ``row_done`` are as
-        in :func:`fill_expert_cross_cov`, which a (q, w, p) window with
-        w < p turns into a streamed fill.
+        over; ``kM`` is the (q, p) diagonal from the same pass; ``out``,
+        ``offsets`` and ``row_done`` are as in :func:`fill_expert_cross_cov`,
+        which a ring of offsets turns into a streamed fill.
         """
         fill_expert_cross_cov(self.kernel, self._Xc, self._starts, weights,
-                              out, kM, row_done)
+                              out, offsets, kM, row_done)
 
     def layer1(self, Xq) -> Layer1:
         """Materialised expert statistics at a batch of query points.
 
         ``expert_weights`` gives M, k and the weights; K_gh = a_g' k(X_g,
         X_h) a_h, with the diagonal K_gg equal to k for Kriging weights.  K
-        is filled one block row at a time, so the peak footprint stays at
-        one n x q array plus the (q, p, p) output; ``tree.stream_layers``
-        avoids that output.
+        is filled one block row at a time, its upper triangle mirrored from
+        the lower one, so the peak footprint stays at one n x q array plus
+        the (q, p, p) output; ``tree.stream_layers`` avoids that output.
         """
         M, kM, AT = self.expert_weights(Xq)
         q, p = M.shape
         K = np.empty((q, p, p))
         weights = [AT]
         del AT
-        self.cross_cov_rows(weights, kM, K)
+        self.cross_cov_rows(weights, kM, K.reshape(q, p * p), np.arange(p) * p)
+        i, j = np.triu_indices(p, 1)
+        K[:, i, j] = K[:, j, i]
         return Layer1(M=M, k=kM, K=K)
 
 

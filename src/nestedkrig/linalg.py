@@ -282,7 +282,8 @@ def solve_weights(kmat, kvec):
             f"incompatible shapes {K.shape} and {k.shape}")
     d = np.einsum("...ii->...i", K)
     s = np.where(d > 0.0, d, 1.0) ** -0.5
-    Ks = K * s[..., :, None] * s[..., None, :]
+    Ks = K * s[..., :, None]
+    Ks *= s[..., None, :]
     ks = k * s
     degenerate = np.zeros(k.shape[:-1], dtype=bool)
     try:

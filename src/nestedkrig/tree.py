@@ -31,6 +31,9 @@ _DELTA = 1.5  # growth ratio of child counts in the minimal-cost tree
 # fixed prediction chunk; independent of the thread count so that the
 # arithmetic (and hence the output bytes) never depends on scheduling
 PREDICT_CHUNK = 512
+# most cross-covariances a node gathers per block of queries (2 MiB, eight
+# kernel tiles); a query's solve and sums are its own, so blocks change no bit
+QUERY_BLOCK_ENTRIES = 2 ** 18
 
 
 def map_chunks(evaluate, q, threads=1):
@@ -111,12 +114,13 @@ class AggregationTree:
     def first_layer_schedule(self):
         """When the streamed first aggregation layer finishes its nodes.
 
-        Returns ``(finishing, window)``: ``finishing`` pairs each layer-1
+        Returns ``(finishing, offsets)``: ``finishing`` pairs each layer-1
         row g at which some first-layer node has all its children, in
-        increasing g, with those nodes' indices; ``window`` is the number
-        of expert cross-covariance rows that must be held: when row g
-        arrives, every row from the smallest first child of the nodes
-        finishing at g or later is still needed.  Computed once per tree.
+        increasing g, with those nodes' indices.  When row g arrives, every
+        row from the smallest first child of the nodes finishing at g or
+        later is still needed; ``offsets`` place the fill's rows in a ring
+        of the w rows so needed, at (g % w)·p, or in the packed triangle,
+        at g(g+1)/2, when that is no larger.  Computed once per tree.
         """
         level = self.levels[0]
         finishing = {}
@@ -126,93 +130,85 @@ class AggregationTree:
         for g in sorted(finishing, reverse=True):
             lowest = min(lowest, *(min(level[i]) for i in finishing[g]))
             window = max(window, g - lowest + 1)
-        return tuple((g, tuple(finishing[g])) for g in sorted(finishing)), window
+        p, rows = self.n_layer1, np.arange(self.n_layer1)
+        offsets = (rows % window) * p if 2 * window <= p else rows * (rows + 1) // 2
+        return tuple((g, tuple(finishing[g])) for g in sorted(finishing)), offsets
 
 
 class _Layer:
     """One aggregation layer, computed node by node.
 
     ``M`` and ``kvec`` are the (q, n_prev) means and process covariances of
-    the previous layer and ``K`` its cross-covariances: the whole
-    (q, n_prev, n_prev) array, or with ``window`` = w a (q, w, n_prev)
-    window whose slot r % w holds row r of K up to its diagonal.
-    ``finish(nodes)`` computes, for each node i of ``nodes`` in turn, its
-    weights, mean and covariance, and its cross terms with every node
-    finished before it, in which the node with the larger index gives the
-    rows.  Every node's arithmetic is the same whichever order the nodes
-    finish in.
+    the previous layer; column ``offsets[r] + c`` of the (q, size) buffer
+    ``K`` holds their cross-covariance K[:, r, c] for r >= c (the rule of
+    ``gpcore.fill_expert_cross_cov``), and the layer writes its own lower
+    triangle to a (q, n·n) buffer with offsets r·n.  ``finish(nodes)``
+    computes, for each node i of ``nodes`` in turn, its weights, mean and
+    covariance, and its cross terms with every node finished before it,
+    in which the node with the larger index gives the rows.  It runs in
+    query blocks of at most ``QUERY_BLOCK_ENTRIES`` gathered covariances;
+    neither the blocks nor the finishing order changes any bit.
     """
 
-    def __init__(self, level, M, kvec, K, window=None):
+    def __init__(self, level, M, kvec, K, offsets):
         self.children = [np.asarray(node, dtype=int) for node in level]
-        n_prev = M.shape[1]
-        self.whole = [c.shape[0] == n_prev and np.array_equal(c, np.arange(n_prev))
-                      for c in self.children]
-        self.M_prev, self.kvec, self.K_prev = M, kvec, K
-        self.slot = None if window is None else np.arange(n_prev) % window
+        self.M_prev, self.kvec, self.K_prev, self.offsets = M, kvec, K, offsets
         q, n = M.shape[0], len(level)
         self.M = np.empty((q, n))
-        self.K = np.empty((q, n, n))
+        self.K = np.empty((q, n * n))
         self.alphas = [None] * n
         self.done = []
 
-    def _block(self, ci, cj):
-        """Previous-layer cross-covariances K[:, ci, cj], (q, |ci|, |cj|)."""
-        if self.slot is None:
-            return self.K_prev[:, ci[:, None], cj[None, :]]
-        return self.K_prev[:, self.slot[np.maximum.outer(ci, cj)],
-                           np.minimum.outer(ci, cj)]
+    def _index(self, ci, cj):
+        """Columns of K_prev holding K[:, ci, cj], shape (|ci|, |cj|)."""
+        return self.offsets[np.maximum.outer(ci, cj)] + np.minimum.outer(ci, cj)
 
     def finish(self, nodes):
+        (q, n), K = self.M.shape, self.K_prev
         for i in nodes:
-            self._finish_node(i)
-
-    def _finish_node(self, i):
-        ci = self.children[i]
-        if self.whole[i]:
-            # node over every child: no sub-block extraction needed
-            Ksub, ksub, Msub = self.K_prev, self.kvec, self.M_prev
-        else:
-            Ksub = self._block(ci, ci)
-            ksub = self.kvec[:, ci]
-            Msub = self.M_prev[:, ci]
-        a, _ = solve_weights(Ksub, ksub)
-        self.alphas[i] = a
-        self.M[:, i] = np.sum(a * Msub, axis=1)
-        self.K[:, i, i] = np.sum(a * ksub, axis=1)
-        for j in self.done:
-            r, c = max(i, j), min(i, j)
-            block = self._block(self.children[r], self.children[c])
-            e = np.sum(self.alphas[r] * (block @ self.alphas[c][:, :, None])[:, :, 0],
-                       axis=1)
-            self.K[:, r, c] = e
-            self.K[:, c, r] = e
-        self.done.append(i)
+            ci = self.children[i]
+            a = self.alphas[i] = np.empty((q, ci.size))
+            pairs = [(i, i)] + [(max(i, j), min(i, j)) for j in self.done]
+            index = [self._index(self.children[r], self.children[c]) for r, c in pairs]
+            step = max(1, QUERY_BLOCK_ENTRIES // max(idx.size for idx in index))
+            for lo in range(0, q, step):
+                b = slice(lo, lo + step)
+                ksub = self.kvec[b, ci]
+                a[b], _ = solve_weights(K[b, index[0]], ksub)
+                self.M[b, i] = np.sum(a[b] * self.M_prev[b, ci], axis=1)
+                self.K[b, i * n + i] = np.sum(a[b] * ksub, axis=1)
+                for (r, c), idx in zip(pairs[1:], index[1:]):
+                    e = K[b, idx] @ self.alphas[c][b, :, None]
+                    self.K[b, r * n + c] = np.sum(self.alphas[r][b] * e[:, :, 0], axis=1)
+            self.done.append(i)
 
 
 def _propagate(M, K, levels, kvec=None):
     """Aggregate materialised statistics over ``levels``.
 
-    Returns (root_mean, root_cov, alphas), where ``alphas`` holds each
-    layer's list of node weights.  ``kvec`` stands in for the diagonal of
-    ``K`` on the first of the levels.
+    ``K`` is a (q, n·n) buffer whose lower triangle is read.  Returns
+    (root_mean, root_cov, alphas), where ``alphas`` holds each layer's
+    list of node weights.  ``kvec`` stands in for the diagonal of ``K`` on
+    the first of the levels.
     """
     alphas = []
     for level in levels:
+        n = M.shape[1]
         if kvec is None:
-            kvec = np.einsum("qii->qi", K)
-        layer = _Layer(level, M, kvec, K)
+            kvec = K[:, ::n + 1]
+        layer = _Layer(level, M, kvec, K, np.arange(n) * n)
         layer.finish(range(len(level)))
         M, K, kvec = layer.M, layer.K, None
         alphas.append(layer.alphas)
-    return M[:, 0], K[:, 0, 0], alphas
+    return M[:, 0], K[:, 0], alphas
 
 
 def run_layers(M1, k1, K1, tree: AggregationTree):
     """Propagate materialised expert statistics up the tree.
 
     ``M1``/``k1`` have shape (q, p) and ``K1`` shape (q, p, p) for a batch
-    of q prediction points.  Returns (root_mean, root_cov), both (q,):
+    of q prediction points; only the lower triangle of ``K1``, diagonal
+    included, is read.  Returns (root_mean, root_cov), both (q,):
     the root aggregated value and its covariance with the latent process,
     from which the prediction error is k(x,x) - root_cov.  The result is
     bit-identical to :func:`stream_layers`, which never holds ``K1``.
@@ -229,7 +225,8 @@ def run_layers(M1, k1, K1, tree: AggregationTree):
         raise DimensionMismatch("layer-1 statistics have inconsistent shapes")
     if M.shape[-1] != tree.n_layer1:
         raise InvalidTree("tree width does not match the number of experts")
-    return _propagate(M, K, tree.levels, kvec=k)[:2]
+    return _propagate(M, K.reshape(M.shape[0], M.shape[1] ** 2), tree.levels,
+                      kvec=k)[:2]
 
 
 class Streamed(NamedTuple):
@@ -263,27 +260,28 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
     one n x q array is alive before the fill.
 
     The first aggregation layer consumes the rows of the expert
-    cross-covariance as they are filled, holding only the rows at or above
-    the smallest child index of any unfinished first-layer node: one
-    (q, c_2, p) band on the trees of height >= 3 that ``plan_tree`` builds,
-    all of (q, p, p) on a flat tree.  A node is finished as soon as its
-    last child's row is in (``tree.first_layer_schedule``).
+    cross-covariance's lower triangle as they are filled, holding only the
+    rows at or above the smallest child index of any unfinished first-layer
+    node: a (q, c_2·p) ring on the trees of height >= 3 that ``plan_tree``
+    builds, the (q, p(p+1)/2) packed triangle on a flat tree.  A node is
+    finished, in query blocks, as soon as its last child's row is in
+    (``tree.first_layer_schedule``).
     """
     if tree.n_layer1 != bank.p:
         raise InvalidTree(
             f"tree expects {tree.n_layer1} sub-models, bank holds {bank.p}")
-    finishing, window = tree.first_layer_schedule
-    # the (q, w, p) window before the pass: allocated after the n x q
-    # weights, it raises the peak RSS of a two-layer chunk
-    rows = np.empty((np.atleast_2d(Xq).shape[0], window, bank.p))
+    finishing, offsets = tree.first_layer_schedule
+    # the row buffer, its last slot a whole row, before the pass: allocated
+    # after the n x q weights, it raises the peak RSS of a two-layer chunk
+    rows = np.empty((np.atleast_2d(Xq).shape[0], offsets.max() + bank.p))
     M, k, AT = bank.expert_weights(Xq, deleted)
     kept = AT if keep_weights else None
     weights = [AT]
     del AT
-    layer = _Layer(tree.levels[0], M, k, rows, window)
+    layer = _Layer(tree.levels[0], M, k, rows, offsets)
     del rows
     row_done = {g: partial(layer.finish, nodes) for g, nodes in finishing}
-    bank.cross_cov_rows(weights, k, layer.K_prev, row_done)
+    bank.cross_cov_rows(weights, k, layer.K_prev, offsets, row_done)
     M2, K2, first = layer.M, layer.K, layer.alphas
     del layer, row_done
     mean, root_cov, upper = _propagate(M2, K2, tree.levels[1:])

@@ -274,16 +274,24 @@ def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
             row_done(g)
 
 
-def reference_fill(kernel, Xcat, starts, weights, out, diag, row_done=None):
-    """``reference_fill_expert_cross_cov`` behind the fill's interface."""
+def reference_fill(kernel, Xcat, starts, weights, out, offsets, diag,
+                   row_done=None):
+    """``reference_fill_expert_cross_cov`` behind the fill's interface.
+
+    It fills a whole (q, p, p) array and copies row g of its lower
+    triangle to ``out[:, offsets[g]:offsets[g] + g + 1]`` before that
+    row's callback.
+    """
     A = np.ascontiguousarray(weights.pop().T)
+    K = np.empty(diag.shape + diag.shape[-1:])
     row_done = row_done or {}
 
     def each_row(g):
+        out[:, offsets[g]:offsets[g] + g + 1] = K[:, g, :g + 1]
         if g in row_done:
             row_done[g]()
 
-    reference_fill_expert_cross_cov(kernel, Xcat, starts, A, out, diag, each_row)
+    reference_fill_expert_cross_cov(kernel, Xcat, starts, A, K, diag, each_row)
 
 
 def reference_group_factors(kernel, Xc, spans):

@@ -320,9 +320,10 @@ def test_c08_complexity_scaling_and_memory():
     assert peak < q * deep.p ** 2 * 8, f"peak {peak} bytes, p={deep.p}, q={q}"
 
     # a two-layer tree's root aggregates every expert, so a 512-query chunk
-    # holds all of (q, p, p); beside it at most two n x q arrays are alive
-    # at a time (the query-major weights, then those and the fill's product
-    # W), plus scratch of about c x n
+    # holds the lower triangle of (q, p, p), under the q p^2 of this bound;
+    # beside it at most two n x q arrays are alive at a time (the
+    # query-major weights, then those and the fill's product W), plus
+    # scratch of about c x n
     bank, flat, _ = setups[4000]
     n, p, q = bank.n, bank.p, 512
     Xq = rng.uniform(0, 1, (q, 1))
@@ -354,10 +355,10 @@ def test_c08_complexity_scaling_and_memory():
         assert nq_blocks() <= 1
         return cross_matrix_into(spec, Am, Bm, out)
 
-    def fill_spy(weights, kM, out, row_done=None):
+    def fill_spy(weights, kM, out, offsets, row_done=None):
         assert weights[0].nbytes == nq_bytes and nq_blocks() == 1
         refs["AT"] = weakref.ref(weights[0])
-        return cross_cov_rows(weights, kM, out, row_done)
+        return cross_cov_rows(weights, kM, out, offsets, row_done)
 
     def root_solve_spy(kmat, kvec):
         assert refs["AT"]() is None
@@ -373,7 +374,11 @@ def test_c08_complexity_scaling_and_memory():
             nested_predict_batch(bank, flat, Xq)
     finally:
         tracemalloc.stop()
-    assert solves == [(q, p, p)] and "AT" in refs
+    # the root solves its q queries in blocks of at most
+    # QUERY_BLOCK_ENTRIES covariances each
+    assert [shape[1:] for shape in solves] == [(p, p)] * len(solves)
+    assert sum(shape[0] for shape in solves) == q and "AT" in refs
+    assert max(shape[0] for shape in solves) * p * p <= tree_engine.QUERY_BLOCK_ENTRIES
 
 
 def _estimation_dataset(seed):

@@ -95,8 +95,9 @@ class TestLooPredict:
                               indices)
         bank = SubModelBank(kern, X, f, part)
         M, k, AT = bank.expert_weights(X[indices], indices)
-        K = np.empty((indices.size, bank.p, bank.p))
-        bank.cross_cov_rows([AT], k, K)
+        q, p = indices.size, bank.p
+        K = np.empty((q, p, p))
+        bank.cross_cov_rows([AT], k, K.reshape(q, p * p), np.arange(p) * p)
         m, root_cov = run_layers(M, k, K, plan.tree)
         v = np.maximum((kern.variance - root_cov) / kern.variance,
                        LOO_VARIANCE_FLOOR)

@@ -197,18 +197,21 @@ class TestFillReference:
         M, kM, AT = bank.expert_weights(Xq)
         A = np.ascontiguousarray(AT.T)
         q, p = M.shape
-        K = np.empty((q, p, p))
+        # the packed lower triangle: row g from column g(g+1)/2 on
+        g = np.arange(p)
+        packed = np.empty((q, p * (p + 1) // 2))
         rows = []
         weights = [AT]
         del AT
-        bank.cross_cov_rows(weights, kM, K, {g: lambda g=g: rows.append(g)
-                                             for g in range(0, p, 2)})
+        bank.cross_cov_rows(weights, kM, packed, g * (g + 1) // 2,
+                            {g: lambda g=g: rows.append(g)
+                             for g in range(0, p, 2)})
         assert weights == []
         assert rows == list(range(0, p, 2))
         K_ref = np.empty((q, p, p))
         reference_fill_expert_cross_cov(kern, bank._Xc, bank._starts, A,
                                         K_ref, kM)
-        assert np.array_equal(K, K_ref)
+        assert np.array_equal(packed, K_ref[:, *np.tril_indices(p)])
 
         sizes = np.bincount(part.labels, minlength=p)
         deletable = np.flatnonzero(sizes[part.labels] > 1)[:q]

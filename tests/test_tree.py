@@ -1,19 +1,25 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_instance, random_kernel, separated_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import nested_predict, submodel_predict
+from reference import (nested_predict, reference_fill_expert_cross_cov,
+                       submodel_predict)
 
 import nestedkrig as nk
 import nestedkrig.tree as tree_module
-from nestedkrig import cli, estimation
+from nestedkrig import cli, estimation, kernels
 from nestedkrig.aggregation import aggregate
+from nestedkrig.estimation import LOO_VARIANCE_FLOOR, loo_predict
 from nestedkrig.exceptions import InvalidHeight, InvalidTree
 from nestedkrig.gpcore import FullModel, SubModelBank
-from nestedkrig.tree import (PREDICT_CHUNK, AggregationTree, complexity_estimate,
-                             map_chunks, nested_predict_batch, plan_tree,
+from nestedkrig.linalg import solve_weights
+from nestedkrig.tree import (PREDICT_CHUNK, QUERY_BLOCK_ENTRIES, AggregationTree,
+                             complexity_estimate, map_chunks,
+                             nested_predict_batch, nested_variances, plan_tree,
                              run_layers, stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
@@ -254,25 +260,30 @@ class TestStreamedFirstLayer:
         assert_stream_matches_materialised(bank4, interleaved, Xq)
 
     def test_window_of_planned_tree_is_one_band(self):
-        # the first layer's rows reach the fill through a (q, w, p) window;
-        # on a planned height-3 tree w is the widest first-layer node
+        # the first layer's rows reach the fill through a flat buffer: on a
+        # planned height-3 tree a ring of w rows of p reals, w the widest
+        # first-layer node, and on a flat tree the packed lower triangle
         rng = np.random.default_rng(7)
         X = np.sort(rng.uniform(0, 1, 300)).reshape(-1, 1)
         plan = plan_tree(300, "equilibrated", height=3)
+        p = plan.p
         bank = SubModelBank(nk.KernelSpec("matern32", 1.0, (0.1,)), X,
                             np.sin(9.0 * X[:, 0]),
-                            nk.partition_consecutive(X, plan.p))
+                            nk.partition_consecutive(X, p))
         windows = []
         fill = bank.cross_cov_rows
 
-        def spy(weights, kM, out, row_done=None):
-            windows.append(out.shape)
-            return fill(weights, kM, out, row_done)
+        def spy(weights, kM, out, offsets, row_done=None):
+            windows.append((out.shape, offsets.tolist()))
+            return fill(weights, kM, out, offsets, row_done)
 
         bank.cross_cov_rows = spy
         stream_layers(bank, plan.tree, X[:5])
-        widest = max(len(node) for node in plan.tree.levels[0])
-        assert windows == [(5, widest, plan.p)]
+        stream_layers(bank, AggregationTree.flat(300, p), X[:5])
+        w = max(len(node) for node in plan.tree.levels[0])
+        g = np.arange(p)
+        assert windows == [((5, w * p), ((g % w) * p).tolist()),
+                           ((5, p * (p + 1) // 2), (g * (g + 1) // 2).tolist())]
 
     def test_callbacks_only_on_rows_where_nodes_finish(self):
         rng = np.random.default_rng(9)
@@ -285,9 +296,9 @@ class TestStreamedFirstLayer:
         rows = []
         fill = bank.cross_cov_rows
 
-        def spy(weights, kM, out, row_done=None):
+        def spy(weights, kM, out, offsets, row_done=None):
             rows.append(sorted(row_done))
-            return fill(weights, kM, out, row_done)
+            return fill(weights, kM, out, offsets, row_done)
 
         bank.cross_cov_rows = spy
         for tree in (plan.tree, flat, plan.tree):
@@ -295,6 +306,92 @@ class TestStreamedFirstLayer:
         last_children = sorted({max(node) for node in plan.tree.levels[0]})
         assert rows == [last_children, [plan.p - 1], last_children]
         assert plan.tree.first_layer_schedule is plan.tree.first_layer_schedule
+
+    def test_flat_chunk_holds_packed_triangle(self):
+        # a flat root reads every expert, so a chunk holds the packed lower
+        # triangle of K, q p(p+1)/2 reals, beside at most two n x q arrays
+        # (the query-major weights and the fill's product W) and the fill's
+        # c x n kernel block; the margin is M and k (2 p q), the fill's
+        # gathered weights (c q) and the kernel's tile scratch pair
+        rng = np.random.default_rng(4)
+        n, p, q = 2500, 50, 512
+        X = np.sort(rng.uniform(0, 1, n)).reshape(-1, 1)
+        bank = SubModelBank(nk.KernelSpec("matern52", 1.0, (0.05,)), X,
+                            np.sin(9.0 * X[:, 0]), nk.partition_consecutive(X, p))
+        flat = AggregationTree.flat(n, p)
+        Xq = rng.uniform(0, 1, (q, 1))
+        nested_predict_batch(bank, flat, Xq)
+        tracemalloc.start()
+        nested_predict_batch(bank, flat, Xq)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        c_max = max(len(g) for g in bank.groups)
+        margin = (2 * p * q + c_max * q + 2 * kernels.TILE_ENTRIES) * 8
+        bound = (2 * n * q + q * p * (p + 1) // 2 + c_max * n) * 8 + margin
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+@st.composite
+def wide_flat_cases(draw):
+    """A flat tree of 48 to 64 experts of 6 to 8 points on average, and queries.
+
+    The root of a full chunk, and of a leave-one-out pass over every
+    deletable point, spans at least three query blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 2))
+    p = draw(st.integers(48, 64))
+    n = draw(st.integers(6 * p, 8 * p))
+    labels = rng.permutation(np.concatenate(
+        [np.arange(p), rng.integers(0, p, n - p)]))
+    X = rng.uniform(0, 1, (n, d))
+    y = np.sin(4.0 * X.sum(axis=1))
+    Xq = rng.uniform(0, 1, (PREDICT_CHUNK + 88, d))
+    Xq[:64] = X[rng.integers(0, n, 64)]
+    return random_kernel(rng, d), X, y, nk.Partition(labels=labels, p=p), Xq
+
+
+class TestRootQueryBlocks:
+    @settings(max_examples=8, deadline=None)
+    @given(case=wide_flat_cases())
+    def test_blocked_root_equals_one_solve_on_full_k(self, case):
+        # the root solve in query blocks gives the bits of one solve_weights
+        # call and row sums on the whole symmetric K of the reference fill
+        kern, X, y, part, Xq = case
+        n, p = X.shape[0], part.p
+        tree = AggregationTree.flat(n, p)
+        bank = SubModelBank(kern, X, y, part)
+        step = max(1, QUERY_BLOCK_ENTRIES // p ** 2)
+
+        def direct(Xb, deleted=None):
+            M, k, AT = bank.expert_weights(Xb, deleted)
+            K = np.empty(k.shape + (p,))
+            reference_fill_expert_cross_cov(kern, bank._Xc, bank._starts,
+                                            np.ascontiguousarray(AT.T), K, k)
+            a, _ = solve_weights(K, k)
+            return np.sum(a * M, axis=1), np.sum(a * k, axis=1)
+
+        assert PREDICT_CHUNK > 2 * step
+        want = [direct(Xq[lo:lo + PREDICT_CHUNK])
+                for lo in range(0, Xq.shape[0], PREDICT_CHUNK)]
+        mean = np.concatenate([m for m, _ in want])
+        var = nested_variances(bank, np.concatenate([c for _, c in want]))
+        for threads in (1, 2):
+            got = map_chunks(lambda lo, hi: nested_predict_batch(bank, tree, Xq[lo:hi]),
+                             Xq.shape[0], threads)
+            assert np.array_equal(got[0], mean)
+            assert np.array_equal(got[1], var)
+
+        sizes = np.bincount(part.labels, minlength=p)
+        indices = np.flatnonzero(sizes[part.labels] > 1)[:PREDICT_CHUNK]
+        assert indices.size > 2 * step
+        records = loo_predict(nk.Dataset(X=X, y=y), part, tree, kern, indices)
+        m, root_cov = direct(X[indices], indices)
+        v = np.maximum((kern.variance - root_cov) / kern.variance,
+                       LOO_VARIANCE_FLOOR)
+        assert [r.index for r in records] == indices.tolist()
+        assert np.array_equal([r.m_loo for r in records], m)
+        assert np.array_equal([r.v_loo for r in records], v)
 
 
 class TestQueryLoop:
