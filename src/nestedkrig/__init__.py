@@ -11,9 +11,9 @@ from .aggregation import (AggregatedPrediction, AggregatedProcess, aggregate,
                           aggregated_posterior, diagnostics_vs_full)
 from .data import (CsvSchema, Dataset, Partition, load_csv, partition_consecutive,
                    partition_kmeans, partition_random)
-from .estimation import (LooRecord, SgdConfig, estimate_sigma2,
-                         grid_profile_loglik, loo_criterion, loo_predict,
-                         sgd_fit, sgd_fit_two_phase)
+from .estimation import (EstimationSettings, LooRecord, estimate,
+                         estimate_sigma2, grid_profile_loglik, loo_criterion,
+                         loo_predict, sgd_fit)
 from .gpcore import FullModel, SubModelBank, sample_conditional, sample_paths
 from .kernels import KernelSpec, cross_matrix
 from .linalg import SpdFactor, factor_spd, pseudo_solve, solve
@@ -25,13 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedPrediction", "AggregatedProcess", "AggregationTree",
-    "CsvSchema", "Dataset", "FullModel", "KernelSpec", "LooRecord",
-    "Partition", "SgdConfig", "SpdFactor", "SubModelBank", "aggregate",
+    "CsvSchema", "Dataset", "EstimationSettings", "FullModel", "KernelSpec",
+    "LooRecord", "Partition", "SpdFactor", "SubModelBank", "aggregate",
     "aggregated_posterior", "complexity_estimate", "criteria", "cross_matrix",
-    "diagnostics_vs_full", "estimate_sigma2", "factor_spd",
+    "diagnostics_vs_full", "estimate", "estimate_sigma2", "factor_spd",
     "grid_profile_loglik", "load_csv", "loo_criterion", "loo_predict",
     "nested_predict_batch", "partition_consecutive", "partition_kmeans",
     "partition_random", "pseudo_solve", "run_consistency_demo",
-    "sample_conditional", "sample_paths", "sgd_fit", "sgd_fit_two_phase",
+    "sample_conditional", "sample_paths", "sgd_fit",
     "solve", "plan_tree",
 ]

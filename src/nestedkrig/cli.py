@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -24,14 +23,11 @@ from .config import RunConfig, load_config
 from .data import (CsvSchema, format_number, load_csv, load_points_csv,
                    partition_consecutive, partition_kmeans, partition_random,
                    write_json, write_table)
-from .estimation import (SgdConfig, SgdSettings, estimate_sigma2,
-                         grid_profile_loglik, loo_predict, sgd_fit,
-                         sgd_fit_two_phase)
+from .estimation import estimate
 from .exceptions import (BundleError, CapExceeded, ConfigError, DimensionMismatch,
                          EmptyFile, InvalidGroupCount, InvalidHeight, InvalidTree,
                          NestedKrigError, OutputExists, ParseError)
 from .gpcore import FullModel, SubModelBank, sample_paths
-from .kernels import KernelSpec
 from .tree import AggregationTree, map_chunks, nested_predict_batch, plan_tree
 # read as cli.PREDICT_CHUNK by perfbench/run.py's cost model; unused here
 from .tree import PREDICT_CHUNK  # noqa: F401
@@ -97,34 +93,6 @@ def _schema(cfg: RunConfig) -> CsvSchema:
                      center_response=cfg.data.center_response)
 
 
-def _sgd_config(cfg: RunConfig, dataset, partition, theta0) -> SgdConfig:
-    est = cfg.estimation
-    if est.grid_start:
-        # coarse summed-log-likelihood search seeds the gradient descent
-        base = np.asarray(theta0, dtype=float)
-        candidates = [tuple(base * s) for s in (0.125, 0.25, 0.5, 1.0, 2.0,
-                                                4.0, 8.0)]
-        start = grid_profile_loglik(dataset, partition, cfg.kernel.family,
-                                    candidates)
-        theta0 = start.lengthscales
-    settings = {f.name: getattr(est, f.name) for f in fields(SgdSettings)}
-    return SgdConfig(theta0=theta0, **settings)
-
-
-def _estimate(cfg: RunConfig, dataset, part, tree, kernel: KernelSpec):
-    """Two-step estimation: length-scales by gradient descent, then the
-    process variance from leave-one-out predictions under ``kernel`` with
-    those length-scales.  Returns (that kernel, sigma2).  The descent starts
-    from the length-scales of ``kernel``."""
-    sgd_cfg = _sgd_config(cfg, dataset, part, kernel.lengthscales)
-    fit_fn = sgd_fit_two_phase if cfg.estimation.two_phase else sgd_fit
-    result = fit_fn(dataset, part, tree, sgd_cfg, family=kernel.family,
-                    log_fn=print)
-    kernel = kernel.with_lengthscales(result.theta)
-    records = loo_predict(dataset, part, tree, kernel)
-    return kernel, estimate_sigma2(records, dataset.y)
-
-
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     dataset = load_csv(args.train, _schema(cfg))
@@ -132,7 +100,8 @@ def cmd_fit(args) -> int:
     part, tree = _build_layout(cfg, dataset)
 
     if cfg.estimation.enabled:
-        kernel, sigma2 = _estimate(cfg, dataset, part, tree, kernel)
+        kernel, sigma2 = estimate(dataset, part, tree, kernel,
+                                  cfg.estimation, log_fn=print)
         kernel = kernel.with_variance(sigma2)
 
     save_bundle(args.out, kernel=kernel, X=dataset.X, y=dataset.y,
@@ -248,10 +217,10 @@ def cmd_consistency(args) -> int:
 def cmd_loo_estimate(args) -> int:
     cfg = load_config(args.config)
     dataset = load_csv(args.train, _schema(cfg))
-    unit = KernelSpec(cfg.kernel.family, 1.0, cfg.kernel.lengthscales)
-    kernel = unit.for_dim(dataset.d)
+    kernel = cfg.kernel.spec().with_variance(1.0).for_dim(dataset.d)
     part, tree = _build_layout(cfg, dataset)
-    kernel, sigma2 = _estimate(cfg, dataset, part, tree, kernel)
+    kernel, sigma2 = estimate(dataset, part, tree, kernel, cfg.estimation,
+                              log_fn=print)
     theta_txt = ",".join(format_number(t) for t in kernel.lengthscales)
     print(f"theta={theta_txt} sigma2={format_number(sigma2)}")
     if args.out:

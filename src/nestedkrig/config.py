@@ -11,7 +11,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 
 from .data import format_number
-from .estimation import SgdSettings
+from .estimation import EstimationSettings
 from .exceptions import ConfigError
 from .kernels import FAMILIES, KernelSpec
 
@@ -43,13 +43,6 @@ class TreeConfig:
 
 
 @dataclass
-class EstimationConfig(SgdSettings):
-    enabled: bool = False
-    two_phase: bool = False
-    grid_start: bool = True
-
-
-@dataclass
 class DataConfig:
     response: str = ""  # empty: last column
     center_response: bool = False
@@ -66,7 +59,7 @@ class RunConfig:
     kernel: KernelConfig = field(default_factory=KernelConfig)
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     tree: TreeConfig = field(default_factory=TreeConfig)
-    estimation: EstimationConfig = field(default_factory=EstimationConfig)
+    estimation: EstimationSettings = field(default_factory=EstimationSettings)
     data: DataConfig = field(default_factory=DataConfig)
     run: RunSettings = field(default_factory=RunSettings)
 

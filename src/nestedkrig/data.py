@@ -17,6 +17,8 @@ from .kernels import TILE_ENTRIES
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-8
+# a move gaining less than this share of |x - c|(|x| + |c|) is a tie
+KMEANS_TIE_RTOL = 1e-13
 
 
 @dataclass
@@ -256,8 +258,11 @@ def partition_kmeans(X, p: int, seed: int = 0) -> Partition:
 
     Deterministic given ``seed``; at most 100 iterations or until the
     largest centroid movement drops below 1e-8, with a RuntimeWarning when
-    the iterations run out first.  Empty clusters are repaired by stealing
-    the farthest point from the largest cluster.
+    the iterations run out first.  A point leaves its group only for a
+    centroid closer by more than ``KMEANS_TIE_RTOL``·|x - c|(|x| + |c|), c
+    its own, so exact ties and the rounded means of copies cannot cycle.
+    Empty clusters are repaired by stealing the farthest point from the
+    largest cluster.
 
     Seeding, Lloyd steps and the repair share one distance helper, which
     evaluates squared distances in row blocks of about ``TILE_ENTRIES``
@@ -288,9 +293,18 @@ def partition_kmeans(X, p: int, seed: int = 0) -> Partition:
 
     labels = np.empty(n, dtype=np.intp)
     bounds = np.zeros(p + 1, dtype=np.intp)
-    for _ in range(KMEANS_MAX_ITER):
+    norms = np.sqrt(np.sum(X * X, axis=1))
+    for step in range(KMEANS_MAX_ITER):
+        c_norms = np.sqrt(np.sum(centroids * centroids, axis=1))
         for lo, D in _sq_distances(X, centroids):
-            np.argmin(D, axis=1, out=labels[lo:lo + D.shape[0]])
+            seg = labels[lo:lo + D.shape[0]]
+            best = np.argmin(D, axis=1)
+            if step:
+                rows = np.arange(seg.shape[0])
+                own = D[rows, seg]
+                slack = np.sqrt(own) * (norms[lo:lo + rows.size] + c_norms[seg])
+                best = np.where(own - D[rows, best] <= KMEANS_TIE_RTOL * slack, seg, best)
+            seg[:] = best
         counts = np.bincount(labels, minlength=p)
         for empty in np.flatnonzero(counts == 0):
             donor = int(np.argmax(counts))

@@ -11,7 +11,7 @@ a central finite difference along a Rademacher direction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,14 +112,12 @@ def estimate_sigma2(records, y) -> float:
 
 
 @dataclass
-class SgdSettings:
-    """Settings of the stochastic gradient descent, as the config file holds them.
+class EstimationSettings:
+    """The ``[estimation]`` settings of :func:`estimate` and :func:`sgd_fit`.
 
     Step sizes follow a_i = a / (A + i + 1)**alpha and the perturbation
-    sizes delta_i = c / (i + 1)**gamma; gamma defaults to 0.101 and alpha
-    to 0.602 (0.2 is the gentler alternative for a first phase).  A
-    negative ``A`` stands for a tenth of the iteration count.  Good values
-    of a and c depend on the problem; the defaults suit unit-scale inputs.
+    sizes delta_i = c / (i + 1)**gamma.  Good values of a and c depend on
+    the problem; the defaults suit unit-scale inputs.
     """
 
     a: float = 0.1
@@ -130,6 +128,9 @@ class SgdSettings:
     q: int = 100
     n_iter: int = 500
     seed: int = 0
+    enabled: bool = False
+    two_phase: bool = False
+    grid_start: bool = True
 
     def check(self):
         """Raise ValueError naming the first setting out of range."""
@@ -141,88 +142,102 @@ class SgdSettings:
 
 
 @dataclass
-class SgdConfig(SgdSettings):
-    """SgdSettings plus the start ``theta0``; a negative ``A`` becomes n_iter / 10."""
-
-    theta0: tuple = (0.1,)
-
-    def __post_init__(self):
-        self.theta0 = tuple(float(t) for t in np.atleast_1d(self.theta0))
-        if any(t <= 0 for t in self.theta0):
-            raise ValueError("initial lengthscales must be positive")
-        self.check()
-        if self.A < 0:
-            self.A = self.n_iter / 10.0
-
-
-@dataclass
 class SgdResult:
     theta: np.ndarray
     history: list = field(default_factory=list)
 
 
-def sgd_fit(dataset, partition, tree: AggregationTree, cfg: SgdConfig,
-            family: str = "matern52", log_fn=None) -> SgdResult:
-    """Minimize the leave-one-out criterion over log length-scales.
+def sgd_fit(dataset, partition, tree: AggregationTree,
+            settings: EstimationSettings, theta0, family: str = "matern52",
+            log_fn=None) -> SgdResult:
+    """Minimize the leave-one-out criterion over log length-scales from ``theta0``.
 
-    Per iteration: draw a uniform subset of ``cfg.q`` indices without
+    Per iteration: draw a uniform subset of ``settings.q`` indices without
     replacement, a Rademacher direction h, and move the log length-scales
     against the central finite difference of the subset criterion along h.
     The subset, direction and hence the whole trajectory are reproducible
-    from ``cfg.seed``.  A non-finite criterion evaluation, or a step that
-    would leave a length-scale non-finite or zero, rejects the step and
+    from ``settings.seed``.  A non-finite criterion evaluation, or a step
+    that would leave a length-scale non-finite or zero, rejects the step and
     halves the step-size scale once.
+
+    With ``settings.two_phase``, ``n_iter // 2`` iterations at alpha = 0.2
+    seed the rest at ``settings.alpha`` with seed + 1, each phase from step
+    scale ``a`` and iteration 1.  A negative ``A`` is n_iter / 10 of the
+    whole descent, resolved here and never written back to ``settings``.
 
     ``log_fn`` receives one line per iteration.
     """
-    y = dataset.y
-    q = min(cfg.q, dataset.n)
-    log_theta = np.log(np.asarray(cfg.theta0, dtype=float))
-    if log_theta.shape[0] != dataset.d:
+    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
+    if np.any(theta <= 0):
+        raise ValueError("initial lengthscales must be positive")
+    settings.check()
+    if theta.shape[0] != dataset.d:
         raise DimensionMismatch("theta0 length must match the input dimension")
+    q = min(settings.q, dataset.n)
+    A = settings.A if settings.A >= 0 else settings.n_iter / 10.0
+    if settings.two_phase:
+        half = settings.n_iter // 2
+        phases = [(0.2, half, settings.seed),
+                  (settings.alpha, settings.n_iter - half, settings.seed + 1)]
+    else:
+        phases = [(settings.alpha, settings.n_iter, settings.seed)]
 
     def criterion(log_t, subset):
         spec = KernelSpec(family, 1.0, tuple(np.exp(log_t)))
         records = loo_predict(dataset, partition, tree, spec, subset)
-        return loo_criterion(records, y) if records else np.nan
+        return loo_criterion(records, dataset.y) if records else np.nan
 
-    a_scale = cfg.a
     history = []
-    for it in range(1, cfg.n_iter + 1):
-        rng = np.random.default_rng([cfg.seed, it])
-        subset = rng.choice(dataset.n, size=q, replace=False)
-        h = rng.integers(0, 2, size=log_theta.shape[0]) * 2.0 - 1.0
-        delta = cfg.c / (it + 1) ** cfg.gamma
-        a_i = a_scale / (cfg.A + it + 1) ** cfg.alpha
-        c_plus = criterion(log_theta + delta * h, subset)
-        c_minus = criterion(log_theta - delta * h, subset)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = (c_plus - c_minus) / (2.0 * delta)
-            step = log_theta - a_i * grad * h
-            theta = np.exp(step)
-        valid = np.all(np.isfinite(theta) & (theta > 0.0))
-        if not (np.isfinite(c_plus) and np.isfinite(c_minus) and valid):
-            a_scale *= 0.5
-            estimate = np.nan
-        else:
-            log_theta = step
-            estimate = 0.5 * (c_plus + c_minus)
-        history.append((it, estimate, tuple(np.exp(log_theta))))
-        if log_fn is not None:
-            theta_txt = " ".join(f"{t:.6g}" for t in np.exp(log_theta))
-            log_fn(f"iter={it} criterion={estimate:.6g} theta={theta_txt}")
-    return SgdResult(theta=np.exp(log_theta), history=history)
+    for alpha, n_iter, seed in phases:
+        log_theta = np.log(theta)
+        a_scale = settings.a
+        for it in range(1, n_iter + 1):
+            rng = np.random.default_rng([seed, it])
+            subset = rng.choice(dataset.n, size=q, replace=False)
+            h = rng.integers(0, 2, size=log_theta.shape[0]) * 2.0 - 1.0
+            delta = settings.c / (it + 1) ** settings.gamma
+            a_i = a_scale / (A + it + 1) ** alpha
+            c_plus = criterion(log_theta + delta * h, subset)
+            c_minus = criterion(log_theta - delta * h, subset)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = (c_plus - c_minus) / (2.0 * delta)
+                step = log_theta - a_i * grad * h
+                trial = np.exp(step)
+            valid = np.all(np.isfinite(trial) & (trial > 0.0))
+            if not (np.isfinite(c_plus) and np.isfinite(c_minus) and valid):
+                a_scale *= 0.5
+                value = np.nan
+            else:
+                log_theta = step
+                value = 0.5 * (c_plus + c_minus)
+            history.append((it, value, tuple(np.exp(log_theta))))
+            if log_fn is not None:
+                theta_txt = " ".join(f"{t:.6g}" for t in np.exp(log_theta))
+                log_fn(f"iter={it} criterion={value:.6g} theta={theta_txt}")
+        theta = np.exp(log_theta)
+    return SgdResult(theta=theta, history=history)
 
 
-def sgd_fit_two_phase(dataset, partition, tree: AggregationTree, cfg: SgdConfig,
-                      family: str = "matern52", log_fn=None) -> SgdResult:
-    """Gentle first descent (alpha=0.2) whose end point seeds a second (alpha=0.602)."""
-    first = replace(cfg, alpha=0.2, n_iter=cfg.n_iter // 2)
-    res1 = sgd_fit(dataset, partition, tree, first, family, log_fn)
-    second = replace(cfg, theta0=tuple(res1.theta), alpha=0.602,
-                     n_iter=cfg.n_iter - first.n_iter, seed=cfg.seed + 1)
-    res2 = sgd_fit(dataset, partition, tree, second, family, log_fn)
-    return SgdResult(theta=res2.theta, history=res1.history + res2.history)
+def estimate(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
+             settings: EstimationSettings, log_fn=None):
+    """Length-scales by :func:`sgd_fit`, then sigma2 by :func:`estimate_sigma2`.
+
+    The descent starts from the length-scales of ``kernel``, or with
+    ``settings.grid_start`` from the best of them times 1/8 ... 8 by
+    :func:`grid_profile_loglik`; sigma2 comes from a leave-one-out pass over
+    all n points.  Returns (``kernel`` with the fitted length-scales, sigma2).
+    """
+    theta0 = kernel.lengthscales
+    if settings.grid_start:
+        base = np.asarray(theta0, dtype=float)
+        candidates = [tuple(base * 2.0 ** e) for e in range(-3, 4)]
+        theta0 = grid_profile_loglik(dataset, partition, kernel.family,
+                                     candidates).lengthscales
+    result = sgd_fit(dataset, partition, tree, settings, theta0, kernel.family,
+                     log_fn)
+    kernel = kernel.with_lengthscales(result.theta)
+    records = loo_predict(dataset, partition, tree, kernel)
+    return kernel, estimate_sigma2(records, dataset.y)
 
 
 def grid_profile_loglik(dataset, partition, family: str, theta_grid) -> KernelSpec:

@@ -36,6 +36,11 @@ PREDICT_CHUNK = 512
 QUERY_BLOCK_ENTRIES = 2 ** 18
 
 
+def _packed_offsets(n):
+    """Where row r of a packed lower triangle of width n starts: r(r+1)/2."""
+    return np.arange(n) * np.arange(1, n + 1) // 2
+
+
 def map_chunks(evaluate, q, threads=1):
     """The one query loop: ``evaluate(lo, hi)`` on the ``PREDICT_CHUNK`` slices
     of range(q), each array of the tuples it returns concatenated in order.
@@ -130,8 +135,8 @@ class AggregationTree:
         for g in sorted(finishing, reverse=True):
             lowest = min(lowest, *(min(level[i]) for i in finishing[g]))
             window = max(window, g - lowest + 1)
-        p, rows = self.n_layer1, np.arange(self.n_layer1)
-        offsets = (rows % window) * p if 2 * window <= p else rows * (rows + 1) // 2
+        p = self.n_layer1
+        offsets = (np.arange(p) % window) * p if 2 * window <= p else _packed_offsets(p)
         return tuple((g, tuple(finishing[g])) for g in sorted(finishing)), offsets
 
 
@@ -141,13 +146,15 @@ class _Layer:
     ``M`` and ``kvec`` are the (q, n_prev) means and process covariances of
     the previous layer; column ``offsets[r] + c`` of the (q, size) buffer
     ``K`` holds their cross-covariance K[:, r, c] for r >= c (the rule of
-    ``gpcore.fill_expert_cross_cov``), and the layer writes its own lower
-    triangle to a (q, n·n) buffer with offsets r·n.  ``finish(nodes)``
-    computes, for each node i of ``nodes`` in turn, its weights, mean and
-    covariance, and its cross terms with every node finished before it,
-    in which the node with the larger index gives the rows.  It runs in
-    query blocks of at most ``QUERY_BLOCK_ENTRIES`` gathered covariances;
-    neither the blocks nor the finishing order changes any bit.
+    ``gpcore.fill_expert_cross_cov``).  The layer writes its own lower
+    triangle by the same rule, packed: row r at ``_packed_offsets(n)[r]`` of
+    a (q, n(n+1)/2) buffer.  ``finish(nodes)`` computes, for each node i of
+    ``nodes`` in turn, its weights, mean and covariance, and its cross terms
+    with every node finished before it, in which the node with the larger
+    index gives the rows.  It runs in query blocks of at most
+    ``QUERY_BLOCK_ENTRIES`` gathered covariances; neither the blocks nor the
+    finishing order changes any bit.  Once every node is finished the layer
+    lets go of its inputs and holds only its own statistics.
     """
 
     def __init__(self, level, M, kvec, K, offsets):
@@ -155,7 +162,8 @@ class _Layer:
         self.M_prev, self.kvec, self.K_prev, self.offsets = M, kvec, K, offsets
         q, n = M.shape[0], len(level)
         self.M = np.empty((q, n))
-        self.K = np.empty((q, n * n))
+        self.own_offsets = _packed_offsets(n)
+        self.K = np.empty((q, n * (n + 1) // 2))
         self.alphas = [None] * n
         self.done = []
 
@@ -164,7 +172,7 @@ class _Layer:
         return self.offsets[np.maximum.outer(ci, cj)] + np.minimum.outer(ci, cj)
 
     def finish(self, nodes):
-        (q, n), K = self.M.shape, self.K_prev
+        q, K, at = self.M.shape[0], self.K_prev, self.own_offsets
         for i in nodes:
             ci = self.children[i]
             a = self.alphas[i] = np.empty((q, ci.size))
@@ -176,31 +184,27 @@ class _Layer:
                 ksub = self.kvec[b, ci]
                 a[b], _ = solve_weights(K[b, index[0]], ksub)
                 self.M[b, i] = np.sum(a[b] * self.M_prev[b, ci], axis=1)
-                self.K[b, i * n + i] = np.sum(a[b] * ksub, axis=1)
+                self.K[b, at[i] + i] = np.sum(a[b] * ksub, axis=1)
                 for (r, c), idx in zip(pairs[1:], index[1:]):
                     e = K[b, idx] @ self.alphas[c][b, :, None]
-                    self.K[b, r * n + c] = np.sum(self.alphas[r][b] * e[:, :, 0], axis=1)
+                    self.K[b, at[r] + c] = np.sum(self.alphas[r][b] * e[:, :, 0], axis=1)
             self.done.append(i)
+        if len(self.done) == len(self.children):
+            del self.M_prev, self.kvec, self.K_prev
 
 
-def _propagate(M, K, levels, kvec=None):
-    """Aggregate materialised statistics over ``levels``.
-
-    ``K`` is a (q, n·n) buffer whose lower triangle is read.  Returns
-    (root_mean, root_cov, alphas), where ``alphas`` holds each layer's
-    list of node weights.  ``kvec`` stands in for the diagonal of ``K`` on
-    the first of the levels.
-    """
-    alphas = []
+def _propagate(layer, levels):
+    """Aggregate the finished ``layer`` over ``levels``, each upper layer
+    reading the packed statistics below, their diagonal gathered as ``kvec``.
+    Returns (root_mean, root_cov, alphas), every layer's node weights."""
+    alphas = [layer.alphas]
     for level in levels:
-        n = M.shape[1]
-        if kvec is None:
-            kvec = K[:, ::n + 1]
-        layer = _Layer(level, M, kvec, K, np.arange(n) * n)
+        at = layer.own_offsets
+        layer = _Layer(level, layer.M, layer.K[:, at + np.arange(at.size)],
+                       layer.K, at)
         layer.finish(range(len(level)))
-        M, K, kvec = layer.M, layer.K, None
         alphas.append(layer.alphas)
-    return M[:, 0], K[:, 0], alphas
+    return layer.M[:, 0], layer.K[:, 0], alphas
 
 
 def run_layers(M1, k1, K1, tree: AggregationTree):
@@ -210,8 +214,9 @@ def run_layers(M1, k1, K1, tree: AggregationTree):
     of q prediction points; only the lower triangle of ``K1``, diagonal
     included, is read.  Returns (root_mean, root_cov), both (q,):
     the root aggregated value and its covariance with the latent process,
-    from which the prediction error is k(x,x) - root_cov.  The result is
-    bit-identical to :func:`stream_layers`, which never holds ``K1``.
+    from which the prediction error is k(x,x) - root_cov.  The first layer
+    reads ``K1`` in place (row g at g·p) and gives the bits of
+    :func:`stream_layers`, which never holds ``K1``.
 
     Layer-1 experts may have Cov(M_i, Y) different from Var(M_i) (noisy or
     non-Kriging covariates): the distinct ``k1`` vector is honored at the
@@ -225,8 +230,10 @@ def run_layers(M1, k1, K1, tree: AggregationTree):
         raise DimensionMismatch("layer-1 statistics have inconsistent shapes")
     if M.shape[-1] != tree.n_layer1:
         raise InvalidTree("tree width does not match the number of experts")
-    return _propagate(M, K.reshape(M.shape[0], M.shape[1] ** 2), tree.levels,
-                      kvec=k)[:2]
+    (q, p), level = M.shape, tree.levels[0]
+    layer = _Layer(level, M, k, K.reshape(q, p * p), np.arange(p) * p)
+    layer.finish(range(len(level)))
+    return _propagate(layer, tree.levels[1:])[:2]
 
 
 class Streamed(NamedTuple):
@@ -265,7 +272,8 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
     node: a (q, c_2·p) ring on the trees of height >= 3 that ``plan_tree``
     builds, the (q, p(p+1)/2) packed triangle on a flat tree.  A node is
     finished, in query blocks, as soon as its last child's row is in
-    (``tree.first_layer_schedule``).
+    (``tree.first_layer_schedule``); the last one frees the rows before the
+    upper layers, each a packed triangle, run (:func:`_propagate`).
     """
     if tree.n_layer1 != bank.p:
         raise InvalidTree(
@@ -282,10 +290,9 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
     del rows
     row_done = {g: partial(layer.finish, nodes) for g, nodes in finishing}
     bank.cross_cov_rows(weights, k, layer.K_prev, offsets, row_done)
-    M2, K2, first = layer.M, layer.K, layer.alphas
-    del layer, row_done
-    mean, root_cov, upper = _propagate(M2, K2, tree.levels[1:])
-    return Streamed(mean, root_cov, [first] + upper, M, k, kept)
+    del row_done
+    mean, root_cov, alphas = _propagate(layer, tree.levels[1:])
+    return Streamed(mean, root_cov, alphas, M, k, kept)
 
 
 def nested_predict_batch(bank: SubModelBank, tree: AggregationTree, Xq):

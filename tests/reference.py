@@ -294,6 +294,33 @@ def reference_fill(kernel, Xcat, starts, weights, out, offsets, diag,
     reference_fill_expert_cross_cov(kernel, Xcat, starts, A, K, diag, each_row)
 
 
+def reference_layers(M1, k1, K1, tree):
+    """The tree's layers on dense statistics: (root_mean, root_cov).
+
+    Every layer holds plain (q, n) means and covariances with the process
+    and a (q, n, n) cross-covariance, and solves each node's weights with
+    one ``solve_weights`` over all queries.  As in the package, ``k1``
+    stands for the diagonal of ``K1`` on the first layer, and in a cross
+    term the node with the larger index gives the rows.
+    """
+    M, k, K = M1, k1, K1
+    for level in tree.levels:
+        nodes = [list(node) for node in level]
+        alphas = [solve_weights(K[:, c][:, :, c], k[:, c])[0] for c in nodes]
+        n = len(nodes)
+        M_next = np.empty((M.shape[0], n))
+        K_next = np.empty((M.shape[0], n, n))
+        for r, (a, c) in enumerate(zip(alphas, nodes)):
+            M_next[:, r] = np.sum(a * M[:, c], axis=1)
+            K_next[:, r, r] = np.sum(a * k[:, c], axis=1)
+            for j in range(r):
+                e = K[:, c][:, :, nodes[j]] @ alphas[j][:, :, None]
+                K_next[:, r, j] = K_next[:, j, r] = np.sum(a * e[:, :, 0], axis=1)
+        M, K = M_next, K_next
+        k = np.diagonal(K, axis1=1, axis2=2)
+    return M[:, 0], K[:, 0, 0]
+
+
 def reference_group_factors(kernel, Xc, spans):
     """The per-group bank build: one kernel matrix, factorization and solve each.
 
@@ -318,13 +345,16 @@ class ReferenceBank(SubModelBank):
             kernel, self._Xc, self.spans)
 
 
-def reference_kmeans(X, p, seed=0):
+def reference_kmeans(X, p, seed=0, keep_ties=True):
     """The direct k-means: (labels, number of empty-cluster repairs).
 
     Every Lloyd step forms the (n, p, d) difference array and sums its
     squares over the last axis, and every centroid is the mean of a boolean
-    mask over all n points.  ``partition_kmeans`` must return these labels
-    bit for bit.
+    mask over all n points.  A point keeps its label unless another
+    centroid is closer by more than ``data.KMEANS_TIE_RTOL``·|x - c|(|x| +
+    |c|); ``keep_ties=False`` gives the plain argmin step instead.
+    ``partition_kmeans`` must return the labels of ``keep_ties=True`` bit
+    for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -341,9 +371,17 @@ def reference_kmeans(X, p, seed=0):
         d2 = np.minimum(d2, np.sum((X - centroids[k]) ** 2, axis=1))
 
     repairs = 0
-    for _ in range(data.KMEANS_MAX_ITER):
+    norms = np.sqrt(np.sum(X * X, axis=1))
+    for step in range(data.KMEANS_MAX_ITER):
         dist = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(dist, axis=1)
+        best = np.argmin(dist, axis=1)
+        if step and keep_ties:
+            own = dist[np.arange(n), labels]
+            c_norms = np.sqrt(np.sum(centroids * centroids, axis=1))
+            slack = np.sqrt(own) * (norms + c_norms[labels])
+            best = np.where(own - dist[np.arange(n), best]
+                            <= data.KMEANS_TIE_RTOL * slack, labels, best)
+        labels = best
         counts = np.bincount(labels, minlength=p)
         for empty in np.flatnonzero(counts == 0):
             donor = int(np.argmax(counts))

@@ -23,7 +23,7 @@ from nestedkrig import kernels, metrics
 from nestedkrig import tree as tree_engine
 from nestedkrig.aggregation import AggregatedProcess, aggregate, diagnostics_vs_full
 from nestedkrig.cli import main
-from nestedkrig.estimation import (SgdConfig, estimate_sigma2,
+from nestedkrig.estimation import (EstimationSettings, estimate_sigma2,
                                    grid_profile_loglik, loo_predict, sgd_fit)
 from nestedkrig.gpcore import FullModel, SubModelBank
 from nestedkrig.kernels import KernelSpec
@@ -399,9 +399,10 @@ def test_c09_lengthscale_recovery_and_variance_estimate():
     for seed in range(10):
         ds, part, tree = _estimation_dataset(seed)
         start = grid_profile_loglik(ds, part, "matern52", coarse)
-        cfg = SgdConfig(theta0=start.lengthscales, a=300.0, c=0.3, alpha=0.2,
-                        q=50, n_iter=300, seed=seed)
-        res = sgd_fit(ds, part, tree, cfg, family="matern52")
+        cfg = EstimationSettings(a=300.0, c=0.3, alpha=0.2, q=50, n_iter=300,
+                                 seed=seed)
+        res = sgd_fit(ds, part, tree, cfg, start.lengthscales,
+                      family="matern52")
         if 0.025 <= float(res.theta[0]) <= 0.1:
             hits += 1
         # variance estimator judged under the correct correlation model

@@ -197,6 +197,22 @@ seed = 9
         assert "estimation.two_phase=True" in load_bundle(
             str(tmp / "two_a.json"))["config"]
 
+    def test_fit_echoes_the_configured_step_offset(self, ex1_files):
+        # the descent resolves A = -1 to n_iter / 10 for itself; the bundle
+        # echoes the configuration as it was read
+        tmp, train, config = ex1_files
+        config.write_text(config.read_text() + """
+[estimation]
+enabled = true
+A = -1
+n_iter = 3
+q = 4
+""")
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(tmp / "model.json")]) == 0
+        echo = load_bundle(str(tmp / "model.json"))["config"]
+        assert "estimation.A=-1.0" in echo and "estimation.n_iter=3" in echo
+
 
 class TestErrors:
     def test_missing_train_is_io_error(self, tmp_path):

@@ -274,8 +274,13 @@ class TestKmeans:
     def test_grid_designs_equal_reference(self):
         # the property above reaches d = 1 grid designs too rarely to catch a
         # centroid sum in another order, such as np.bincount(weights=), which
-        # adds a group's coordinates one by one where mean() adds pairwise
+        # adds a group's coordinates one by one where mean() adds pairwise.
+        # Grid points sit at exactly equal distances from two centroids, and
+        # d = 1 grids have more groups than distinct points; as a point moves
+        # only for a centroid closer by more than the rounding, every run
+        # stops at a Lloyd fixed point before KMEANS_MAX_ITER, unwarned
         rng = np.random.default_rng(11)
+        moved = 0
         for d in (1, 2, 9):
             for _ in range(40):
                 n = int(rng.integers(50, 150))
@@ -283,14 +288,29 @@ class TestKmeans:
                 seed = int(rng.integers(1000))
                 X = rng.integers(0, 4, (n, d)) * 0.1
                 labels, _ = reference_kmeans(X, p, seed)
-                np.testing.assert_array_equal(
-                    partition_kmeans(X, p, seed).labels, labels)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = partition_kmeans(X, p, seed).labels
+                np.testing.assert_array_equal(got, labels)
+                means = np.array([X[got == k].mean(axis=0) for k in range(p)])
+                dist = np.sum((X[:, None, :] - means[None]) ** 2, axis=2)
+                own = dist[np.arange(n), got]
+                slack = np.sqrt(own) * (np.linalg.norm(X, axis=1)
+                                        + np.linalg.norm(means, axis=1)[got])
+                assert np.all(own - dist.min(axis=1) <= data.KMEANS_TIE_RTOL * slack)
+                moved += not np.array_equal(
+                    got, reference_kmeans(X, p, seed, keep_ties=False)[0])
+        # the plain argmin step would have given other labels
+        assert moved > 0
 
     @pytest.mark.parametrize("rng_seed, n, d, p",
                              [(1, 6000, 2, 78), (2, 2500, 3, 179)])
     def test_benchmark_designs_equal_reference(self, rng_seed, n, d, p):
         X = np.random.default_rng(rng_seed).uniform(0.0, 1.0, (n, d))
         labels, _ = reference_kmeans(X, p, seed=0)
+        # no ties: the labels of the plain argmin step
+        np.testing.assert_array_equal(
+            labels, reference_kmeans(X, p, seed=0, keep_ties=False)[0])
         with warnings.catch_warnings():
             # both designs converge, so k-means must not warn
             warnings.simplefilter("error")

@@ -9,10 +9,10 @@ from reference import nested_predict
 
 import nestedkrig as nk
 from nestedkrig import gpcore, kernels
-from nestedkrig.estimation import (LOO_VARIANCE_FLOOR, LooRecord, SgdConfig,
-                                   estimate_sigma2, grid_profile_loglik,
-                                   loo_criterion, loo_predict, sgd_fit,
-                                   sgd_fit_two_phase)
+from nestedkrig.estimation import (LOO_VARIANCE_FLOOR, EstimationSettings,
+                                   LooRecord, estimate, estimate_sigma2,
+                                   grid_profile_loglik, loo_criterion,
+                                   loo_predict, sgd_fit)
 from nestedkrig.exceptions import NotFactorizable
 from nestedkrig.gpcore import SubModelBank
 from nestedkrig.linalg import factor_spd_stack
@@ -274,8 +274,8 @@ def test_loo_memory_is_chunked():
 class TestSgd:
     def test_zero_iterations_returns_start(self):
         ds = ex1_dataset()
-        cfg = SgdConfig(theta0=(0.17,), q=5, n_iter=0, seed=0)
-        res = sgd_fit(ds, EX1_PART, EX1_TREE, cfg,
+        cfg = EstimationSettings(q=5, n_iter=0, seed=0)
+        res = sgd_fit(ds, EX1_PART, EX1_TREE, cfg, (0.17,),
                       family="squared-exponential")
         np.testing.assert_allclose(res.theta, [0.17])
 
@@ -287,9 +287,9 @@ class TestSgd:
         ds = nk.Dataset(X=X, y=f)
         part = nk.partition_consecutive(X, 8)
         tree = AggregationTree.flat(40, 8)
-        cfg = SgdConfig(theta0=(0.2,), a=5.0, alpha=0.2, q=20, n_iter=25, seed=77)
-        a = sgd_fit(ds, part, tree, cfg, family="matern32")
-        b = sgd_fit(ds, part, tree, cfg, family="matern32")
+        cfg = EstimationSettings(a=5.0, alpha=0.2, q=20, n_iter=25, seed=77)
+        a = sgd_fit(ds, part, tree, cfg, (0.2,), family="matern32")
+        b = sgd_fit(ds, part, tree, cfg, (0.2,), family="matern32")
         np.testing.assert_array_equal(a.theta, b.theta)
         assert a.history == b.history
 
@@ -307,8 +307,8 @@ class TestSgd:
             spec = nk.KernelSpec("matern52", 1.0, (theta,))
             return loo_criterion(loo_predict(ds, part, tree, spec), f)
 
-        cfg = SgdConfig(theta0=(0.3,), a=30.0, alpha=0.2, q=n, n_iter=60, seed=1)
-        res = sgd_fit(ds, part, tree, cfg, family="matern52")
+        cfg = EstimationSettings(a=30.0, alpha=0.2, q=n, n_iter=60, seed=1)
+        res = sgd_fit(ds, part, tree, cfg, (0.3,), family="matern52")
         assert full_crit(float(res.theta[0])) <= full_crit(0.3)
 
     def test_overflowing_step_rejected(self):
@@ -316,45 +316,56 @@ class TestSgd:
         ds = nk.Dataset(X=X, y=np.sin(7 * X[:, 0]))
         part = nk.partition_consecutive(X, 4)
         tree = AggregationTree.flat(40, 4)
-        cfg = SgdConfig(a=1e8, c=0.3, alpha=0.2, q=20, n_iter=5, seed=0)
-        res = sgd_fit(ds, part, tree, cfg, family="matern52")
+        cfg = EstimationSettings(a=1e8, c=0.3, alpha=0.2, q=20, n_iter=5, seed=0)
+        res = sgd_fit(ds, part, tree, cfg, (0.1,), family="matern52")
         assert np.all(np.isfinite(res.theta)) and np.all(res.theta > 0.0)
         assert any(np.isnan(crit) for _, crit, _ in res.history)
 
     def test_two_phase_runs(self):
         ds = ex1_dataset()
-        cfg = SgdConfig(theta0=(0.2,), q=5, n_iter=6, seed=0)
-        res = sgd_fit_two_phase(ds, EX1_PART, EX1_TREE, cfg,
-                                family="squared-exponential")
+        cfg = EstimationSettings(q=5, n_iter=6, seed=0, two_phase=True)
+        res = sgd_fit(ds, EX1_PART, EX1_TREE, cfg, (0.2,),
+                      family="squared-exponential")
         assert len(res.history) == 6
         assert res.theta[0] > 0.0
 
-    def test_two_phase_is_two_explicit_descents(self):
+    @staticmethod
+    def assert_two_explicit_descents(alpha):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (40, 1))
         f = nk.sample_paths(nk.KernelSpec("matern32", 1.0, (0.1,)), X, 1, 3)[0]
         ds = nk.Dataset(X=X, y=f)
         part = nk.partition_consecutive(X, 8)
         tree = AggregationTree.flat(40, 8)
-        cfg = SgdConfig(theta0=(0.2,), a=5.0, q=20, n_iter=9, seed=77)
-        res = sgd_fit_two_phase(ds, part, tree, cfg, family="matern32")
-        # both phases step with the A of the whole descent, n_iter / 10
-        first = SgdConfig(theta0=(0.2,), a=5.0, A=0.9, alpha=0.2, q=20,
-                          n_iter=4, seed=77)
-        res1 = sgd_fit(ds, part, tree, first, family="matern32")
-        second = SgdConfig(theta0=tuple(res1.theta), a=5.0, A=0.9,
-                           alpha=0.602, q=20, n_iter=5, seed=78)
-        res2 = sgd_fit(ds, part, tree, second, family="matern32")
+        cfg = EstimationSettings(a=5.0, alpha=alpha, q=20, n_iter=9, seed=77,
+                                 two_phase=True)
+        res = sgd_fit(ds, part, tree, cfg, (0.2,), family="matern32")
+        # both phases step with the A of the whole descent, n_iter / 10,
+        # which is never written back to the settings
+        assert cfg.A == -1.0
+        first = EstimationSettings(a=5.0, A=0.9, alpha=0.2, q=20, n_iter=4,
+                                   seed=77)
+        res1 = sgd_fit(ds, part, tree, first, (0.2,), family="matern32")
+        second = EstimationSettings(a=5.0, A=0.9, alpha=alpha, q=20, n_iter=5,
+                                    seed=78)
+        res2 = sgd_fit(ds, part, tree, second, tuple(res1.theta),
+                       family="matern32")
         assert not any(np.isnan(crit) for _, crit, _ in res.history)
         np.testing.assert_array_equal(res.theta, res2.theta)
         assert res.history == res1.history + res2.history
 
+    def test_two_phase_is_two_explicit_descents(self):
+        self.assert_two_explicit_descents(0.602)
+
+    def test_two_phase_second_descent_reads_alpha(self):
+        self.assert_two_explicit_descents(0.5)
+
     def test_progress_lines_logged(self):
         ds = ex1_dataset()
         lines = []
-        cfg = SgdConfig(theta0=(0.2,), q=5, n_iter=3, seed=0)
-        sgd_fit(ds, EX1_PART, EX1_TREE, cfg, family="squared-exponential",
-                log_fn=lines.append)
+        cfg = EstimationSettings(q=5, n_iter=3, seed=0)
+        sgd_fit(ds, EX1_PART, EX1_TREE, cfg, (0.2,),
+                family="squared-exponential", log_fn=lines.append)
         assert len(lines) == 3
         assert all("criterion=" in line and "theta=" in line for line in lines)
 
@@ -413,3 +424,26 @@ def test_grid_profile_loglik_propagates_other_errors(monkeypatch):
     monkeypatch.setattr(gpcore, "factor_spd_stack", broken_factor_spd_stack)
     with pytest.raises(RuntimeError, match="bug inside a candidate"):
         grid_profile_loglik(ds, part, "matern52", GRID)
+
+
+@pytest.mark.parametrize("variance, grid_start", [(1.7, True), (1.0, True),
+                                                  (1.0, False)])
+def test_estimate_is_grid_descent_and_loo_variance(variance, grid_start):
+    # fit passes the configured kernel, loo-estimate a unit-variance one
+    ds, part = grid_case()
+    tree = AggregationTree.flat(ds.n, part.p)
+    kernel = nk.KernelSpec("matern52", variance, (0.1,))
+    settings = EstimationSettings(a=30.0, c=0.3, alpha=0.2, q=20, n_iter=4,
+                                  seed=3, grid_start=grid_start)
+    lines = []
+    got, sigma2 = estimate(ds, part, tree, kernel, settings, lines.append)
+    start = (0.1,)
+    if grid_start:
+        start = grid_profile_loglik(
+            ds, part, "matern52",
+            [(0.1 * s,) for s in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        ).lengthscales
+    res = sgd_fit(ds, part, tree, settings, start, "matern52")
+    want = kernel.with_lengthscales(res.theta)
+    assert got == want and len(lines) == settings.n_iter
+    assert sigma2 == estimate_sigma2(loo_predict(ds, part, tree, want), ds.y)

@@ -7,7 +7,7 @@ from conftest import random_instance, random_kernel, separated_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (nested_predict, reference_fill_expert_cross_cov,
-                       submodel_predict)
+                       reference_layers, submodel_predict)
 
 import nestedkrig as nk
 import nestedkrig.tree as tree_module
@@ -328,6 +328,58 @@ class TestStreamedFirstLayer:
         c_max = max(len(g) for g in bank.groups)
         margin = (2 * p * q + c_max * q + 2 * kernels.TILE_ENTRIES) * 8
         bound = (2 * n * q + q * p * (p + 1) // 2 + c_max * n) * 8 + margin
+        assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+def assert_layers_equal_dense(bank, tree, Xq):
+    """run_layers and stream_layers give the dense reference's bits."""
+    M, k, K = bank.layer1(Xq)
+    mean, root_cov = reference_layers(M, k, K, tree)
+    for got in (run_layers(M, k, K, tree), stream_layers(bank, tree, Xq)[:2]):
+        assert np.array_equal(got[0], mean) and np.array_equal(got[1], root_cov)
+
+
+class TestUpperLayers:
+    @pytest.mark.parametrize("mode, height", [("equilibrated", 3),
+                                              ("equilibrated", 4),
+                                              ("optimal", 3), ("optimal", 4)])
+    def test_planned_trees_equal_dense_layers(self, mode, height):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, (700, 2))
+        f = np.sin(6.0 * X[:, 0]) + np.cos(4.0 * X[:, 1])
+        plan = plan_tree(700, mode, height)
+        bank = SubModelBank(nk.KernelSpec("matern52", 1.7, (0.3, 0.2)), X, f,
+                            nk.partition_kmeans(X, plan.p, seed=3))
+        assert_layers_equal_dense(bank, plan.tree, rng.uniform(0, 1, (40, 2)))
+
+    def test_overlapping_out_of_order_children_equal_dense_layers(self):
+        rng = np.random.default_rng(13)
+        kern, X, f, _ = random_instance(rng, d=1, n=12)
+        bank = SubModelBank(kern, X, f, nk.partition_consecutive(X, 5))
+        # overlapping child sets on layers 2 and 3, given out of order
+        tree = AggregationTree(n_leaves=12, n_layer1=5, levels=(
+            ((3, 0), (1, 2, 4), (4, 3)), ((2, 0), (1, 2)), ((1, 0),)))
+        assert_layers_equal_dense(bank, tree, np.vstack(
+            [X, rng.uniform(0, 1, (20, 1))]))
+
+    def test_upper_layer_holds_packed_triangle(self):
+        # a layer of n nodes writes its cross-covariances packed, q n(n+1)/2
+        # reals; the margin holds the root's gathered query block and the
+        # work arrays of its weight solve, four blocks of QUERY_BLOCK_ENTRIES
+        q, p, n = 64, 400, 200
+        z = np.sort(np.random.default_rng(3).uniform(0, 1, p))
+        C = np.exp(-np.abs(z[:, None] - z[None, :]) / 0.1)
+        K1 = np.ascontiguousarray(np.broadcast_to(C, (q, p, p)))
+        k1 = np.tile(0.9 * np.diag(C), (q, 1))
+        M1 = np.random.default_rng(4).standard_normal((q, p))
+        tree = AggregationTree(n_leaves=p, n_layer1=p, levels=(
+            tuple((2 * i, 2 * i + 1) for i in range(n)), (tuple(range(n)),)))
+        run_layers(M1, k1, K1, tree)
+        tracemalloc.start()
+        run_layers(M1, k1, K1, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        bound = (q * n * (n + 1) // 2 + 4 * QUERY_BLOCK_ENTRIES) * 8
         assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
