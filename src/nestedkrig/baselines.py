@@ -5,8 +5,8 @@ variance V_i) into one mean and variance.  For Gaussian experts every
 density product reduces to precision weighting, which is what is
 implemented here, so every rule is a few array operations over a (q, p)
 batch.  These rules ignore expert cross-covariances; they read only the
-expert means and variances (``SubModelBank.moments``, one tiled layer-1
-pass that holds no n x q array) and serve as
+expert means and variances (``SubModelBank.layer1`` without weights, one
+tiled pass that holds no n x q array) and serve as
 comparison points for the covariance-aware aggregation.
 """
 
@@ -26,7 +26,7 @@ EXPERT_VARIANCE_FLOOR = 1e-15
 
 
 def expert_variances(prior_var: float, k):
-    """Expert variances prior_var - k from ``SubModelBank.moments``' k, floored."""
+    """Expert variances prior_var - k from ``SubModelBank.layer1``'s k, floored."""
     return np.maximum(prior_var - k, EXPERT_VARIANCE_FLOOR)
 
 

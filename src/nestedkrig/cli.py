@@ -139,7 +139,7 @@ def _predict_arrays(bundle, method, Xq, threads, full_cap):
                 return nested_predict_batch(bank, tree, chunk)
         else:
             def evaluate(chunk):
-                M, k = bank.moments(chunk)
+                M, k, _ = bank.layer1(chunk, with_weights=False)
                 return baselines.evaluate(
                     method, M, baselines.expert_variances(kernel.variance, k),
                     kernel.variance)

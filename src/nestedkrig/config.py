@@ -13,10 +13,11 @@ from dataclasses import dataclass, field, fields
 from .data import format_number
 from .estimation import EstimationSettings
 from .exceptions import ConfigError
-from .kernels import FAMILIES, KernelSpec
+from .kernels import KernelSpec
+from .tree import PLAN_MODES
 
 PARTITION_MODES = ("kmeans", "random", "consecutive")
-TREE_MODES = ("flat", "two_layer_sqrt", "equilibrated", "optimal")
+TREE_MODES = ("flat",) + PLAN_MODES
 
 
 @dataclass
@@ -127,10 +128,10 @@ def load_config(path=None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.kernel.family not in FAMILIES:
-        raise ConfigError(f"kernel.family must be one of {FAMILIES}")
-    if cfg.kernel.variance <= 0 or any(t <= 0 for t in cfg.kernel.lengthscales):
-        raise ConfigError("kernel.variance and lengthscales must be positive")
+    try:
+        cfg.kernel.spec()
+    except ValueError as exc:
+        raise ConfigError(f"kernel: {exc}") from None
     if cfg.partition.mode not in PARTITION_MODES:
         raise ConfigError(f"partition.mode must be one of {PARTITION_MODES}")
     if cfg.tree.mode not in TREE_MODES:

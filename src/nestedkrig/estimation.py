@@ -10,6 +10,7 @@ a central finite difference along a Rademacher direction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,7 +45,7 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     """Exact leave-one-out nested predictions at the requested indices.
 
     Deleting a point from its group has closed-form Kriging weights
-    (:meth:`SubModelBank.expert_weights` with ``deleted``); every other
+    (:meth:`SubModelBank.layer1` with ``deleted``); every other
     expert, the group layout and the tree are left untouched.  Indices
     whose group would become empty are skipped with a warning.  The
     indices go through :func:`tree.map_chunks`, the package's one query
@@ -135,8 +136,10 @@ class EstimationSettings:
     def check(self):
         """Raise ValueError naming the first setting out of range."""
         for name in ("a", "c", "gamma", "alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not math.isfinite(self.A):
+            raise ValueError("A must be finite")
         if self.q < 1 or self.n_iter < 0:
             raise ValueError("q must be >= 1 and n_iter >= 0")
 

@@ -4,14 +4,12 @@ The full model is the O(n^3) oracle every aggregation method is judged
 against.  The sub-model bank holds one inverse Cholesky factor per group
 and is the only place that turns a design into expert statistics: Kriging
 weight columns at any batch of points, and from them the expert means and
-expert/process covariances, alone or with all expert cross-covariances.
+expert/process covariances and, row by row, the expert cross-covariances.
 It solves no aggregation weights: the tree engine does, and the bank
 turns them back into one weight per design point.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,23 +21,6 @@ from .linalg import (SpdFactor, factor_spd, factor_spd_stack, solve,
 
 # variance ratio below which a direction counts as deterministic when sampling
 DEGENERATE_VAR_RTOL = 1e-12
-
-
-class Layer1(NamedTuple):
-    """Expert statistics at a batch of query points, fully materialised.
-
-    M : (q, p) expert means
-    k : (q, p) covariances Cov(M_i(x), Y(x))
-    K : (q, p, p) cross-covariances Cov(M_i(x), M_j(x))
-
-    This is the input of ``tree.run_layers`` only; the nested predictor
-    never builds it (``tree.stream_layers`` consumes the rows of K as they
-    are filled).
-    """
-
-    M: np.ndarray
-    k: np.ndarray
-    K: np.ndarray
 
 
 def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
@@ -129,10 +110,6 @@ class FullModel:
         C = kernels.cross_matrix(self.kernel, self.X, Xq)
         return Xq, C, solve_lower(self.factor.lower, C)
 
-    def _cond_cov(self, Xq, V):
-        cov = kernels.cross_matrix(self.kernel, Xq, Xq) - V.T @ V
-        return 0.5 * (cov + cov.T)
-
     def predict(self, Xq):
         """Posterior means and variances at query points, (q,) and (q,).
 
@@ -142,15 +119,11 @@ class FullModel:
         variances = np.maximum(self.kernel.variance - np.sum(V * V, axis=0), 0.0)
         return C.T @ self.alpha, variances
 
-    def cond_cov(self, Xq):
-        """Posterior covariance matrix at query points, (q, q)."""
-        Xq, _, V = self._condition(Xq)
-        return self._cond_cov(Xq, V)
-
     def posterior(self, Xq):
         """Posterior means and covariance matrix, (q,) and (q, q)."""
         Xq, C, V = self._condition(Xq)
-        return C.T @ self.alpha, self._cond_cov(Xq, V)
+        cov = kernels.cross_matrix(self.kernel, Xq, Xq) - V.T @ V
+        return C.T @ self.alpha, 0.5 * (cov + cov.T)
 
 
 class SubModelBank:
@@ -165,16 +138,15 @@ class SubModelBank:
     data are contiguous slices: group g owns rows ``spans[g]``, and design
     point i sits on group-major row ``major_row[i]``.
     The bank is the only code that knows this layout or factors a group
-    covariance: ``moments``, ``expert_weights`` (also at design points left
-    out of their group), ``cross_cov_rows`` and ``layer1`` build the expert
-    statistics and weights, ``design_weights`` turns expert weights (solved
-    by the tree engine) into one weight per design point in the original
-    order, and ``likelihood_terms`` sums the per-group Gaussian
-    log-likelihood terms.  ``moments`` and ``expert_weights`` share one
-    layer-1 pass that streams the design in runs of groups of about one
-    kernel tile: no n x q covariance and no group-major weight array is
-    ever formed, and only ``expert_weights`` holds one n x q array, the
-    query-major weights.
+    covariance: ``layer1`` (also at design points left out of their group)
+    and ``cross_cov_rows`` build the expert statistics and weights,
+    ``design_weights`` turns expert weights (solved by the tree engine)
+    into one weight per design point in the original order, and
+    ``likelihood_terms`` sums the per-group Gaussian log-likelihood terms.
+    ``layer1`` streams the design in runs of groups of about one kernel
+    tile: no n x q covariance and no group-major weight array is ever
+    formed, and only the query-major weights, when asked for, take one
+    n x q array.
 
     The factors are built one group-size class at a time: the groups of
     size c are gathered into a (G, c, d) stack, their covariances evaluated
@@ -228,22 +200,18 @@ class SubModelBank:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def moments(self, Xq):
-        """Expert means M = a_g' y_g and covariances k = a_g' C_g, both (q, p).
+    def layer1(self, Xq, deleted=None, with_weights=True):
+        """The one layer-1 pass at a batch of query points: (M, k, AT).
 
-        k(x) is also Var M_g(x), so k(x, x) - k is each expert's prediction
-        variance.  Holds one kernel tile and O(p q) reals, never an n x q
-        array; :meth:`expert_weights` also returns the weights.
-        """
-        return self._layer1_pass(Xq, False, None)[:2]
-
-    def expert_weights(self, Xq, deleted=None):
-        """``moments`` and the query-major Kriging weights: (M, k, AT).
-
-        ``AT`` is a C-contiguous (q, n) array whose row t holds every
-        group's weights a_g(x_t) = K_g^-1 C_g = R_g' (R_g C_g), its columns
-        in group-major design order: the layout that ``cross_cov_rows``
-        takes over and ``design_weights`` reads.
+        M = a_g' y_g are the (q, p) expert means and k = a_g' C_g their
+        (q, p) covariances with the process; k(x) is also Var M_g(x), so
+        k(x, x) - k is each expert's prediction variance.  ``AT``, None
+        unless ``with_weights``, is a C-contiguous (q, n) array whose row t
+        holds every group's weights a_g(x_t) = K_g^-1 C_g = R_g' (R_g C_g),
+        its columns in group-major design order: the layout that
+        ``cross_cov_rows`` takes over and ``design_weights`` reads.  Without
+        the weights the pass holds one kernel tile and O(p q) reals, never
+        an n x q array.
 
         ``deleted``, if given, holds one design index per query point, and
         the query is that design point left out of its group: the group's
@@ -251,11 +219,6 @@ class SubModelBank:
         With Q = K_g^-1 = R_g' R_g (jittered where the factor needed
         jitter), the rest of the group weighs in with -Q[:, j] / Q[j, j],
         so no group is refactored.
-        """
-        return self._layer1_pass(Xq, True, deleted)
-
-    def _layer1_pass(self, Xq, with_weights, deleted):
-        """The one layer-1 pass: (M, k, AT), with AT None unless ``with_weights``.
 
         Walks runs of consecutive groups whose rows fit one kernel tile of
         ``kernels.TILE_ENTRIES`` entries (a larger group forms a run alone)
@@ -319,7 +282,7 @@ class SubModelBank:
     def design_weights(self, AT, alpha):
         """(n, q) design weights sum_g alpha[:, g] a_g, rows in the design's order.
 
-        ``AT`` is the (q, n) query-major weight array of ``expert_weights``
+        ``AT`` is the (q, n) query-major weight array of ``layer1``
         and ``alpha`` holds (q, p) expert weights; the combined predictor at
         query t is column t times y.
         """
@@ -336,32 +299,13 @@ class SubModelBank:
         """Expert cross-covariances from query-major weights, row by row.
 
         ``weights`` is a one-element list holding the (q, n) transpose of
-        the weight columns A (from ``expert_weights``), which the fill takes
+        the weight columns A (from ``layer1``), which the fill takes
         over; ``kM`` is the (q, p) diagonal from the same pass; ``out``,
         ``offsets`` and ``row_done`` are as in :func:`fill_expert_cross_cov`,
         which a ring of offsets turns into a streamed fill.
         """
         fill_expert_cross_cov(self.kernel, self._Xc, self._starts, weights,
                               out, offsets, kM, row_done)
-
-    def layer1(self, Xq) -> Layer1:
-        """Materialised expert statistics at a batch of query points.
-
-        ``expert_weights`` gives M, k and the weights; K_gh = a_g' k(X_g,
-        X_h) a_h, with the diagonal K_gg equal to k for Kriging weights.  K
-        is filled one block row at a time, its upper triangle mirrored from
-        the lower one, so the peak footprint stays at one n x q array plus
-        the (q, p, p) output; ``tree.stream_layers`` avoids that output.
-        """
-        M, kM, AT = self.expert_weights(Xq)
-        q, p = M.shape
-        K = np.empty((q, p, p))
-        weights = [AT]
-        del AT
-        self.cross_cov_rows(weights, kM, K.reshape(q, p * p), np.arange(p) * p)
-        i, j = np.triu_indices(p, 1)
-        K[:, i, j] = K[:, j, i]
-        return Layer1(M=M, k=kM, K=K)
 
 
 def sample_gaussian(mean, cov, count: int, seed, var_scale: float = 0.0) -> np.ndarray:

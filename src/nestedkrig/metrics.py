@@ -221,7 +221,7 @@ def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
             else:
                 # the rules are linear in the expert means, so applied to
                 # unit means (row g: expert g alone) they give the weights
-                _, k, AT = bank.expert_weights(x0[None])
+                _, k, AT = bank.layer1(x0[None])
                 V = baselines.expert_variances(kernel.variance, k[0])
                 alpha = baselines.evaluate(method, np.eye(bank.p), V,
                                            kernel.variance)[0][None]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidHeight, InvalidTree
+from .exceptions import InvalidHeight, InvalidTree
 from .gpcore import SubModelBank
 from .linalg import solve_weights
 
@@ -146,7 +146,11 @@ class _Layer:
     ``M`` and ``kvec`` are the (q, n_prev) means and process covariances of
     the previous layer; column ``offsets[r] + c`` of the (q, size) buffer
     ``K`` holds their cross-covariance K[:, r, c] for r >= c (the rule of
-    ``gpcore.fill_expert_cross_cov``).  The layer writes its own lower
+    ``gpcore.fill_expert_cross_cov``), of which only that lower triangle,
+    diagonal included, is read.  ``kvec`` need not be the diagonal of K:
+    on the first layer it is the experts' own Cov(M_i, Y), which differs
+    from Var(M_i) for noisy or non-Kriging experts and is honoured as
+    given.  The layer writes its own lower
     triangle by the same rule, packed: row r at ``_packed_offsets(n)[r]`` of
     a (q, n(n+1)/2) buffer.  ``finish(nodes)`` computes, for each node i of
     ``nodes`` in turn, its weights, mean and covariance, and its cross terms
@@ -193,10 +197,16 @@ class _Layer:
             del self.M_prev, self.kvec, self.K_prev
 
 
-def _propagate(layer, levels):
-    """Aggregate the finished ``layer`` over ``levels``, each upper layer
-    reading the packed statistics below, their diagonal gathered as ``kvec``.
-    Returns (root_mean, root_cov, alphas), every layer's node weights."""
+def run_layers(layer, levels):
+    """Aggregate the finished first ``layer`` over the upper ``levels``.
+
+    Each upper layer reads the packed statistics of the one below, with
+    the diagonal of its cross-covariance standing for the process
+    covariances: above the first aggregation the two provably coincide.
+    Returns (root_mean, root_cov, alphas): the (q,) root values, their
+    covariances with the process, from which the prediction error is
+    k(x, x) - root_cov, and every layer's node weights.
+    """
     alphas = [layer.alphas]
     for level in levels:
         at = layer.own_offsets
@@ -205,35 +215,6 @@ def _propagate(layer, levels):
         layer.finish(range(len(level)))
         alphas.append(layer.alphas)
     return layer.M[:, 0], layer.K[:, 0], alphas
-
-
-def run_layers(M1, k1, K1, tree: AggregationTree):
-    """Propagate materialised expert statistics up the tree.
-
-    ``M1``/``k1`` have shape (q, p) and ``K1`` shape (q, p, p) for a batch
-    of q prediction points; only the lower triangle of ``K1``, diagonal
-    included, is read.  Returns (root_mean, root_cov), both (q,):
-    the root aggregated value and its covariance with the latent process,
-    from which the prediction error is k(x,x) - root_cov.  The first layer
-    reads ``K1`` in place (row g at g·p) and gives the bits of
-    :func:`stream_layers`, which never holds ``K1``.
-
-    Layer-1 experts may have Cov(M_i, Y) different from Var(M_i) (noisy or
-    non-Kriging covariates): the distinct ``k1`` vector is honored at the
-    first aggregation and the diagonal of the propagated covariance is used
-    above, where the two provably coincide.
-    """
-    M = np.asarray(M1, dtype=float)
-    k = np.asarray(k1, dtype=float)
-    K = np.asarray(K1, dtype=float)
-    if M.shape != k.shape or K.shape != M.shape + (M.shape[-1],):
-        raise DimensionMismatch("layer-1 statistics have inconsistent shapes")
-    if M.shape[-1] != tree.n_layer1:
-        raise InvalidTree("tree width does not match the number of experts")
-    (q, p), level = M.shape, tree.levels[0]
-    layer = _Layer(level, M, k, K.reshape(q, p * p), np.arange(p) * p)
-    layer.finish(range(len(level)))
-    return _propagate(layer, tree.levels[1:])[:2]
 
 
 class Streamed(NamedTuple):
@@ -259,7 +240,7 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
                   keep_weights=False) -> Streamed:
     """The nested predictor at one batch of points, from one layer-1 pass.
 
-    ``bank.expert_weights(Xq, deleted)`` gives the expert means and
+    ``bank.layer1(Xq, deleted)`` gives the expert means and
     covariances and the query-major (q, n) weights, without any n x q
     covariance or group-major weight array.  The weights go to
     ``bank.cross_cov_rows``, which takes them over and frees them before
@@ -273,7 +254,7 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
     builds, the (q, p(p+1)/2) packed triangle on a flat tree.  A node is
     finished, in query blocks, as soon as its last child's row is in
     (``tree.first_layer_schedule``); the last one frees the rows before the
-    upper layers, each a packed triangle, run (:func:`_propagate`).
+    upper layers, each a packed triangle, run (:func:`run_layers`).
     """
     if tree.n_layer1 != bank.p:
         raise InvalidTree(
@@ -282,7 +263,7 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
     # the row buffer, its last slot a whole row, before the pass: allocated
     # after the n x q weights, it raises the peak RSS of a two-layer chunk
     rows = np.empty((np.atleast_2d(Xq).shape[0], offsets.max() + bank.p))
-    M, k, AT = bank.expert_weights(Xq, deleted)
+    M, k, AT = bank.layer1(Xq, deleted)
     kept = AT if keep_weights else None
     weights = [AT]
     del AT
@@ -291,7 +272,7 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
     row_done = {g: partial(layer.finish, nodes) for g, nodes in finishing}
     bank.cross_cov_rows(weights, k, layer.K_prev, offsets, row_done)
     del row_done
-    mean, root_cov, alphas = _propagate(layer, tree.levels[1:])
+    mean, root_cov, alphas = run_layers(layer, tree.levels[1:])
     return Streamed(mean, root_cov, alphas, M, k, kept)
 
 

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 from nestedkrig import data, kernels, linalg, metrics
 from nestedkrig.gpcore import SubModelBank
 from nestedkrig.linalg import factor_spd, solve, solve_weights
-from nestedkrig.tree import nested_predict_batch
+from nestedkrig.tree import _Layer, nested_predict_batch, run_layers
 
 
 def kernel_eval(spec, x, y):
@@ -26,8 +26,8 @@ def kernel_eval(spec, x, y):
 
 def submodel_predict(bank, x):
     """Expert statistics at a single point: (M, kM, KM) of shapes (p,), (p,), (p, p)."""
-    L1 = bank.layer1(np.atleast_2d(np.asarray(x, dtype=float)))
-    return L1.M[0], L1.k[0], L1.K[0]
+    M, k, K = materialised_layer1(bank, np.atleast_2d(np.asarray(x, dtype=float)))
+    return M[0], k[0], K[0]
 
 
 def nested_predict(bank, tree, x):
@@ -132,9 +132,9 @@ def reference_prior_cov(bank, Za, Zb):
     and one kernel block k(X_g, X_h) per group pair.
     """
     def stats(Z):
-        A = bank.expert_weights(Z)[2].T
-        L1 = bank.layer1(Z)
-        alpha, _ = solve_weights(L1.K, L1.k)
+        A = bank.layer1(Z)[2].T
+        _, k, K = materialised_layer1(bank, Z)
+        alpha, _ = solve_weights(K, k)
         V = [A[lo:hi] * alpha[:, g] for g, (lo, hi) in enumerate(bank.spans)]
         return V, [kernels.cross_matrix(bank.kernel, bank._Xc[lo:hi], Z)
                    for lo, hi in bank.spans]
@@ -165,9 +165,9 @@ def flat_design_weights(bank, Z):
     bank's design weights: the path the modified prior took before the tree
     engine supplied its weights.
     """
-    AT = bank.expert_weights(Z)[2]
-    L1 = bank.layer1(Z)
-    alpha, _ = solve_weights(L1.K, L1.k)
+    AT = bank.layer1(Z)[2]
+    _, k, K = materialised_layer1(bank, Z)
+    alpha, _ = solve_weights(K, k)
     return bank.design_weights(AT, alpha)
 
 
@@ -292,6 +292,38 @@ def reference_fill(kernel, Xcat, starts, weights, out, offsets, diag,
             row_done[g]()
 
     reference_fill_expert_cross_cov(kernel, Xcat, starts, A, K, diag, each_row)
+
+
+def materialised_layer1(bank, Xq, deleted=None):
+    """Expert statistics at a batch of points, fully materialised: (M, k, K).
+
+    M and k are the (q, p) means and covariances of ``bank.layer1`` and K
+    the (q, p, p) expert cross-covariances: the fill writes row g of the
+    lower triangle in place, at g·p of a (q, p·p) view, and the upper
+    triangle is mirrored from it.  The package never holds K.
+    """
+    M, k, AT = bank.layer1(Xq, deleted)
+    q, p = M.shape
+    K = np.empty((q, p, p))
+    weights = [AT]
+    del AT
+    bank.cross_cov_rows(weights, k, K.reshape(q, p * p), np.arange(p) * p)
+    i, j = np.triu_indices(p, 1)
+    K[:, i, j] = K[:, j, i]
+    return M, k, K
+
+
+def materialised_layers(M1, k1, K1, tree):
+    """``tree.run_layers`` above a dense first layer: (root_mean, root_cov).
+
+    The first layer reads the lower triangle of the (q, p, p) ``K1`` in
+    place, row g at g·p, and honours a ``k1`` that differs from its
+    diagonal; the streamed first layer must give its bits.
+    """
+    q, p = M1.shape
+    layer = _Layer(tree.levels[0], M1, k1, K1.reshape(q, p * p), np.arange(p) * p)
+    layer.finish(range(len(tree.levels[0])))
+    return run_layers(layer, tree.levels[1:])[:2]
 
 
 def reference_layers(M1, k1, K1, tree):

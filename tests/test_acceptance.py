@@ -15,8 +15,8 @@ from unittest import mock
 
 import numpy as np
 from conftest import random_kernel, separated_points
-from reference import (nested_predict, process_cov, run_benchmark_51,
-                       submodel_predict)
+from reference import (materialised_layer1, nested_predict, process_cov,
+                       run_benchmark_51, submodel_predict)
 
 import nestedkrig as nk
 from nestedkrig import kernels, metrics
@@ -158,9 +158,9 @@ def test_c04_variance_sandwich():
         Xq = rng.uniform(0, 1, (50, X.shape[1]))
         _, v_full = full.predict(Xq)
         _, v_agg = nested_predict_batch(bank, tree, Xq)
-        L1 = bank.layer1(Xq)
-        expert_mse = (kern.variance - 2.0 * L1.k
-                      + np.einsum("qii->qi", L1.K)).min(axis=1)
+        _, k, K = materialised_layer1(bank, Xq)
+        expert_mse = (kern.variance - 2.0 * k
+                      + np.einsum("qii->qi", K)).min(axis=1)
         gap = v_agg - v_full
         assert np.all(gap >= -1e-8)
         assert np.all(gap <= expert_mse - v_full + 1e-8)

@@ -237,8 +237,8 @@ class TestProcessView:
         n = X.shape[0]
         with mock.patch.object(kernels, "cross_matrix",
                                wraps=kernels.cross_matrix) as kernel_calls, \
-                mock.patch.object(bank, "expert_weights",
-                                  wraps=bank.expert_weights) as weight_calls:
+                mock.patch.object(bank, "layer1",
+                                  wraps=bank.layer1) as weight_calls:
             aggregated_posterior(bank, Xq)
         square = [c for c in kernel_calls.call_args_list
                   if len(c.args[1]) == n and len(c.args[2]) == n]

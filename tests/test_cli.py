@@ -89,7 +89,7 @@ class TestFitPredict:
         kern = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
         bank = nk.SubModelBank(kern, EX1_X, EX1_F,
                                nk.partition_consecutive(EX1_X, 2))
-        M, k = bank.moments(xs.reshape(-1, 1))
+        M, k, _ = bank.layer1(xs.reshape(-1, 1), with_weights=False)
         V = np.maximum(kern.variance - k, metrics.EXPERT_VARIANCE_FLOOR)
         for method in baselines.METHODS:
             out = tmp / f"{method}.csv"
@@ -242,6 +242,7 @@ class TestErrors:
         "a = 1\n[kernel]\n",
         "[kernel]\nvariance = 1\nvariance = 2\n",
         "[kernel]\nvariance = 5%\n",
+        "[kernel]\nvariance = nan\n",
         "[estimation]\na = -5\n",
         "[partition]\np = 4\n",
         "[tree]\nheight = 4\n",

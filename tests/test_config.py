@@ -66,7 +66,13 @@ def test_values_parse_by_field_type(tmp_path):
     "[kernel]\nvariance = 1\nvariance = 2\n",
     "[tree]\n[tree]\n",
     "[echo]\n",
+    "[kernel]\nfamily = gaussian\n",
+    "[kernel]\nvariance = nan\n",
+    "[kernel]\nlengthscales = 0.1, nan\n",
     "[estimation]\na = -5\n",
+    "[estimation]\na = nan\n",
+    "[estimation]\nc = inf\n",
+    "[estimation]\nA = nan\n",
     "[estimation]\nq = 0\n",
     "[estimation]\nn_iter = -1\n",
     "[run]\nthreads = -3\n",

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_instance
-from reference import nested_predict
+from reference import materialised_layer1, materialised_layers, nested_predict
 
 import nestedkrig as nk
 from nestedkrig import gpcore, kernels
@@ -17,7 +17,7 @@ from nestedkrig.exceptions import NotFactorizable
 from nestedkrig.gpcore import SubModelBank
 from nestedkrig.linalg import factor_spd_stack
 from nestedkrig.tree import (PREDICT_CHUNK, AggregationTree, plan_tree,
-                             run_layers, stream_layers)
+                             stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -81,7 +81,7 @@ class TestLooPredict:
             assert rec.v_loo == pytest.approx(v / kern.variance, abs=1e-9)
 
     def test_height_three_tree_matches_materialised_engine(self):
-        # the streamed first layer gives the bits of run_layers on the
+        # the streamed first layer gives the bits of the layers on the
         # materialised leave-one-out statistics
         rng = np.random.default_rng(12)
         X = rng.uniform(0, 1, (400, 2))
@@ -94,11 +94,8 @@ class TestLooPredict:
         records = loo_predict(nk.Dataset(X=X, y=f), part, plan.tree, kern,
                               indices)
         bank = SubModelBank(kern, X, f, part)
-        M, k, AT = bank.expert_weights(X[indices], indices)
-        q, p = indices.size, bank.p
-        K = np.empty((q, p, p))
-        bank.cross_cov_rows([AT], k, K.reshape(q, p * p), np.arange(p) * p)
-        m, root_cov = run_layers(M, k, K, plan.tree)
+        m, root_cov = materialised_layers(
+            *materialised_layer1(bank, X[indices], indices), plan.tree)
         v = np.maximum((kern.variance - root_cov) / kern.variance,
                        LOO_VARIANCE_FLOOR)
         assert [r.index for r in records] == indices.tolist()

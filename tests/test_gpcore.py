@@ -7,10 +7,11 @@ import scipy.linalg as sla
 from conftest import random_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (ReferenceBank, dense_expert_stats, reference_fill,
-                       reference_fill_expert_cross_cov, reference_group_factors,
-                       reference_group_weights, reference_loo_weights,
-                       reference_moments, submodel_predict)
+from reference import (ReferenceBank, dense_expert_stats, materialised_layer1,
+                       reference_fill, reference_fill_expert_cross_cov,
+                       reference_group_factors, reference_group_weights,
+                       reference_loo_weights, reference_moments,
+                       submodel_predict)
 
 import nestedkrig as nk
 from nestedkrig import baselines, estimation, gpcore, kernels, linalg
@@ -60,17 +61,17 @@ class TestFullModel:
     def test_cond_cov_consistency(self):
         model = FullModel(EX1_KERNEL, EX1_X, EX1_F)
         Xq = np.array([[0.2], [0.6], [0.85]])
-        cov = model.cond_cov(Xq)
+        cov = model.posterior(Xq)[1]
         _, v = model.predict(Xq)
         np.testing.assert_allclose(np.diag(cov), v, atol=1e-10)
         np.testing.assert_allclose(cov, cov.T, atol=0)
         assert np.linalg.eigvalsh(cov).min() > -1e-8
-        single = model.cond_cov(Xq[1:2])
+        single = model.posterior(Xq[1:2])[1]
         assert single[0, 0] == pytest.approx(v[1], abs=1e-12)
 
     def test_posterior_conditions_once(self):
         # one k(X, Xq) and one solve L V = k(X, Xq) give the means and the
-        # covariance, with the bits of predict and cond_cov
+        # covariance, with the bits of predict and of the direct formula
         model = FullModel(EX1_KERNEL, EX1_X, EX1_F)
         Xq = np.array([[0.2], [0.6], [0.85], [0.3]])
         with mock.patch.object(kernels, "cross_matrix",
@@ -81,11 +82,14 @@ class TestFullModel:
         assert [len(c.args[1]) for c in kernel_calls.call_args_list] == [5, 4]
         assert solves.call_count == 1
         assert np.array_equal(means, model.predict(Xq)[0])
-        assert np.array_equal(cov, model.cond_cov(Xq))
+        V = linalg.solve_lower(model.factor.lower,
+                               kernels.cross_matrix(EX1_KERNEL, EX1_X, Xq))
+        direct = kernels.cross_matrix(EX1_KERNEL, Xq, Xq) - V.T @ V
+        assert np.array_equal(cov, 0.5 * (direct + direct.T))
 
     def test_cond_cov_zero_at_design(self):
         model = FullModel(EX1_KERNEL, EX1_X, EX1_F)
-        cov = model.cond_cov(EX1_X[1:3])
+        cov = model.posterior(EX1_X[1:3])[1]
         np.testing.assert_allclose(cov, 0.0, atol=1e-8)
 
     def test_dimension_mismatch(self):
@@ -136,16 +140,16 @@ class TestSubModelBank:
 
     def test_diag_equals_cov_with_process(self):
         bank = SubModelBank(EX1_KERNEL, EX1_X, EX1_F, EX1_PART)
-        L1 = bank.layer1(np.linspace(0, 1, 7).reshape(-1, 1))
-        np.testing.assert_array_equal(np.einsum("qii->qi", L1.K), L1.k)
+        _, k, K = materialised_layer1(bank, np.linspace(0, 1, 7).reshape(-1, 1))
+        np.testing.assert_array_equal(np.einsum("qii->qi", K), k)
 
     def test_km_psd(self):
         rng = np.random.default_rng(2)
         kern, X, f, part = random_instance(rng)
         bank = SubModelBank(kern, X, f, part)
-        L1 = bank.layer1(rng.uniform(0, 1, (20, X.shape[1])))
+        K = materialised_layer1(bank, rng.uniform(0, 1, (20, X.shape[1])))[2]
         for t in range(20):
-            assert np.linalg.eigvalsh(L1.K[t]).min() > -1e-8 * kern.variance
+            assert np.linalg.eigvalsh(K[t]).min() > -1e-8 * kern.variance
 
     def test_full_model_mse_optimality(self):
         # no single expert can beat the full model's error at any point
@@ -155,8 +159,8 @@ class TestSubModelBank:
         bank = SubModelBank(kern, X, f, part)
         Xq = rng.uniform(0, 1, (30, X.shape[1]))
         _, v_full = full.predict(Xq)
-        L1 = bank.layer1(Xq)
-        expert_mse = kern.variance - L1.k ** 2 / np.einsum("qii->qi", L1.K)
+        _, k, K = materialised_layer1(bank, Xq)
+        expert_mse = kern.variance - k ** 2 / np.einsum("qii->qi", K)
         assert np.all(v_full[:, None] <= expert_mse + 1e-8)
 
 
@@ -194,7 +198,7 @@ class TestFillReference:
     def test_fill_and_predictions_equal_reference(self, case):
         kern, X, y, part, tree, Xq = case
         bank = SubModelBank(kern, X, y, part)
-        M, kM, AT = bank.expert_weights(Xq)
+        M, kM, AT = bank.layer1(Xq)
         A = np.ascontiguousarray(AT.T)
         q, p = M.shape
         # the packed lower triangle: row g from column g(g+1)/2 on
@@ -385,14 +389,14 @@ class TestLayer1PassReference:
             C, A = reference_loo_weights(bank, deleted)
         M_ref, k_ref = reference_moments(bank, C, A)
         with mock.patch.object(kernels, "TILE_ENTRIES", tile):
-            M, k, AT = bank.expert_weights(Xq, deleted)
-            moments = None if deleted is not None else bank.moments(Xq)
+            M, k, AT = bank.layer1(Xq, deleted)
+            moments = bank.layer1(Xq, deleted, with_weights=False)
         assert_same_array(M, M_ref)
         assert_same_array(k, k_ref)
         assert_same_array(AT, np.ascontiguousarray(A.T))
-        if moments is not None:
-            assert_same_array(moments[0], M_ref)
-            assert_same_array(moments[1], k_ref)
+        assert_same_array(moments[0], M_ref)
+        assert_same_array(moments[1], k_ref)
+        assert moments[2] is None
         alpha = np.random.default_rng(0).standard_normal(M.shape)
         assert_same_array(bank.design_weights(AT, alpha),
                           A[bank.major_row] * alpha.T[bank.labels])
@@ -412,7 +416,7 @@ class TestLayer1PassReference:
         Xq = rng.uniform(0, 1, (q, 3))
 
         def chunk():
-            M, k = bank.moments(Xq)
+            M, k, _ = bank.layer1(Xq, with_weights=False)
             return baselines.evaluate("rbcm", M, baselines.expert_variances(
                 kern.variance, k), kern.variance)
 
@@ -432,7 +436,7 @@ class TestDesignLayout:
             kern, X, f, part = random_instance(rng)
             bank = SubModelBank(kern, X, f, part)
             Xq = rng.uniform(0, 1, (7, X.shape[1]))
-            M, _, AT = bank.expert_weights(Xq)
+            M, _, AT = bank.layer1(Xq)
             alpha = rng.standard_normal(M.shape)
             lam = bank.design_weights(AT, alpha)
             assert lam.shape == (bank.n, 7)
@@ -444,7 +448,7 @@ class TestDesignLayout:
         kern, X, f, part = random_instance(rng)
         bank = SubModelBank(kern, X, f, part)
         x = rng.uniform(0, 1, (1, X.shape[1]))
-        AT = bank.expert_weights(x)[2]
+        AT = bank.layer1(x)[2]
         for g, idx in enumerate(part.groups()):
             lam = bank.design_weights(AT, np.eye(bank.p)[g][None])[:, 0]
             K = kernels.cross_matrix(kern, X[idx], X[idx])

@@ -17,14 +17,13 @@ BANK_LAYOUT = {"spans", "point_order", "inv_factors", "major_row", "_Xc",
                "_starts", "_yc"}
 
 # public names that no other code in the package names: the desk tools,
-# which carry the paper's claims, the cost model that perfbench/run.py
-# reads, and the materialised path that perfbench/tracing.py wraps by name
+# which carry the paper's claims, and the cost model that perfbench/run.py
+# reads
 UNCALLED_KEPT = {
     "aggregation.aggregate", "aggregation.aggregated_posterior",
     "aggregation.AggregatedProcess.prior_cov",
-    "aggregation.diagnostics_vs_full", "gpcore.FullModel.cond_cov",
-    "gpcore.sample_conditional", "tree.complexity_estimate",
-    "tree.run_layers", "gpcore.SubModelBank.layer1",
+    "aggregation.diagnostics_vs_full", "gpcore.sample_conditional",
+    "tree.complexity_estimate",
 }
 
 
@@ -96,22 +95,6 @@ def test_only_the_tree_engine_solves_aggregation_weights():
         if "solve_weights" in _names(body):
             solvers.append(path.name)
     assert solvers == []
-
-
-def test_only_the_bank_reads_materialised_statistics():
-    # the materialised path is SubModelBank.layer1 feeding tree.run_layers;
-    # every other module streams layer 1 through the tree engine instead
-    callers, runners = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        if path.name != "gpcore.py" and any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "layer1" for node in ast.walk(tree)):
-            callers.append(path.name)
-        if path.name != "tree.py" and "run_layers" in _names([tree]):
-            runners.append(path.name)
-    assert callers == [] and runners == []
 
 
 def _public_definitions(tree):
@@ -226,8 +209,8 @@ def test_only_the_tree_owns_the_query_loop():
     assert found == {}
 
 
-def test_traced_names_exist():
-    # perfbench/tracing.py wraps these by name; a rename must fail here
+def _traced_tables():
+    """The FUNCTIONS and METHODS tables of perfbench/tracing.py, read as text."""
     tracing = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     tables = {}
     for node in ast.parse(tracing.read_text()).body:
@@ -236,6 +219,12 @@ def test_traced_names_exist():
                                                               "METHODS")):
             tables[node.targets[0].id] = ast.literal_eval(node.value)
     assert tables["FUNCTIONS"] and tables["METHODS"]
+    return tables
+
+
+def test_traced_names_exist():
+    # perfbench/tracing.py wraps these by name; a rename must fail here
+    tables = _traced_tables()
     missing = [f"{module}.{name}" for module, name in tables["FUNCTIONS"]
                if not callable(getattr(importlib.import_module(
                    f"nestedkrig.{module}"), name, None))]
@@ -245,6 +234,26 @@ def test_traced_names_exist():
         if cls is None or method not in vars(cls):
             missing.append(f"{module}.{cls_name}.{method}")
     assert missing == []
+
+
+def test_traced_names_are_the_code_that_runs():
+    # a span the tracer opens must time code the package runs: every traced
+    # name is defined in its module and is not a kept name without a caller
+    tables = _traced_tables()
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined.update(f"{path.stem}.{node.name}.{sub.name}"
+                               for sub in node.body
+                               if isinstance(sub, ast.FunctionDef))
+    traced = [f"{module}.{name}" for module, name in tables["FUNCTIONS"]]
+    traced += [f"{module}.{cls_name}.{method}"
+               for module, cls_name, method, _ in tables["METHODS"]]
+    assert sorted(name for name in traced
+                  if name not in defined or name in UNCALLED_KEPT) == []
 
 
 NO_SCIPY_CONFIG = """

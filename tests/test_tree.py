@@ -6,7 +6,8 @@ import pytest
 from conftest import random_instance, random_kernel, separated_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (nested_predict, reference_fill_expert_cross_cov,
+from reference import (materialised_layer1, materialised_layers,
+                       nested_predict, reference_fill_expert_cross_cov,
                        reference_layers, submodel_predict)
 
 import nestedkrig as nk
@@ -20,7 +21,7 @@ from nestedkrig.linalg import solve_weights
 from nestedkrig.tree import (PREDICT_CHUNK, QUERY_BLOCK_ENTRIES, AggregationTree,
                              complexity_estimate, map_chunks,
                              nested_predict_batch, nested_variances, plan_tree,
-                             run_layers, stream_layers)
+                             stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -151,7 +152,7 @@ class TestNestedPredict:
         k1 = np.array([[0.6, 0.5]])
         K1 = np.array([[[0.9, 0.1], [0.1, 0.7]]])
         flat = AggregationTree.flat(4, 2)
-        m_flat, c_flat = run_layers(M1, k1, K1, flat)
+        m_flat, c_flat = materialised_layers(M1, k1, K1, flat)
         alpha = np.linalg.solve(K1[0], k1[0])
         assert m_flat[0] == pytest.approx(alpha @ M1[0], rel=1e-12)
         assert c_flat[0] == pytest.approx(alpha @ k1[0], rel=1e-12)
@@ -163,7 +164,7 @@ class TestNestedPredict:
         # k1/diag(K1) yet provably collapses back to the flat result
         chain = AggregationTree(n_leaves=4, n_layer1=2,
                                 levels=(((0,), (1,)), ((0, 1),)))
-        m_chain, c_chain = run_layers(M1, k1, K1, chain)
+        m_chain, c_chain = materialised_layers(M1, k1, K1, chain)
         assert m_chain[0] == pytest.approx(m_flat[0], rel=1e-12)
         assert c_chain[0] == pytest.approx(c_flat[0], rel=1e-12)
         b = k1[0] / np.diag(K1[0])
@@ -201,9 +202,9 @@ class TestNestedPredict:
 
 
 def assert_stream_matches_materialised(bank, tree, Xq):
-    """Streamed prediction is bit-equal to run_layers on materialised statistics."""
+    """Streamed prediction is bit-equal to the layers on materialised statistics."""
     means, variances = nested_predict_batch(bank, tree, Xq)
-    root_mean, root_cov = run_layers(*bank.layer1(Xq), tree)
+    root_mean, root_cov = materialised_layers(*materialised_layer1(bank, Xq), tree)
     assert np.array_equal(means, root_mean)
     assert np.array_equal(variances,
                           np.maximum(bank.kernel.variance - root_cov, 0.0))
@@ -332,10 +333,12 @@ class TestStreamedFirstLayer:
 
 
 def assert_layers_equal_dense(bank, tree, Xq):
-    """run_layers and stream_layers give the dense reference's bits."""
-    M, k, K = bank.layer1(Xq)
+    """The layers on materialised statistics and stream_layers give the
+    dense reference's bits."""
+    M, k, K = materialised_layer1(bank, Xq)
     mean, root_cov = reference_layers(M, k, K, tree)
-    for got in (run_layers(M, k, K, tree), stream_layers(bank, tree, Xq)[:2]):
+    for got in (materialised_layers(M, k, K, tree),
+                stream_layers(bank, tree, Xq)[:2]):
         assert np.array_equal(got[0], mean) and np.array_equal(got[1], root_cov)
 
 
@@ -374,9 +377,9 @@ class TestUpperLayers:
         M1 = np.random.default_rng(4).standard_normal((q, p))
         tree = AggregationTree(n_leaves=p, n_layer1=p, levels=(
             tuple((2 * i, 2 * i + 1) for i in range(n)), (tuple(range(n)),)))
-        run_layers(M1, k1, K1, tree)
+        materialised_layers(M1, k1, K1, tree)
         tracemalloc.start()
-        run_layers(M1, k1, K1, tree)
+        materialised_layers(M1, k1, K1, tree)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         bound = (q * n * (n + 1) // 2 + 4 * QUERY_BLOCK_ENTRIES) * 8
@@ -416,7 +419,7 @@ class TestRootQueryBlocks:
         step = max(1, QUERY_BLOCK_ENTRIES // p ** 2)
 
         def direct(Xb, deleted=None):
-            M, k, AT = bank.expert_weights(Xb, deleted)
+            M, k, AT = bank.layer1(Xb, deleted)
             K = np.empty(k.shape + (p,))
             reference_fill_expert_cross_cov(kern, bank._Xc, bank._starts,
                                             np.ascontiguousarray(AT.T), K, k)
@@ -618,7 +621,7 @@ class TestPaperInvariants:
         bank = SubModelBank(kern, X, f, part)
         _, v_full = FullModel(kern, X, f).predict(Xq)
         _, v_nested = nested_predict_batch(bank, tree, Xq)
-        _, k = bank.moments(Xq)
+        _, k, _ = bank.layer1(Xq, with_weights=False)
         v_best = (kern.variance - k).min(axis=1)
         gap = v_nested - v_full
         assert np.all(gap >= -1e-8)
