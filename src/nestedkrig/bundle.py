@@ -9,6 +9,7 @@ are flagged.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,19 +44,11 @@ def save_bundle(path, *, kernel: KernelSpec, X, y, partition: Partition,
     payload = {
         "format": "nestedkrig-bundle",
         "version": BUNDLE_VERSION,
-        "kernel": {
-            "family": kernel.family,
-            "variance": kernel.variance,
-            "lengthscales": list(kernel.lengthscales),
-        },
+        "kernel": dataclasses.asdict(kernel),
         "y_offset": float(y_offset),
         "labels": partition.labels.tolist(),
         "p": partition.p,
-        "tree": {
-            "n_leaves": tree.n_leaves,
-            "n_layer1": tree.n_layer1,
-            "levels": [[list(node) for node in level] for level in tree.levels],
-        },
+        "tree": dataclasses.asdict(tree),
         "X": X.tolist(),
         "y": y.tolist(),
         "fingerprint": data_fingerprint(X, y),
@@ -69,7 +62,10 @@ def load_bundle(path) -> dict:
     :class:`BundleError` naming ``path`` unless the file is a bundle of this
     version whose parts agree in size.
 
-    Warns when the stored fingerprint does not match the embedded data.
+    The kernel and tree entries hold exactly the fields of
+    :class:`KernelSpec` and :class:`AggregationTree`, rebuilt by their own
+    constructors.  Warns when the stored fingerprint does not match the
+    embedded data.
     A ``sigma2`` field, which older bundles repeat from the kernel
     variance, is ignored.
     """
@@ -88,19 +84,13 @@ def _load(path) -> dict:
         raise ValueError("not a model bundle")
     if payload.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {payload.get('version')}")
-    kernel = KernelSpec(payload["kernel"]["family"],
-                        payload["kernel"]["variance"],
-                        tuple(payload["kernel"]["lengthscales"]))
+    kernel = KernelSpec(**payload["kernel"])
     X = np.asarray(payload["X"], dtype=float)
     y = np.asarray(payload["y"], dtype=float)
     if data_fingerprint(X, y) != payload["fingerprint"]:
         warnings.warn(f"{path}: data fingerprint mismatch; the bundle was "
                       "modified after fitting")
-    tree = AggregationTree(
-        n_leaves=payload["tree"]["n_leaves"],
-        n_layer1=payload["tree"]["n_layer1"],
-        levels=tuple(tuple(tuple(node) for node in level)
-                     for level in payload["tree"]["levels"]))
+    tree = AggregationTree(**payload["tree"])
     partition = Partition(labels=np.asarray(payload["labels"], dtype=int),
                           p=payload["p"])
     n = y.size

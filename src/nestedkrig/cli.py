@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, baselines, metrics
 from .bundle import load_bundle, save_bundle
 from .config import RunConfig, load_config
-from .data import (CsvSchema, format_number, load_csv, load_points_csv,
+from .data import (format_number, load_csv, load_points_csv,
                    partition_consecutive, partition_kmeans, partition_random,
                    write_json, write_table)
 from .estimation import estimate
@@ -88,15 +88,10 @@ def _build_layout(cfg: RunConfig, dataset):
     return part, tree
 
 
-def _schema(cfg: RunConfig) -> CsvSchema:
-    return CsvSchema(response=cfg.data.response or None,
-                     center_response=cfg.data.center_response)
-
-
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
-    dataset = load_csv(args.train, _schema(cfg))
-    kernel = cfg.kernel.spec().for_dim(dataset.d)
+    dataset = load_csv(args.train, cfg.data)
+    kernel = cfg.kernel.for_dim(dataset.d)
     part, tree = _build_layout(cfg, dataset)
 
     if cfg.estimation.enabled:
@@ -164,7 +159,7 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    kernel = cfg.kernel.spec()
+    kernel = cfg.kernel
     if kernel.dim != 1:
         raise UsageError("simulate draws on a 1-d grid; configure a 1-d kernel")
     grid = np.linspace(0.0, 1.0, args.points).reshape(-1, 1)
@@ -216,8 +211,8 @@ def cmd_consistency(args) -> int:
 
 def cmd_loo_estimate(args) -> int:
     cfg = load_config(args.config)
-    dataset = load_csv(args.train, _schema(cfg))
-    kernel = cfg.kernel.spec().with_variance(1.0).for_dim(dataset.d)
+    dataset = load_csv(args.train, cfg.data)
+    kernel = cfg.kernel.with_variance(1.0).for_dim(dataset.d)
     part, tree = _build_layout(cfg, dataset)
     kernel, sigma2 = estimate(dataset, part, tree, kernel, cfg.estimation,
                               log_fn=print)

@@ -2,15 +2,17 @@
 
 Every key has a default and unknown keys are a hard error, so a config
 file is a complete, reproducible record of an experiment.  The parsed
-configuration is echoed into the header of every output file.
+configuration is echoed into the header of every output file.  The
+``[kernel]``, ``[estimation]`` and ``[data]`` sections are the library's
+own :class:`KernelSpec`, :class:`EstimationSettings` and :class:`CsvSchema`.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
-from .data import format_number
+from .data import CsvSchema, format_number
 from .estimation import EstimationSettings
 from .exceptions import ConfigError
 from .kernels import KernelSpec
@@ -18,16 +20,6 @@ from .tree import PLAN_MODES
 
 PARTITION_MODES = ("kmeans", "random", "consecutive")
 TREE_MODES = ("flat",) + PLAN_MODES
-
-
-@dataclass
-class KernelConfig:
-    family: str = "matern52"
-    variance: float = 1.0
-    lengthscales: tuple = (0.1,)
-
-    def spec(self) -> KernelSpec:
-        return KernelSpec(self.family, self.variance, self.lengthscales)
 
 
 @dataclass
@@ -44,12 +36,6 @@ class TreeConfig:
 
 
 @dataclass
-class DataConfig:
-    response: str = ""  # empty: last column
-    center_response: bool = False
-
-
-@dataclass
 class RunSettings:
     threads: int = 0  # predict's query threads; 0 and 1 run serially
     full_cap: int = 5000
@@ -57,11 +43,11 @@ class RunSettings:
 
 @dataclass
 class RunConfig:
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+    kernel: KernelSpec = KernelSpec("matern52", 1.0, (0.1,))
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     tree: TreeConfig = field(default_factory=TreeConfig)
     estimation: EstimationSettings = field(default_factory=EstimationSettings)
-    data: DataConfig = field(default_factory=DataConfig)
+    data: CsvSchema = field(default_factory=CsvSchema)
     run: RunSettings = field(default_factory=RunSettings)
 
     def echo(self) -> list:
@@ -96,7 +82,9 @@ def load_config(path=None) -> RunConfig:
     """Parse a config file into a RunConfig; missing file sections keep defaults.
 
     A section's keys are its dataclass fields, each parsed by the type of
-    its default; ``;`` after whitespace starts an inline comment.
+    its default value; the section is rebuilt by its own constructor, whose
+    ``ValueError`` becomes a :class:`ConfigError`.  ``;`` after whitespace
+    starts an inline comment.
     """
     cfg = RunConfig()
     if path is None:
@@ -113,25 +101,25 @@ def load_config(path=None) -> RunConfig:
     for section in ini.sections():
         if section not in {f.name for f in fields(cfg)}:
             raise ConfigError(f"unknown config section [{section}]")
-        target = getattr(cfg, section)
-        defaults = {f.name: f.default for f in fields(target)}
+        current = getattr(cfg, section)
+        names = {f.name for f in fields(current)}
+        values = {}
         for key, raw in ini.items(section):
-            if key not in defaults:
+            if key not in names:
                 raise ConfigError(f"unknown config key {section}.{key}")
             try:
-                value = _parse(defaults[key], raw)
+                values[key] = _parse(getattr(current, key), raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from None
-            setattr(target, key, value)
+        try:
+            setattr(cfg, section, replace(current, **values))
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig):
-    try:
-        cfg.kernel.spec()
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from None
     if cfg.partition.mode not in PARTITION_MODES:
         raise ConfigError(f"partition.mode must be one of {PARTITION_MODES}")
     if cfg.tree.mode not in TREE_MODES:

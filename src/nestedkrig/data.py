@@ -8,7 +8,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,14 +83,13 @@ class Partition:
 class CsvSchema:
     """Column roles for :func:`load_csv`.
 
-    ``response`` names the response column (default: last column);
-    ``features`` lists the design columns (default: all non-response
-    columns, in file order).  ``center_response`` subtracts the empirical
-    response mean, recording it in ``Dataset.y_offset``.
+    ``response`` names the response column, empty for the last column;
+    every other column is a design coordinate, in file order.
+    ``center_response`` subtracts the empirical response mean, recording it
+    in ``Dataset.y_offset``.
     """
 
-    response: str | None = None
-    features: list | None = field(default=None)
+    response: str = ""
     center_response: bool = False
 
 
@@ -141,23 +140,17 @@ def _read_columns(path, select) -> np.ndarray:
 def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
     """Load a headed CSV file into a Dataset.
 
-    Only the feature and response columns are parsed.  Raises
-    :class:`ParseError` with 1-based line/column positions on any of their
-    cells that does not parse to a finite number, and :class:`EmptyFile`
+    Raises :class:`ParseError` with 1-based line/column positions on any
+    cell that does not parse to a finite number, and :class:`EmptyFile`
     when there are no data rows.
     """
     schema = schema or CsvSchema()
 
     def columns(header):
-        response = schema.response if schema.response is not None else header[-1]
+        response = schema.response or header[-1]
         if response not in header:
             raise ParseError(1, 0, f"response column {response!r} not in header")
-        features = schema.features
-        if features is None:
-            features = [h for h in header if h != response]
-        for name in features:
-            if name not in header:
-                raise ParseError(1, 0, f"feature column {name!r} not in header")
+        features = [h for h in header if h != response]
         return [header.index(name) for name in features] + [header.index(response)]
 
     data = _read_columns(path, columns)

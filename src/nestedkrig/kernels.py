@@ -8,7 +8,7 @@ multiplied by the process variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,22 +29,23 @@ class KernelSpec:
     """A covariance function: family name, variance and per-dimension scales.
 
     ``variance`` is the process variance, so k(x, x) == variance for every x.
-    ``lengthscales`` has one positive entry per input dimension.
+    ``lengthscales`` has one entry per input dimension.  Both are positive
+    and finite.
     """
 
     family: str
     variance: float
-    lengthscales: tuple = field(default=(1.0,))
+    lengthscales: tuple
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
-        if not self.variance > 0.0:
-            raise ValueError("variance must be positive")
+        if not 0.0 < self.variance < np.inf:
+            raise ValueError("variance must be positive and finite")
         ls = tuple(float(t) for t in np.atleast_1d(self.lengthscales))
-        if not all(t > 0.0 for t in ls):
-            raise ValueError("all lengthscales must be positive")
+        if not all(0.0 < t < np.inf for t in ls):
+            raise ValueError("all lengthscales must be positive and finite")
         object.__setattr__(self, "lengthscales", ls)
 
     @property

@@ -15,7 +15,7 @@ into one weight per design point for the modified prior and diagnostics.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -68,7 +68,7 @@ class AggregationTree:
 
     n_leaves: int
     n_layer1: int
-    levels: tuple = field(default=())
+    levels: tuple
 
     def __post_init__(self):
         levels = tuple(tuple(tuple(int(c) for c in node) for node in level)

@@ -6,7 +6,7 @@ import pytest
 
 import nestedkrig as nk
 from nestedkrig.bundle import data_fingerprint, load_bundle, save_bundle
-from nestedkrig.exceptions import NestedKrigError, OutputExists
+from nestedkrig.exceptions import BundleError, NestedKrigError, OutputExists
 
 
 def make_bundle(path, force=False):
@@ -87,6 +87,24 @@ class TestBundle:
         path = tmp_path / "w.json"
         path.write_text('{"hello": 1}')
         with pytest.raises(NestedKrigError):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda p: p["kernel"].update(nugget=0.0),
+        lambda p: p["kernel"].pop("lengthscales"),
+        lambda p: p["kernel"].update(variance=float("inf")),
+        lambda p: p["tree"].pop("levels"),
+        lambda p: p["tree"].update(height=2),
+    ], ids=["kernel-unknown-key", "kernel-without-lengthscales",
+            "kernel-infinite-variance", "tree-without-levels",
+            "tree-unknown-key"])
+    def test_entries_hold_exactly_the_fields(self, tmp_path, spoil):
+        path = tmp_path / "m.json"
+        make_bundle(path)
+        payload = json.loads(path.read_text())
+        spoil(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(BundleError, match=str(path)):
             load_bundle(path)
 
     def test_fingerprint_sensitive_to_data(self):

@@ -77,6 +77,32 @@ class TestFitPredict:
         np.testing.assert_allclose(got[:, 0], m, atol=1e-12)
         np.testing.assert_allclose(got[:, 1], v, atol=1e-12)
 
+    def test_named_centred_response_from_the_data_section(self, ex1_files):
+        tmp, _, config = ex1_files
+        train = tmp / "named.csv"
+        train.write_text("\n".join(["y,x"] + [f"{b},{a}" for a, b in
+                                              zip(EX1_X[:, 0], EX1_F)]) + "\n")
+        config.write_text(EX1_CONFIG + "[data]\nresponse = y\n"
+                          "center_response = true\n")
+        bundle, query, out = tmp / "model.json", tmp / "q.csv", tmp / "o.csv"
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(bundle)]) == 0
+        write_query(query, [0.6, 0.25])
+        assert main(["predict", "--bundle", str(bundle), "--query", str(query),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "# data.response=y" in lines
+        assert "# data.center_response=True" in lines
+        got = [float(r) for r in lines[lines.index("mean") + 1:]]
+
+        offset = float(np.mean(EX1_F))
+        bank = nk.SubModelBank(nk.KernelSpec("squared-exponential", 1.0, (0.2,)),
+                               EX1_X, EX1_F - offset,
+                               nk.partition_consecutive(EX1_X, 2))
+        m, _ = nk.nested_predict_batch(bank, nk.AggregationTree.flat(5, 2),
+                                       [[0.6], [0.25]])
+        np.testing.assert_array_equal(got, m + offset)
+
     def test_baselines_roundtrip_reproduces_library_values(self, ex1_files):
         tmp, train, config = ex1_files
         bundle = tmp / "model.json"
@@ -243,6 +269,8 @@ class TestErrors:
         "[kernel]\nvariance = 1\nvariance = 2\n",
         "[kernel]\nvariance = 5%\n",
         "[kernel]\nvariance = nan\n",
+        "[kernel]\nvariance = inf\n",
+        "[kernel]\nlengthscales = inf\n",
         "[estimation]\na = -5\n",
         "[partition]\np = 4\n",
         "[tree]\nheight = 4\n",

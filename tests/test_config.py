@@ -32,6 +32,34 @@ def test_readme_block_loads_as_the_defaults(tmp_path):
     assert cfg.echo() == defaults.echo()
 
 
+def test_default_echo_is_pinned():
+    # every output header and every bundle carries these lines
+    assert RunConfig().echo() == """\
+kernel.family=matern52
+kernel.lengthscales=0.1
+kernel.variance=1.0
+partition.mode=kmeans
+partition.p=0
+partition.seed=0
+tree.height=2
+tree.mode=two_layer_sqrt
+estimation.A=-1.0
+estimation.a=0.1
+estimation.alpha=0.602
+estimation.c=0.1
+estimation.enabled=False
+estimation.gamma=0.101
+estimation.grid_start=True
+estimation.n_iter=500
+estimation.q=100
+estimation.seed=0
+estimation.two_phase=False
+data.center_response=False
+data.response=
+run.full_cap=5000
+run.threads=0""".splitlines()
+
+
 def test_keys_are_case_sensitive(tmp_path):
     cfg = load_text(tmp_path, "[estimation]\nA = 50\n")
     assert cfg.estimation.A == 50.0
@@ -69,6 +97,8 @@ def test_values_parse_by_field_type(tmp_path):
     "[kernel]\nfamily = gaussian\n",
     "[kernel]\nvariance = nan\n",
     "[kernel]\nlengthscales = 0.1, nan\n",
+    "[kernel]\nvariance = inf\n",
+    "[kernel]\nlengthscales = inf\n",
     "[estimation]\na = -5\n",
     "[estimation]\na = nan\n",
     "[estimation]\nc = inf\n",

@@ -17,6 +17,10 @@ def test_spec_validation():
         KernelSpec("matern32", -1.0, (0.1,))
     with pytest.raises(ValueError):
         KernelSpec("matern32", 1.0, (0.1, -0.2))
+    for variance, lengthscales in ((np.inf, (0.1,)), (np.nan, (0.1,)),
+                                   (1.0, (0.1, np.inf)), (1.0, (np.nan,))):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("matern32", variance, lengthscales)
 
 
 def test_stationarity_any_family():
