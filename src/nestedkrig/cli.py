@@ -139,8 +139,7 @@ def _predict_arrays(bundle, method, Xq, threads, full_cap):
                     method, M, baselines.expert_variances(kernel.variance, k),
                     kernel.variance)
 
-    means, variances = map_chunks(lambda lo, hi: evaluate(Xq[lo:hi]),
-                                  Xq.shape[0], threads)
+    means, variances = map_chunks(evaluate, Xq, threads)
     return means + bundle["y_offset"], variances
 
 

@@ -96,9 +96,10 @@ class CsvSchema:
 def _read_columns(path, select) -> np.ndarray:
     """Parse chosen columns of a headed CSV file into a (rows, k) array.
 
-    ``select(header)`` returns the indices of the k columns to parse, in
-    output order; no other cell is parsed.  Blank lines and lines starting
-    with ``#`` are skipped, before the header and among the rows.
+    ``select(header, line)`` returns the indices of the k columns to parse,
+    in output order, given the header's physical line; no other cell is
+    parsed.  Blank lines and lines starting with ``#`` are skipped, before
+    the header and among the rows.
     Raises :class:`ParseError` with 1-based physical line and column
     positions on a short or long row and on any selected cell that does not
     parse to a finite number, and :class:`EmptyFile` when there are no data
@@ -112,7 +113,7 @@ def _read_columns(path, select) -> np.ndarray:
             header = [h.strip() for h in next(filled)]
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
-        cols = select(header)
+        cols = select(header, reader.line_num)
         rows = []
         for row in filled:
             lineno = reader.line_num
@@ -141,15 +142,19 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
     """Load a headed CSV file into a Dataset.
 
     Raises :class:`ParseError` with 1-based line/column positions on any
-    cell that does not parse to a finite number, and :class:`EmptyFile`
-    when there are no data rows.
+    cell that does not parse to a finite number, on a column name that
+    repeats and on a missing response column (at the header's line), and
+    :class:`EmptyFile` when there are no data rows.
     """
     schema = schema or CsvSchema()
 
-    def columns(header):
+    def columns(header, line):
+        for col, name in enumerate(header):
+            if name in header[:col]:
+                raise ParseError(line, col + 1, f"repeated column name {name!r}")
         response = schema.response or header[-1]
         if response not in header:
-            raise ParseError(1, 0, f"response column {response!r} not in header")
+            raise ParseError(line, 0, f"response column {response!r} not in header")
         features = [h for h in header if h != response]
         return [header.index(name) for name in features] + [header.index(response)]
 
@@ -165,7 +170,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
 
 def load_points_csv(path) -> np.ndarray:
     """Load a headed CSV of bare points (every column is a coordinate)."""
-    return _read_columns(path, lambda header: range(len(header)))
+    return _read_columns(path, lambda header, line: range(len(header)))
 
 
 def format_number(value) -> str:

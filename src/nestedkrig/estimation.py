@@ -72,13 +72,12 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
 
     bank = SubModelBank(kernel, X, y, partition)
 
-    def chunk(lo, hi):
-        s = stream_layers(bank, tree, X[indices[lo:hi]], indices[lo:hi])
-        return s.mean, s.root_cov
+    def chunk(deleted):
+        s = stream_layers(bank, tree, X[deleted], deleted)
+        return s.mean, s.var
 
-    mean, root_cov = map_chunks(chunk, indices.size)
-    v_unit = np.maximum((kernel.variance - root_cov) / kernel.variance,
-                        LOO_VARIANCE_FLOOR)
+    mean, var = map_chunks(chunk, indices)
+    v_unit = np.maximum(var / kernel.variance, LOO_VARIANCE_FLOOR)
     return [LooRecord(index=int(i), m_loo=float(m), v_loo=float(v))
             for i, m, v in zip(indices, mean, v_unit)]
 

@@ -23,22 +23,22 @@ from .linalg import (SpdFactor, factor_spd, factor_spd_stack, solve,
 DEGENERATE_VAR_RTOL = 1e-12
 
 
-def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
-                          offsets, diag, row_done=None):
+def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, AT, out, offsets,
+                          diag, row_done=None):
     """Fill the expert covariances a_g' k(X_g, X_h) a_h, one block row at a time.
 
     ``Xcat`` holds the design points in group-major order, ``starts`` the p
-    block starts and ``diag`` the (q, p) diagonal K_gg.  ``weights`` is a
-    one-element list holding the weight columns in query-major layout: a
-    C-contiguous (q, n) array whose columns follow the rows of ``Xcat``.
-    The fill takes that array out of the list, so when the caller keeps no
-    other reference, the fill owns the weights and frees them, with its
-    operand pools, before the callback of row p - 1 (on a flat tree, the
-    root solve).  ``out`` is a flat (q, size) buffer that takes row g of
-    K's lower triangle, K[:, g, :g+1], at columns ``offsets[g]`` on: g·p
-    is all of K in place, g(g+1)/2 the packed triangle and (g % w)·p a
-    ring of w rows.  ``row_done``, if given, maps row indices to functions
-    of no arguments; ``row_done[g]()`` runs as soon as row g is in.
+    block starts and ``diag`` the (q, p) diagonal K_gg.  ``AT`` holds the
+    weight columns in query-major layout: a C-contiguous (q, n) array whose
+    columns follow the rows of ``Xcat``; the streamed pass keeps it until
+    the chunk's root is solved.  The fill frees its operand pools before
+    the callback of row p - 1 (on a flat tree, the root solve), so that
+    step stays under the fill's own peak.  ``out`` is a flat (q, size)
+    buffer that takes row g of K's lower triangle, K[:, g, :g+1], at
+    columns ``offsets[g]`` on: g·p is all of K in place, g(g+1)/2 the
+    packed triangle and (g % w)·p a ring of w rows.  ``row_done``, if
+    given, maps row indices to functions of no arguments; ``row_done[g]()``
+    runs as soon as row g is in.
 
     Each block row is a single covariance block against all earlier
     groups, one matrix product and one segmented reduction, so the Python
@@ -47,7 +47,6 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
     (B and W grow with g) keeps every pass streaming over the same pages.
     """
     p = len(starts)
-    AT = weights.pop()
     q = AT.shape[0]
     row_done = row_done or {}
     if p > 1:
@@ -74,11 +73,9 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, weights, out,
             np.matmul(Ag.T, B, out=W)
             W *= AT[:, :stop]
             np.add.reduceat(W, starts[:g], axis=1, out=row[:, :g])
-        if g == p - 1:
+        if g == p - 1 and p > 1:
             # the consumer's last step is often its largest (a root solve)
-            del AT
-            if p > 1:
-                del apool, bpool, wpool, Ag, B, W
+            del apool, bpool, wpool, Ag, B, W
         if g in row_done:
             row_done[g]()
 
@@ -209,7 +206,7 @@ class SubModelBank:
         unless ``with_weights``, is a C-contiguous (q, n) array whose row t
         holds every group's weights a_g(x_t) = K_g^-1 C_g = R_g' (R_g C_g),
         its columns in group-major design order: the layout that
-        ``cross_cov_rows`` takes over and ``design_weights`` reads.  Without
+        ``cross_cov_rows`` and ``design_weights`` read.  Without
         the weights the pass holds one kernel tile and O(p q) reals, never
         an n x q array.
 
@@ -295,16 +292,16 @@ class SubModelBank:
         diag = np.concatenate([np.diag(R) for _, R in pairs])
         return float(z @ z), -2.0 * float(np.log(diag).sum())
 
-    def cross_cov_rows(self, weights, kM, out, offsets, row_done=None):
+    def cross_cov_rows(self, AT, kM, out, offsets, row_done=None):
         """Expert cross-covariances from query-major weights, row by row.
 
-        ``weights`` is a one-element list holding the (q, n) transpose of
-        the weight columns A (from ``layer1``), which the fill takes
-        over; ``kM`` is the (q, p) diagonal from the same pass; ``out``,
-        ``offsets`` and ``row_done`` are as in :func:`fill_expert_cross_cov`,
-        which a ring of offsets turns into a streamed fill.
+        ``AT`` is the (q, n) transpose of the weight columns A (from
+        ``layer1``) and ``kM`` the (q, p) diagonal from the same pass;
+        ``out``, ``offsets`` and ``row_done`` are as in
+        :func:`fill_expert_cross_cov`, which a ring of offsets turns into a
+        streamed fill.
         """
-        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, weights,
+        fill_expert_cross_cov(self.kernel, self._Xc, self._starts, AT,
                               out, offsets, kM, row_done)
 
 

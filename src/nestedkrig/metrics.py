@@ -22,8 +22,7 @@ from .exceptions import NonPositiveVariance
 from .gpcore import FullModel, SubModelBank, sample_gaussian
 from .kernels import KernelSpec
 from .linalg import solve
-from .tree import (AggregationTree, nested_design_weights, nested_variances,
-                   stream_layers)
+from .tree import AggregationTree, nested_design_weights, stream_layers
 
 BENCH_METHODS = ("nested",) + baselines.METHODS
 CRITERIA = ("mse", "mve", "mnlp", "mnse")
@@ -111,13 +110,12 @@ def benchmark_instance(seed):
     tree = AggregationTree.flat(BENCH_N, BENCH_P)
     # one layer-1 pass feeds the nested predictor and the baseline rules
     nested = stream_layers(bank, tree, grid)
-    v_nested = nested_variances(bank, nested.root_cov)
     expert_vars = baselines.expert_variances(BENCH_KERNEL.variance, nested.k)
     # criteria needs positive variances, and at a grid point next to a
     # design point the full and nested predictors clamp the variance at zero
     results = {
         "full": (m_full, np.maximum(v_full, EXPERT_VARIANCE_FLOOR)),
-        "nested": (nested.mean, np.maximum(v_nested, EXPERT_VARIANCE_FLOOR)),
+        "nested": (nested.mean, np.maximum(nested.var, EXPERT_VARIANCE_FLOOR)),
     }
     for method in baselines.METHODS:
         results[method] = baselines.evaluate(method, nested.M, expert_vars,

@@ -41,17 +41,17 @@ def _packed_offsets(n):
     return np.arange(n) * np.arange(1, n + 1) // 2
 
 
-def map_chunks(evaluate, q, threads=1):
-    """The one query loop: ``evaluate(lo, hi)`` on the ``PREDICT_CHUNK`` slices
-    of range(q), each array of the tuples it returns concatenated in order.
-    A pool of ``threads`` runs the slices, which never depend on it."""
-    starts = range(0, q, PREDICT_CHUNK)
-    stops = [min(lo + PREDICT_CHUNK, q) for lo in starts]
-    if threads > 1 and len(starts) > 1:
+def map_chunks(evaluate, items, threads=1):
+    """The one query loop: ``evaluate(items[lo:hi])`` on the ``PREDICT_CHUNK``
+    slices of ``items``, each array of the tuples it returns concatenated in
+    order.  A pool of ``threads`` runs the slices, which never depend on it."""
+    chunks = [items[lo:lo + PREDICT_CHUNK]
+              for lo in range(0, len(items), PREDICT_CHUNK)]
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(evaluate, starts, stops))
+            parts = list(pool.map(evaluate, chunks))
     else:
-        parts = list(map(evaluate, starts, stops))
+        parts = list(map(evaluate, chunks))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -220,32 +220,33 @@ def run_layers(layer, levels):
 class Streamed(NamedTuple):
     """One streamed nested prediction at a batch of q points.
 
-    mean, root_cov : (q,) root values and their covariances with the process
+    mean : (q,) root values
+    var : (q,) prediction variances k(x, x) - root_cov, clamped at zero,
+        where root_cov is the root's covariance with the process
     alphas : the node weights the engine solved, one list per aggregation
         layer with one (q, len(children)) array per node
     M, k : (q, p) expert means and covariances of the layer-1 pass
-    weights : the (q, n) query-major expert weights if they were kept,
-        else None
+    weights : the (q, n) query-major expert weights of that pass
     """
 
     mean: np.ndarray
-    root_cov: np.ndarray
+    var: np.ndarray
     alphas: list
     M: np.ndarray
     k: np.ndarray
-    weights: np.ndarray | None
+    weights: np.ndarray
 
 
-def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
-                  keep_weights=False) -> Streamed:
+def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq,
+                  deleted=None) -> Streamed:
     """The nested predictor at one batch of points, from one layer-1 pass.
 
     ``bank.layer1(Xq, deleted)`` gives the expert means and
     covariances and the query-major (q, n) weights, without any n x q
-    covariance or group-major weight array.  The weights go to
-    ``bank.cross_cov_rows``, which takes them over and frees them before
-    the last row's callback unless ``keep_weights`` asks for them back, so
-    one n x q array is alive before the fill.
+    covariance or group-major weight array.  The weights feed
+    ``bank.cross_cov_rows`` and live until the chunk's root is solved;
+    the fill frees its own scratch before the last row's callback, so the
+    root solve stays under the fill's peak, which is the chunk's.
 
     The first aggregation layer consumes the rows of the expert
     cross-covariance's lower triangle as they are filled, holding only the
@@ -264,27 +265,20 @@ def stream_layers(bank: SubModelBank, tree: AggregationTree, Xq, deleted=None,
     # after the n x q weights, it raises the peak RSS of a two-layer chunk
     rows = np.empty((np.atleast_2d(Xq).shape[0], offsets.max() + bank.p))
     M, k, AT = bank.layer1(Xq, deleted)
-    kept = AT if keep_weights else None
-    weights = [AT]
-    del AT
     layer = _Layer(tree.levels[0], M, k, rows, offsets)
     del rows
     row_done = {g: partial(layer.finish, nodes) for g, nodes in finishing}
-    bank.cross_cov_rows(weights, k, layer.K_prev, offsets, row_done)
+    bank.cross_cov_rows(AT, k, layer.K_prev, offsets, row_done)
     del row_done
     mean, root_cov, alphas = run_layers(layer, tree.levels[1:])
-    return Streamed(mean, root_cov, alphas, M, k, kept)
+    var = np.maximum(bank.kernel.variance - root_cov, 0.0)
+    return Streamed(mean, var, alphas, M, k, AT)
 
 
 def nested_predict_batch(bank: SubModelBank, tree: AggregationTree, Xq):
     """Nested prediction at a batch of points: (means, variances), each (q,)."""
     s = stream_layers(bank, tree, Xq)
-    return s.mean, nested_variances(bank, s.root_cov)
-
-
-def nested_variances(bank: SubModelBank, root_cov):
-    """Prediction variances k(x, x) - root_cov, clamped at zero."""
-    return np.maximum(bank.kernel.variance - root_cov, 0.0)
+    return s.mean, s.var
 
 
 def nested_design_weights(bank: SubModelBank, tree: AggregationTree, Xq):
@@ -296,10 +290,10 @@ def nested_design_weights(bank: SubModelBank, tree: AggregationTree, Xq):
     expert covariances k of the same layer-1 pass.  The engine's node
     weights are multiplied down the tree into the weights beta (q, p) of
     the experts in the root's value, summed over every path to an expert
-    since child sets may overlap; then lam = sum_g beta_g a_g.  Keeps the
-    query-major n x q weights alive, so it is for desk-scale batches.
+    since child sets may overlap; then lam = sum_g beta_g a_g, an n x q
+    array, so this is for desk-scale batches.
     """
-    s = stream_layers(bank, tree, Xq, keep_weights=True)
+    s = stream_layers(bank, tree, Xq)
     beta = np.ones((s.mean.shape[0], 1))
     for level, layer, width in zip(tree.levels[::-1], s.alphas[::-1],
                                    tree.layer_sizes[-2::-1]):
@@ -307,8 +301,7 @@ def nested_design_weights(bank: SubModelBank, tree: AggregationTree, Xq):
         for i, (node, a) in enumerate(zip(level, layer)):
             np.add.at(below, (slice(None), node), beta[:, i:i + 1] * a)
         beta = below
-    return (s.mean, nested_variances(bank, s.root_cov),
-            bank.design_weights(s.weights, beta), s.k)
+    return s.mean, s.var, bank.design_weights(s.weights, beta), s.k
 
 
 @dataclass(frozen=True)

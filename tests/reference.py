@@ -240,7 +240,7 @@ def reference_moments(bank, C, A):
 
 def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
                                     row_done=None):
-    """The fill on (n, q) weight columns that no caller hands over.
+    """The fill on group-major (n, q) weight columns.
 
     It keeps a transposed copy of ``weights`` next to them and multiplies
     by ``weights[stop:stop + c].T``, calling ``row_done(g)`` after every
@@ -274,7 +274,7 @@ def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
             row_done(g)
 
 
-def reference_fill(kernel, Xcat, starts, weights, out, offsets, diag,
+def reference_fill(kernel, Xcat, starts, AT, out, offsets, diag,
                    row_done=None):
     """``reference_fill_expert_cross_cov`` behind the fill's interface.
 
@@ -282,7 +282,7 @@ def reference_fill(kernel, Xcat, starts, weights, out, offsets, diag,
     triangle to ``out[:, offsets[g]:offsets[g] + g + 1]`` before that
     row's callback.
     """
-    A = np.ascontiguousarray(weights.pop().T)
+    A = np.ascontiguousarray(AT.T)
     K = np.empty(diag.shape + diag.shape[-1:])
     row_done = row_done or {}
 
@@ -305,9 +305,7 @@ def materialised_layer1(bank, Xq, deleted=None):
     M, k, AT = bank.layer1(Xq, deleted)
     q, p = M.shape
     K = np.empty((q, p, p))
-    weights = [AT]
-    del AT
-    bank.cross_cov_rows(weights, k, K.reshape(q, p * p), np.arange(p) * p)
+    bank.cross_cov_rows(AT, k, K.reshape(q, p * p), np.arange(p) * p)
     i, j = np.triu_indices(p, 1)
     K[:, i, j] = K[:, j, i]
     return M, k, K

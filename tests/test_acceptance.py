@@ -9,7 +9,6 @@ import ctypes
 import json
 import time
 import tracemalloc
-import weakref
 from contextlib import contextmanager
 from unittest import mock
 
@@ -337,14 +336,17 @@ def test_c08_complexity_scaling_and_memory():
 
     # no n x q covariance is evaluated, and until the fill the only n x q
     # float array alive is the query-major weights: at every kernel
-    # evaluation tracemalloc holds at most one block of n q reals, at the
-    # start of the fill exactly one, the weights, and the fill's weights are
-    # freed before the root solve
-    refs = {}
+    # evaluation tracemalloc holds at most one block of n q reals and at the
+    # start of the fill exactly one, the weights; the fill frees its scratch
+    # before the root solve, so at every root-solve call the memory in use
+    # is at most the weights, the packed triangle and a few query blocks
+    fills = []
     cross_cov_rows = bank.cross_cov_rows
     cross_matrix_into = kernels.cross_matrix_into
     solves = []
     nq_bytes = n * q * 8
+    root_bound = (nq_bytes + q * p * (p + 1) // 2 * 8
+                  + 4 * tree_engine.QUERY_BLOCK_ENTRIES * 8)
 
     def nq_blocks():
         return sum(1 for t in tracemalloc.take_snapshot().traces
@@ -355,13 +357,14 @@ def test_c08_complexity_scaling_and_memory():
         assert nq_blocks() <= 1
         return cross_matrix_into(spec, Am, Bm, out)
 
-    def fill_spy(weights, kM, out, offsets, row_done=None):
-        assert weights[0].nbytes == nq_bytes and nq_blocks() == 1
-        refs["AT"] = weakref.ref(weights[0])
-        return cross_cov_rows(weights, kM, out, offsets, row_done)
+    def fill_spy(AT, kM, out, offsets, row_done=None):
+        assert AT.nbytes == nq_bytes and nq_blocks() == 1
+        fills.append(AT.shape)
+        return cross_cov_rows(AT, kM, out, offsets, row_done)
 
     def root_solve_spy(kmat, kvec):
-        assert refs["AT"]() is None
+        in_use = tracemalloc.get_traced_memory()[0]
+        assert in_use <= root_bound, f"{in_use} bytes in use, bound {root_bound}"
         solves.append(kmat.shape)
         return solve_weights(kmat, kvec)
 
@@ -377,7 +380,7 @@ def test_c08_complexity_scaling_and_memory():
     # the root solves its q queries in blocks of at most
     # QUERY_BLOCK_ENTRIES covariances each
     assert [shape[1:] for shape in solves] == [(p, p)] * len(solves)
-    assert sum(shape[0] for shape in solves) == q and "AT" in refs
+    assert sum(shape[0] for shape in solves) == q and fills == [(q, n)]
     assert max(shape[0] for shape in solves) * p * p <= tree_engine.QUERY_BLOCK_ENTRIES
 
 

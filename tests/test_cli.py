@@ -245,6 +245,14 @@ class TestErrors:
         assert main(["fit", "--train", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "m.json")]) == 2
 
+    def test_repeated_column_name_is_io_error(self, tmp_path, capsys):
+        train = tmp_path / "t.csv"
+        train.write_text("x,x,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n")
+        bundle = tmp_path / "m.json"
+        assert main(["fit", "--train", str(train), "--out", str(bundle)]) == 2
+        assert "line 1, column 2: repeated column name 'x'" in capsys.readouterr().err
+        assert not bundle.exists()
+
     def test_unknown_method_is_usage_error(self, ex1_files):
         tmp, train, config = ex1_files
         bundle = tmp / "model.json"

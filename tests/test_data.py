@@ -109,6 +109,25 @@ class TestLoadCsv:
         np.testing.assert_allclose(ds.y, [1.0, 2.0])
         np.testing.assert_allclose(ds.X[:, 0], [0.1, 0.2])
 
+    def test_repeated_column_name_refused(self, tmp_path):
+        # the second occurrence is named at the header's physical line;
+        # picking columns by name would read it as a copy of the first
+        path = tmp_path / "d.csv"
+        for text, line, column in (("x,x,y\n0.1,0.2,1.0\n", 1, 2),
+                                   ("# a\n# b\nx,y,y\n0.1,0.2,1.0\n", 3, 3)):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="repeated column name") as err:
+                load_csv(path)
+            assert (err.value.line, err.value.column) == (line, column)
+        np.testing.assert_array_equal(load_points_csv(path), [[0.1, 0.2, 1.0]])
+
+    def test_missing_response_at_header_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# kernel.lengthscales=0.2\n# seed=1\nx,y\n0.1,1.0\n")
+        with pytest.raises(ParseError, match="'out' not in header") as err:
+            load_csv(path, CsvSchema(response="out"))
+        assert (err.value.line, err.value.column) == (3, 0)
+
     def test_points_csv(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")

@@ -155,8 +155,7 @@ class TestLooPredict:
         for lo in range(0, n, PREDICT_CHUNK):
             idx = np.arange(lo, min(lo + PREDICT_CHUNK, n))
             s = stream_layers(bank, tree, X[idx], idx)
-            v = np.maximum((kern.variance - s.root_cov) / kern.variance,
-                           LOO_VARIANCE_FLOOR)
+            v = np.maximum(s.var / kern.variance, LOO_VARIANCE_FLOOR)
             want += [LooRecord(int(i), float(m), float(u))
                      for i, m, u in zip(idx, s.mean, v)]
         split = (loo_predict(ds, part, tree, kern, np.arange(PREDICT_CHUNK))

@@ -1,5 +1,6 @@
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from nestedkrig.gpcore import FullModel, SubModelBank
 from nestedkrig.linalg import solve_weights
 from nestedkrig.tree import (PREDICT_CHUNK, QUERY_BLOCK_ENTRIES, AggregationTree,
                              complexity_estimate, map_chunks,
-                             nested_predict_batch, nested_variances, plan_tree,
-                             stream_layers)
+                             nested_predict_batch, plan_tree, stream_layers)
 
 EX1_KERNEL = nk.KernelSpec("squared-exponential", 1.0, (0.2,))
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -274,9 +274,9 @@ class TestStreamedFirstLayer:
         windows = []
         fill = bank.cross_cov_rows
 
-        def spy(weights, kM, out, offsets, row_done=None):
+        def spy(AT, kM, out, offsets, row_done=None):
             windows.append((out.shape, offsets.tolist()))
-            return fill(weights, kM, out, offsets, row_done)
+            return fill(AT, kM, out, offsets, row_done)
 
         bank.cross_cov_rows = spy
         stream_layers(bank, plan.tree, X[:5])
@@ -297,9 +297,9 @@ class TestStreamedFirstLayer:
         rows = []
         fill = bank.cross_cov_rows
 
-        def spy(weights, kM, out, offsets, row_done=None):
+        def spy(AT, kM, out, offsets, row_done=None):
             rows.append(sorted(row_done))
-            return fill(weights, kM, out, offsets, row_done)
+            return fill(AT, kM, out, offsets, row_done)
 
         bank.cross_cov_rows = spy
         for tree in (plan.tree, flat, plan.tree):
@@ -337,9 +337,11 @@ def assert_layers_equal_dense(bank, tree, Xq):
     dense reference's bits."""
     M, k, K = materialised_layer1(bank, Xq)
     mean, root_cov = reference_layers(M, k, K, tree)
-    for got in (materialised_layers(M, k, K, tree),
-                stream_layers(bank, tree, Xq)[:2]):
-        assert np.array_equal(got[0], mean) and np.array_equal(got[1], root_cov)
+    got = materialised_layers(M, k, K, tree)
+    assert np.array_equal(got[0], mean) and np.array_equal(got[1], root_cov)
+    s = stream_layers(bank, tree, Xq)
+    assert np.array_equal(s.mean, mean)
+    assert np.array_equal(s.var, np.maximum(bank.kernel.variance - root_cov, 0.0))
 
 
 class TestUpperLayers:
@@ -430,10 +432,11 @@ class TestRootQueryBlocks:
         want = [direct(Xq[lo:lo + PREDICT_CHUNK])
                 for lo in range(0, Xq.shape[0], PREDICT_CHUNK)]
         mean = np.concatenate([m for m, _ in want])
-        var = nested_variances(bank, np.concatenate([c for _, c in want]))
+        var = np.maximum(
+            kern.variance - np.concatenate([c for _, c in want]), 0.0)
         for threads in (1, 2):
-            got = map_chunks(lambda lo, hi: nested_predict_batch(bank, tree, Xq[lo:hi]),
-                             Xq.shape[0], threads)
+            got = map_chunks(partial(nested_predict_batch, bank, tree), Xq,
+                             threads)
             assert np.array_equal(got[0], mean)
             assert np.array_equal(got[1], var)
 
@@ -447,6 +450,45 @@ class TestRootQueryBlocks:
         assert [r.index for r in records] == indices.tolist()
         assert np.array_equal([r.m_loo for r in records], m)
         assert np.array_equal([r.v_loo for r in records], v)
+
+
+class TestVarianceClamp:
+    def test_root_cov_at_or_above_prior_variance_clamps_once(self, monkeypatch):
+        # root covariances at or above sigma^2 give a variance of exactly
+        # 0.0 to prediction and LOO_VARIANCE_FLOOR to leave-one-out, and
+        # every other query keeps its bits
+        X = np.linspace(0.0, 1.0, 60).reshape(-1, 1)
+        y = np.sin(7.0 * X[:, 0])
+        kern = nk.KernelSpec("matern52", 1.7, (0.15,))
+        part = nk.partition_consecutive(X, 6)
+        tree = AggregationTree.flat(60, 6)
+        bank = SubModelBank(kern, X, y, part)
+        Xq = np.linspace(0.01, 0.99, 9).reshape(-1, 1)
+        ds, indices = nk.Dataset(X=X, y=y), np.arange(0, 60, 7)
+        means, variances = nested_predict_batch(bank, tree, Xq)
+        records = loo_predict(ds, part, tree, kern, indices)
+        above = [0, 3, 5]
+        real_run_layers = tree_module.run_layers
+
+        def run_layers(layer, levels):
+            mean, root_cov, alphas = real_run_layers(layer, levels)
+            root_cov[above] = kern.variance * np.array([1.0, 1.5, 1.0 + 1e-15])
+            return mean, root_cov, alphas
+
+        monkeypatch.setattr(tree_module, "run_layers", run_layers)
+        means2, variances2 = nested_predict_batch(bank, tree, Xq)
+        records2 = loo_predict(ds, part, tree, kern, indices)
+        rest = np.setdiff1d(np.arange(Xq.shape[0]), above)
+        assert np.array_equal(means2, means)
+        assert variances2[above].tolist() == [0.0] * 3
+        assert not np.signbit(variances2[above]).any()
+        assert np.array_equal(variances2[rest], variances[rest])
+        assert variances[above].min() > 0.0
+        assert [r.m_loo for r in records2] == [r.m_loo for r in records]
+        v, v2 = ([r.v_loo for r in recs] for recs in (records, records2))
+        assert [v2[i] for i in above] == [LOO_VARIANCE_FLOOR] * 3
+        assert [v2[i] for i in rest] == [v[i] for i in rest]
+        assert min(v[i] for i in above) > LOO_VARIANCE_FLOOR
 
 
 class TestQueryLoop:
@@ -465,11 +507,11 @@ class TestQueryLoop:
         for threads in (1, 2):
             seen = []
 
-            def evaluate(lo, hi):
-                seen.append((lo, hi))
-                return nested_predict_batch(bank, tree, Xq[lo:hi])
+            def evaluate(idx):
+                seen.append((int(idx[0]), int(idx[-1]) + 1))
+                return nested_predict_batch(bank, tree, Xq[idx])
 
-            means, variances = map_chunks(evaluate, q, threads)
+            means, variances = map_chunks(evaluate, np.arange(q), threads)
             assert sorted(seen) == want
             assert np.array_equal(means, direct[0])
             assert np.array_equal(variances, direct[1])
