@@ -21,6 +21,11 @@ from .linalg import (SpdFactor, factor_spd, factor_spd_stack, solve,
 
 # variance ratio below which a direction counts as deterministic when sampling
 DEGENERATE_VAR_RTOL = 1e-12
+# queries per tile of every product whose shape involves the query count
+# (the layer-1 pass, the fill, the exact model's conditioning): a query's
+# bits come from its own tile, so batches split at multiples of it give
+# the bits of one batch
+QUERY_TILE = 64
 
 
 def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, AT, out, offsets,
@@ -41,10 +46,14 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, AT, out, offsets,
     runs as soon as row g is in.
 
     Each block row is a single covariance block against all earlier
-    groups, one matrix product and one segmented reduction, so the Python
-    overhead is linear in p while the arithmetic stays at sum c_g c_h q.
-    Query-major layout with operand pools sized once for the largest row
-    (B and W grow with g) keeps every pass streaming over the same pages.
+    groups; the matrix product and the segmented reduction run on tiles
+    of ``QUERY_TILE`` queries, so the Python overhead is linear in p and
+    q / ``QUERY_TILE`` while the arithmetic stays at sum c_g c_h q.  Every
+    tile's product has the shape and layout of a lone tile's, so a query's
+    bits come from its own tile, whatever the batch it comes in, and the
+    (tile, stop) product W is one tile high.  Query-major layout with
+    operand pools sized once for the largest row (B and W grow with g)
+    keeps every pass streaming over the same pages.
     """
     p = len(starts)
     q = AT.shape[0]
@@ -53,9 +62,11 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, AT, out, offsets,
         bounds = np.concatenate([starts, [Xcat.shape[0]]])
         c_max = int(np.diff(bounds).max())
         m_max = int(starts[-1])
-        apool = np.empty(c_max * q)
+        width = min(q, QUERY_TILE)
+        apool = np.empty(c_max * width)
         bpool = np.empty(c_max * m_max)
-        wpool = np.empty(q * m_max)
+        wpool = np.empty(width * m_max)
+        Ag = W = None  # views of the pools, bound once a tile has run
     for g in range(p):
         row = out[:, offsets[g]:offsets[g] + g + 1]
         row[:, g] = diag[:, g]
@@ -64,15 +75,18 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, AT, out, offsets,
             c = int(bounds[g + 1] - bounds[g])
             B = bpool[:c * stop].reshape(c, stop)
             kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B)
-            # the (c, q) operand gathered into contiguous scratch: its .T is
-            # the operand layout of an (n, q) weight array, and the strided
-            # (q, c) slice of AT would take another BLAS path and change bits
-            Ag = apool[:c * q].reshape(c, q)
-            np.copyto(Ag, AT[:, stop:stop + c].T)
-            W = wpool[:q * stop].reshape(q, stop)
-            np.matmul(Ag.T, B, out=W)
-            W *= AT[:, :stop]
-            np.add.reduceat(W, starts[:g], axis=1, out=row[:, :g])
+            for lo in range(0, q, QUERY_TILE):
+                hi = min(lo + QUERY_TILE, q)
+                # the tile's (c, tile) operand gathered into contiguous
+                # scratch: its .T is the operand layout of an (n, tile) weight
+                # array, and the strided slice of AT would take another BLAS
+                # path and change bits
+                Ag = apool[:c * (hi - lo)].reshape(c, hi - lo)
+                np.copyto(Ag, AT[lo:hi, stop:stop + c].T)
+                W = wpool[:(hi - lo) * stop].reshape(hi - lo, stop)
+                np.matmul(Ag.T, B, out=W)
+                W *= AT[lo:hi, :stop]
+                np.add.reduceat(W, starts[:g], axis=1, out=row[lo:hi, :g])
         if g == p - 1 and p > 1:
             # the consumer's last step is often its largest (a root solve)
             del apool, bpool, wpool, Ag, B, W
@@ -98,27 +112,41 @@ class FullModel:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def _condition(self, Xq):
-        """The step the three query methods share: the checked queries, the
-        prior covariance C = k(X, Xq) and V solving L V = C."""
+    def _queries(self, Xq):
+        """The query points as a checked (q, d) array."""
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         if Xq.shape[1] != self.kernel.dim:
             raise DimensionMismatch("query dimension does not match the kernel")
+        return Xq
+
+    def _condition(self, Xq):
+        """The step both query methods share, at checked queries: the prior
+        covariance C = k(X, Xq) and V solving L V = C."""
         C = kernels.cross_matrix(self.kernel, self.X, Xq)
-        return Xq, C, solve_lower(self.factor.lower, C)
+        return C, solve_lower(self.factor.lower, C)
 
     def predict(self, Xq):
         """Posterior means and variances at query points, (q,) and (q,).
 
-        Variances are clamped at zero from below.
+        Variances are clamped at zero from below.  The queries are
+        conditioned in tiles of ``QUERY_TILE``, each a contiguous block with
+        its own triangular solve, so a query's bits come from its own tile,
+        whatever the batch it comes in.
         """
-        _, C, V = self._condition(Xq)
-        variances = np.maximum(self.kernel.variance - np.sum(V * V, axis=0), 0.0)
-        return C.T @ self.alpha, variances
+        Xq = self._queries(Xq)
+        means, variances = np.empty(Xq.shape[0]), np.empty(Xq.shape[0])
+        for lo in range(0, Xq.shape[0], QUERY_TILE):
+            t = slice(lo, lo + QUERY_TILE)
+            C, V = self._condition(Xq[t])
+            means[t] = C.T @ self.alpha
+            variances[t] = np.maximum(
+                self.kernel.variance - np.sum(V * V, axis=0), 0.0)
+        return means, variances
 
     def posterior(self, Xq):
         """Posterior means and covariance matrix, (q,) and (q, q)."""
-        Xq, C, V = self._condition(Xq)
+        Xq = self._queries(Xq)
+        C, V = self._condition(Xq)
         cov = kernels.cross_matrix(self.kernel, Xq, Xq) - V.T @ V
         return C.T @ self.alpha, 0.5 * (cov + cov.T)
 
@@ -218,12 +246,15 @@ class SubModelBank:
         so no group is refactored.
 
         Walks runs of consecutive groups whose rows fit one kernel tile of
-        ``kernels.TILE_ENTRIES`` entries (a larger group forms a run alone)
-        and evaluates k(X_run, Xq) into a (rows, q) buffer of its own.
-        Each group's weights, edits, moments and transposed copy are done
-        while its c x q rows of that block are in cache, with the products,
-        shapes and layouts of a whole-design evaluation, so no entry
-        depends on the tiling.
+        ``kernels.TILE_ENTRIES`` entries (a larger group forms a run alone).
+        The queries come in tiles of ``QUERY_TILE``: the batch's full tiles
+        as one tile-major stack, then the tail of fewer queries.  For each
+        of the two, k(X_run, Xq) goes into a (tiles, rows, width) buffer of
+        its own, and each group's weights, edits, moments and transposed
+        copy are done while its rows of that block are in cache, with the
+        products, shapes and layouts of a whole-design evaluation of each
+        query tile: no entry depends on the group runs, and a query's bits
+        come from its own tile, whatever the batch it comes in.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         if Xq.shape[1] != self.kernel.dim:
@@ -232,30 +263,45 @@ class SubModelBank:
         M = np.empty((p, q))
         kM = np.empty((p, q))
         AT = np.empty((q, self.n)) if with_weights else None
+        full = q - q % QUERY_TILE
+        # tile-major views of the full tiles, then of the tail: the queries
+        # and the means, moments and weights they fill
+        blocks = [(lo, Xq[lo:hi].reshape(-1, w, Xq.shape[1]),
+                   M[:, lo:hi].reshape(p, -1, w), kM[:, lo:hi].reshape(p, -1, w),
+                   AT[lo:hi].reshape(-1, w, self.n) if with_weights else None)
+                  for lo, hi, w in ((0, full, QUERY_TILE), (full, q, q - full))
+                  if hi > lo]
         edits = {}
         if deleted is not None:
             for t, i in enumerate(deleted):
                 edits.setdefault(int(self.labels[i]), []).append((t, int(i)))
         for first, last in self._runs(q):
             start, stop = self.spans[first][0], self.spans[last][1]
-            C = np.empty((stop - start, q))
-            kernels.cross_matrix_into(self.kernel, self._Xc[start:stop], Xq, C)
-            for g in range(first, last + 1):
-                lo, hi = self.spans[g]
-                R, Cg = self.inv_factors[g], C[lo - start:hi - start]
-                A = R.T @ (R @ Cg)
-                for t, i in edits.get(g, ()):
-                    # Q[:, j] from the nonzero part of column j of R; the
-                    # deleted slot gets a zero weight, so every later
-                    # product skips that row
-                    j = self.major_row[i] - lo
-                    r = R[j:, j]
-                    A[:, t] = -(R[j:].T @ r) / (r @ r)
-                    A[j, t] = 0.0
-                M[g] = self._yc[lo:hi] @ A
-                kM[g] = np.einsum("cq,cq->q", A, Cg)
-                if with_weights:
-                    AT[:, lo:hi] = A.T
+            Xrun = self._Xc[start:stop]
+            for lo, Xs, Mb, kMb, ATb in blocks:
+                tiles, w = Xs.shape[:2]
+                C = np.empty((tiles, stop - start, w))
+                kernels.cross_matrix_into(
+                    self.kernel, np.broadcast_to(Xrun, (tiles,) + Xrun.shape), Xs, C)
+                for g in range(first, last + 1):
+                    glo, ghi = self.spans[g]
+                    R, Cg = self.inv_factors[g], C[:, glo - start:ghi - start]
+                    A = R.T @ (R @ Cg)
+                    for t, i in edits.get(g, ()):
+                        if not lo <= t < lo + tiles * w:
+                            continue
+                        # Q[:, j] from the nonzero part of column j of R; the
+                        # deleted slot gets a zero weight, so every later
+                        # product skips that row
+                        s, u = divmod(t - lo, w)
+                        j = self.major_row[i] - glo
+                        r = R[j:, j]
+                        A[s, :, u] = -(R[j:].T @ r) / (r @ r)
+                        A[s, j, u] = 0.0
+                    np.matmul(self._yc[glo:ghi], A, out=Mb[g])
+                    np.einsum("scw,scw->sw", A, Cg, out=kMb[g])
+                    if with_weights:
+                        ATb[:, :, glo:ghi] = A.transpose(0, 2, 1)
         # transposed views of (p, q) buffers (column-major), as every
         # consumer's reductions expect
         return M.T, kM.T, AT

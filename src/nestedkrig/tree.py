@@ -29,7 +29,9 @@ PLAN_MODES = ("two_layer_sqrt", "equilibrated", "optimal")
 _DELTA = 1.5  # growth ratio of child counts in the minimal-cost tree
 
 # fixed prediction chunk; independent of the thread count so that the
-# arithmetic (and hence the output bytes) never depends on scheduling
+# arithmetic (and hence the output bytes) never depends on scheduling, and
+# a multiple of gpcore.QUERY_TILE so that every chunk holds whole query
+# tiles and gives the bytes of any other multiple
 PREDICT_CHUNK = 512
 # most cross-covariances a node gathers per block of queries (2 MiB, eight
 # kernel tiles); a query's solve and sums are its own, so blocks change no bit
@@ -44,7 +46,10 @@ def _packed_offsets(n):
 def map_chunks(evaluate, items, threads=1):
     """The one query loop: ``evaluate(items[lo:hi])`` on the ``PREDICT_CHUNK``
     slices of ``items``, each array of the tuples it returns concatenated in
-    order.  A pool of ``threads`` runs the slices, which never depend on it."""
+    order.  A pool of ``threads`` runs the slices, which never depend on it.
+    Every package ``evaluate`` computes a query's bits on its own
+    ``gpcore.QUERY_TILE`` tile, so any chunk size that is a multiple of the
+    tile gives the bytes of one call on all the items."""
     chunks = [items[lo:lo + PREDICT_CHUNK]
               for lo in range(0, len(items), PREDICT_CHUNK)]
     if threads > 1 and len(chunks) > 1:

@@ -12,7 +12,7 @@ that tests read more easily.  Instance generators stay in ``conftest.py``.
 import numpy as np
 import scipy.linalg as sla
 
-from nestedkrig import data, kernels, linalg, metrics
+from nestedkrig import data, gpcore, kernels, linalg, metrics
 from nestedkrig.gpcore import SubModelBank
 from nestedkrig.linalg import factor_spd, solve, solve_weights
 from nestedkrig.tree import _Layer, nested_predict_batch, run_layers
@@ -197,18 +197,26 @@ def flat_posterior(bank, Xq, X, f):
     return means, np.maximum(np.diag(cov), 0.0), cov
 
 
+def query_tiles(q):
+    """The ``gpcore.QUERY_TILE`` slices of q queries; the last may be short."""
+    return [slice(lo, min(lo + gpcore.QUERY_TILE, q))
+            for lo in range(0, q, gpcore.QUERY_TILE)]
+
+
 def reference_group_weights(bank, Xq):
     """Covariances C = k(X, Xq) and group-major Kriging weight columns A, (n, q).
 
-    The whole-design evaluation the bank's tiled layer-1 pass replaced:
-    rows follow the group-major design order, and the rows of group g
-    hold a_g = R_g' (R_g C_g).
+    The whole-design evaluation of each query tile, side by side: rows
+    follow the group-major design order, and the rows of group g hold
+    a_g = R_g' (R_g C_g), formed on the tile's own contiguous columns.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     C = kernels.cross_matrix(bank.kernel, bank._Xc, Xq)
     A = np.empty_like(C)
-    for (lo, hi), R in zip(bank.spans, bank.inv_factors):
-        A[lo:hi] = R.T @ (R @ C[lo:hi])
+    for t in query_tiles(Xq.shape[0]):
+        Ct = np.ascontiguousarray(C[:, t])
+        for (lo, hi), R in zip(bank.spans, bank.inv_factors):
+            A[lo:hi, t] = R.T @ (R @ Ct[lo:hi])
     return C, A
 
 
@@ -228,13 +236,16 @@ def reference_loo_weights(bank, indices):
 
 
 def reference_moments(bank, C, A):
-    """Expert means and covariances from whole-design (C, A), as transposed (p, q) buffers."""
+    """Expert means and covariances from whole-design (C, A), as transposed
+    (p, q) buffers, each query tile from its own contiguous columns."""
     p, q = bank.p, C.shape[1]
     M = np.empty((p, q))
     kM = np.empty((p, q))
-    for g, (lo, hi) in enumerate(bank.spans):
-        M[g] = bank._yc[lo:hi] @ A[lo:hi]
-        kM[g] = np.einsum("cq,cq->q", A[lo:hi], C[lo:hi])
+    for t in query_tiles(q):
+        Ct, At = np.ascontiguousarray(C[:, t]), np.ascontiguousarray(A[:, t])
+        for g, (lo, hi) in enumerate(bank.spans):
+            M[g, t] = bank._yc[lo:hi] @ At[lo:hi]
+            kM[g, t] = np.einsum("cq,cq->q", At[lo:hi], Ct[lo:hi])
     return M.T, kM.T
 
 
@@ -242,34 +253,30 @@ def reference_fill_expert_cross_cov(kernel, Xcat, starts, weights, out, diag,
                                     row_done=None):
     """The fill on group-major (n, q) weight columns.
 
-    It keeps a transposed copy of ``weights`` next to them and multiplies
-    by ``weights[stop:stop + c].T``, calling ``row_done(g)`` after every
-    row.  ``fill_expert_cross_cov`` must fill the same bits.
+    Each query tile has its own contiguous weight columns and multiplies
+    by ``weights[stop:stop + c].T`` of those columns; ``row_done(g)`` is
+    called after every row.  ``fill_expert_cross_cov`` must fill the same
+    bits.
     """
     p = len(starts)
-    q, window = weights.shape[1], out.shape[1]
-    if p > 1:
-        stackedT = np.ascontiguousarray(weights.T)
-        bounds = np.concatenate([starts, [Xcat.shape[0]]])
-        c_max = int(np.diff(bounds).max())
-        m_max = int(starts[-1])
-        bpool = np.empty(c_max * m_max)
-        wpool = np.empty(q * m_max)
+    window = out.shape[1]
+    tiles = [(t, np.ascontiguousarray(weights[:, t]))
+             for t in query_tiles(weights.shape[1])]
+    bounds = np.concatenate([starts, [Xcat.shape[0]]])
     for g in range(p):
         row = out[:, g % window]
         row[:, g] = diag[:, g]
         if g > 0:
             stop = int(starts[g])
             c = int(bounds[g + 1] - bounds[g])
-            B = bpool[:c * stop].reshape(c, stop)
-            kernels.cross_matrix_into(kernel, Xcat[stop:stop + c], Xcat[:stop], B)
-            W = wpool[:q * stop].reshape(q, stop)
-            np.matmul(weights[stop:stop + c].T, B, out=W)
-            W *= stackedT[:, :stop]
-            seg = np.add.reduceat(W, starts[:g], axis=1)
-            row[:, :g] = seg
-            if window == p:
-                out[:, :g, g] = seg
+            B = kernels.cross_matrix(kernel, Xcat[stop:stop + c], Xcat[:stop])
+            for t, At in tiles:
+                W = At[stop:stop + c].T @ B
+                W *= At[:stop].T
+                seg = np.add.reduceat(W, starts[:g], axis=1)
+                row[t, :g] = seg
+                if window == p:
+                    out[t, :g, g] = seg
         if row_done is not None:
             row_done(g)
 

@@ -18,7 +18,7 @@ from reference import (materialised_layer1, nested_predict, process_cov,
                        run_benchmark_51, submodel_predict)
 
 import nestedkrig as nk
-from nestedkrig import kernels, metrics
+from nestedkrig import gpcore, kernels, metrics
 from nestedkrig import tree as tree_engine
 from nestedkrig.aggregation import AggregatedProcess, aggregate, diagnostics_vs_full
 from nestedkrig.cli import main
@@ -320,9 +320,7 @@ def test_c08_complexity_scaling_and_memory():
 
     # a two-layer tree's root aggregates every expert, so a 512-query chunk
     # holds the lower triangle of (q, p, p), under the q p^2 of this bound;
-    # beside it at most two n x q arrays are alive at a time (the
-    # query-major weights, then those and the fill's product W), plus
-    # scratch of about c x n
+    # beside it at most three n x q arrays would fit
     bank, flat, _ = setups[4000]
     n, p, q = bank.n, bank.p, 512
     Xq = rng.uniform(0, 1, (q, 1))
@@ -333,6 +331,16 @@ def test_c08_complexity_scaling_and_memory():
     tracemalloc.stop()
     bound = 3 * n * q * 8 + q * p * p * 8
     assert peak < bound, f"peak {peak} bytes, bound {bound}, n={n}, p={p}"
+    # in fact one n x q array is alive, the query-major weights, beside the
+    # packed triangle and the fill's scratch: the (QUERY_TILE, n) product W
+    # of one query tile and the (c, n) kernel block of one row.  The slack,
+    # four blocks of QUERY_BLOCK_ENTRIES as in the root-solve bound below,
+    # holds the root's gathered query block and its solve's work arrays,
+    # the kernel tile's scratch and the (q, p) expert statistics
+    c_max = max(hi - lo for lo, hi in bank.spans)
+    tile_bound = (n * q + q * p * (p + 1) // 2 + gpcore.QUERY_TILE * n
+                  + c_max * n + 4 * tree_engine.QUERY_BLOCK_ENTRIES) * 8
+    assert peak < tile_bound, f"peak {peak} bytes, bound {tile_bound}"
 
     # no n x q covariance is evaluated, and until the fill the only n x q
     # float array alive is the query-major weights: at every kernel
@@ -416,7 +424,7 @@ def test_c09_lengthscale_recovery_and_variance_estimate():
     assert time.time() - started < 300.0
 
 
-def test_c10_cli_byte_determinism(tmp_path):
+def test_c10_cli_byte_determinism(tmp_path, monkeypatch):
     train = tmp_path / "train.csv"
     lines = ["x,y"] + [f"{repr(float(a))},{repr(float(b))}"
                        for a, b in zip(EX1_X[:, 0], EX1_F)]
@@ -491,3 +499,29 @@ seed = 3
                 == (tmp_path / "bench_b" / name).read_bytes()), name
     payload = json.loads((tmp_path / "loo_a.json").read_text())
     assert payload["sigma2"] > 0.0
+
+    # chunks that are multiples of the query tile hold whole tiles, so the
+    # 1200 queries in chunks of 64 give the bytes of chunks of 512, on a
+    # bundle of 300 points in 12 groups (Example 1's 5 points in two groups
+    # are too few for the chunking to reach the bytes)
+    wide = tmp_path / "wide.csv"
+    z = np.linspace(0.0, 1.0, 300)
+    wide.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                      zip(z.tolist(), np.sin(6.0 * z).tolist())))
+    wide_cfg = tmp_path / "wide.cfg"
+    wide_cfg.write_text("[kernel]\nlengthscales = 0.2\n[partition]\n"
+                        "mode = consecutive\np = 12\n[tree]\nmode = flat\n"
+                        "[run]\nthreads = 1\n")
+    assert main(["fit", "--config", str(wide_cfg), "--train", str(wide),
+                 "--out", str(tmp_path / "wide.json")]) == 0
+    assert tree_engine.PREDICT_CHUNK == 512
+    for chunk in (512, 64):
+        monkeypatch.setattr(tree_engine, "PREDICT_CHUNK", chunk)
+        for method in ("nested", "rbcm", "full"):
+            assert main(["predict", "--bundle", str(tmp_path / "wide.json"),
+                         "--query", str(query), "--config", str(wide_cfg),
+                         "--out", str(tmp_path / f"{method}_{chunk}.csv"),
+                         "--with-variance", "--method", method]) == 0
+    for method in ("nested", "rbcm", "full"):
+        assert ((tmp_path / f"{method}_64.csv").read_bytes()
+                == (tmp_path / f"{method}_512.csv").read_bytes()), method

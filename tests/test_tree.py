@@ -13,7 +13,7 @@ from reference import (materialised_layer1, materialised_layers,
 
 import nestedkrig as nk
 import nestedkrig.tree as tree_module
-from nestedkrig import cli, estimation, kernels
+from nestedkrig import baselines, cli, estimation, gpcore, kernels
 from nestedkrig.aggregation import aggregate
 from nestedkrig.estimation import LOO_VARIANCE_FLOOR, loo_predict
 from nestedkrig.exceptions import InvalidHeight, InvalidTree
@@ -559,6 +559,74 @@ class TestQueryLoop:
             indices)
         assert [r.index for r in records] == indices.tolist()
         assert deleted == [indices[lo:lo + 7].tolist() for lo in (0, 7, 14)]
+
+
+@st.composite
+def chunking_cases(draw):
+    """A random design on a k-means or consecutive partition, a flat or
+    planned tree over it, and query and deletion counts that are not
+    multiples of ``gpcore.QUERY_TILE``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(70, 110))
+    X = rng.uniform(0, 1, (n, d))
+    y = np.sin(4.0 * X.sum(axis=1))
+    mode = draw(st.sampled_from(("flat",) + tree_module.PLAN_MODES))
+    if mode == "flat":
+        p = draw(st.integers(2, 12))
+        tree = AggregationTree.flat(n, p)
+    else:
+        plan = plan_tree(n, mode, draw(st.integers(2, 3)))
+        p, tree = plan.p, plan.tree
+    if draw(st.booleans()):
+        part = nk.partition_kmeans(X, p, seed=int(rng.integers(100)))
+    else:
+        part = nk.partition_consecutive(X, p)
+    tile = gpcore.QUERY_TILE
+    counts = st.integers(tile + 1, 3 * tile).filter(lambda k: k % tile)
+    Xq = rng.uniform(0, 1, (draw(counts), d))
+    Xq[:10] = X[:10]
+    sizes = np.bincount(part.labels, minlength=p)
+    indices = rng.choice(np.flatnonzero(sizes[part.labels] > 1), draw(counts))
+    method = draw(st.sampled_from(baselines.METHODS))
+    return random_kernel(rng, d), X, y, part, tree, Xq, indices, method
+
+
+class TestChunkingContract:
+    def test_chunk_is_a_multiple_of_the_query_tile(self):
+        assert PREDICT_CHUNK % gpcore.QUERY_TILE == 0
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=chunking_cases())
+    def test_output_bits_do_not_depend_on_the_chunk_size(self, case):
+        # chunks that are multiples of the query tile hold whole tiles, so
+        # every query path gives the bits of one call on all the queries
+        kern, X, y, part, tree, Xq, indices, method = case
+        bank = SubModelBank(kern, X, y, part)
+        full = FullModel(kern, X, y)
+
+        def baseline(chunk):
+            M, k, _ = bank.layer1(chunk, with_weights=False)
+            return baselines.evaluate(method, M, baselines.expert_variances(
+                kern.variance, k), kern.variance)
+
+        def outputs():
+            records = loo_predict(nk.Dataset(X=X, y=y), part, tree, kern,
+                                  indices)
+            return [*map_chunks(partial(nested_predict_batch, bank, tree), Xq),
+                    *map_chunks(baseline, Xq), *map_chunks(full.predict, Xq),
+                    np.array([r.m_loo for r in records]),
+                    np.array([r.v_loo for r in records])]
+
+        seen = []
+        for chunk in (4 * gpcore.QUERY_TILE, 2 * gpcore.QUERY_TILE,
+                      gpcore.QUERY_TILE):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tree_module, "PREDICT_CHUNK", chunk)
+                seen.append(outputs())
+        for other in seen[1:]:
+            for got, want in zip(other, seen[0]):
+                assert np.array_equal(got, want)
 
 
 class TestPlanTree:
