@@ -95,9 +95,8 @@ def cmd_fit(args) -> int:
     part, tree = _build_layout(cfg, dataset)
 
     if cfg.estimation.enabled:
-        kernel, sigma2 = estimate(dataset, part, tree, kernel,
-                                  cfg.estimation, log_fn=print)
-        kernel = kernel.with_variance(sigma2)
+        kernel = estimate(dataset, part, tree, kernel, cfg.estimation,
+                          log_fn=print)
 
     save_bundle(args.out, kernel=kernel, X=dataset.X, y=dataset.y,
                 partition=part, tree=tree, y_offset=dataset.y_offset,
@@ -211,16 +210,15 @@ def cmd_consistency(args) -> int:
 def cmd_loo_estimate(args) -> int:
     cfg = load_config(args.config)
     dataset = load_csv(args.train, cfg.data)
-    kernel = cfg.kernel.with_variance(1.0).for_dim(dataset.d)
+    kernel = cfg.kernel.for_dim(dataset.d)
     part, tree = _build_layout(cfg, dataset)
-    kernel, sigma2 = estimate(dataset, part, tree, kernel, cfg.estimation,
-                              log_fn=print)
+    kernel = estimate(dataset, part, tree, kernel, cfg.estimation, log_fn=print)
     theta_txt = ",".join(format_number(t) for t in kernel.lengthscales)
-    print(f"theta={theta_txt} sigma2={format_number(sigma2)}")
+    print(f"theta={theta_txt} sigma2={format_number(kernel.variance)}")
     if args.out:
         write_json(args.out, {"theta": list(kernel.lengthscales),
-                              "sigma2": float(sigma2),
-                              "family": cfg.kernel.family})
+                              "sigma2": kernel.variance,
+                              "family": kernel.family})
         print(f"wrote {args.out}")
     return EXIT_OK
 

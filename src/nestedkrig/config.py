@@ -136,10 +136,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"partition.p applies only to tree.mode = flat; tree.mode = "
             f"{cfg.tree.mode} takes the group count from the tree planner")
-    try:
-        cfg.estimation.check()
-    except ValueError as exc:
-        raise ConfigError(f"estimation.{exc}") from None
     if cfg.run.threads < 0:
         raise ConfigError("run.threads must be nonnegative")
     if cfg.run.full_cap < 1:

@@ -111,13 +111,14 @@ def estimate_sigma2(records, y) -> float:
     return float(np.mean(ratios))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationSettings:
     """The ``[estimation]`` settings of :func:`estimate` and :func:`sgd_fit`.
 
     Step sizes follow a_i = a / (A + i + 1)**alpha and the perturbation
     sizes delta_i = c / (i + 1)**gamma.  Good values of a and c depend on
-    the problem; the defaults suit unit-scale inputs.
+    the problem; the defaults suit unit-scale inputs.  The constructor
+    raises ValueError naming the first setting out of range.
     """
 
     a: float = 0.1
@@ -132,8 +133,7 @@ class EstimationSettings:
     two_phase: bool = False
     grid_start: bool = True
 
-    def check(self):
-        """Raise ValueError naming the first setting out of range."""
+    def __post_init__(self):
         for name in ("a", "c", "gamma", "alpha"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -150,10 +150,13 @@ class SgdResult:
 
 
 def sgd_fit(dataset, partition, tree: AggregationTree,
-            settings: EstimationSettings, theta0, family: str = "matern52",
+            settings: EstimationSettings, kernel: KernelSpec,
             log_fn=None) -> SgdResult:
-    """Minimize the leave-one-out criterion over log length-scales from ``theta0``.
+    """Minimize the leave-one-out criterion over log length-scales from ``kernel``.
 
+    The descent starts from the length-scales of ``kernel`` and stays in its
+    family; every criterion evaluation runs at unit variance, whatever the
+    variance of ``kernel``.
     Per iteration: draw a uniform subset of ``settings.q`` indices without
     replacement, a Rademacher direction h, and move the log length-scales
     against the central finite difference of the subset criterion along h.
@@ -169,12 +172,11 @@ def sgd_fit(dataset, partition, tree: AggregationTree,
 
     ``log_fn`` receives one line per iteration.
     """
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
-    if np.any(theta <= 0):
-        raise ValueError("initial lengthscales must be positive")
-    settings.check()
-    if theta.shape[0] != dataset.d:
-        raise DimensionMismatch("theta0 length must match the input dimension")
+    if kernel.dim != dataset.d:
+        raise DimensionMismatch(
+            "kernel length-scales must match the input dimension")
+    unit = kernel.with_variance(1.0)
+    theta = np.asarray(kernel.lengthscales)
     q = min(settings.q, dataset.n)
     A = settings.A if settings.A >= 0 else settings.n_iter / 10.0
     if settings.two_phase:
@@ -185,7 +187,7 @@ def sgd_fit(dataset, partition, tree: AggregationTree,
         phases = [(settings.alpha, settings.n_iter, settings.seed)]
 
     def criterion(log_t, subset):
-        spec = KernelSpec(family, 1.0, tuple(np.exp(log_t)))
+        spec = unit.with_lengthscales(np.exp(log_t))
         records = loo_predict(dataset, partition, tree, spec, subset)
         return loo_criterion(records, dataset.y) if records else np.nan
 
@@ -221,25 +223,26 @@ def sgd_fit(dataset, partition, tree: AggregationTree,
 
 
 def estimate(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
-             settings: EstimationSettings, log_fn=None):
+             settings: EstimationSettings, log_fn=None) -> KernelSpec:
     """Length-scales by :func:`sgd_fit`, then sigma2 by :func:`estimate_sigma2`.
 
-    The descent starts from the length-scales of ``kernel``, or with
+    The fit runs at unit variance whatever the variance of ``kernel``.  The
+    descent starts from the length-scales of ``kernel``, or with
     ``settings.grid_start`` from the best of them times 1/8 ... 8 by
     :func:`grid_profile_loglik`; sigma2 comes from a leave-one-out pass over
-    all n points.  Returns (``kernel`` with the fitted length-scales, sigma2).
+    all n points.  Returns the fitted kernel: ``kernel``'s family, the
+    descent's length-scales and variance sigma2.
     """
-    theta0 = kernel.lengthscales
+    kernel = kernel.with_variance(1.0)
+    start = kernel
     if settings.grid_start:
-        base = np.asarray(theta0, dtype=float)
+        base = np.asarray(kernel.lengthscales)
         candidates = [tuple(base * 2.0 ** e) for e in range(-3, 4)]
-        theta0 = grid_profile_loglik(dataset, partition, kernel.family,
-                                     candidates).lengthscales
-    result = sgd_fit(dataset, partition, tree, settings, theta0, kernel.family,
-                     log_fn)
+        start = grid_profile_loglik(dataset, partition, kernel.family, candidates)
+    result = sgd_fit(dataset, partition, tree, settings, start, log_fn)
     kernel = kernel.with_lengthscales(result.theta)
     records = loo_predict(dataset, partition, tree, kernel)
-    return kernel, estimate_sigma2(records, dataset.y)
+    return kernel.with_variance(estimate_sigma2(records, dataset.y))
 
 
 def grid_profile_loglik(dataset, partition, family: str, theta_grid) -> KernelSpec:

@@ -186,6 +186,8 @@ class SubModelBank:
         self.kernel = kernel
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self.y = np.asarray(y, dtype=float).reshape(-1)
+        if self.X.shape[0] != self.y.shape[0]:
+            raise DimensionMismatch("X and y row counts differ")
         if self.X.shape[1] != kernel.dim:
             raise DimensionMismatch("X dimension does not match the kernel")
         if partition.n != self.X.shape[0]:

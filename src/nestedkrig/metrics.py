@@ -175,17 +175,7 @@ def consistency_design(n: int):
     w = DEMO_XBAR - DEMO_RADIUS / (1.0 + np.arange(1, n_w + 1))
 
     X = np.concatenate([u, w]).reshape(-1, 1)
-    labels = np.empty(n, dtype=int)
-    start = 0
-    for g in range(k_n):
-        labels[start:start + c_n] = g
-        start += c_n
-    g = k_n
-    while start < n:
-        size = c_n if g < p_n - 1 else n - start
-        labels[start:start + size] = g
-        start += size
-        g += 1
+    labels = np.minimum(np.arange(n) // c_n, p_n - 1)
     return X, Partition(labels=labels, p=int(labels.max()) + 1), np.array([DEMO_X0])
 
 

@@ -195,7 +195,11 @@ class _Layer:
                 self.M[b, i] = np.sum(a[b] * self.M_prev[b, ci], axis=1)
                 self.K[b, at[i] + i] = np.sum(a[b] * ksub, axis=1)
                 for (r, c), idx in zip(pairs[1:], index[1:]):
-                    e = K[b, idx] @ self.alphas[c][b, :, None]
+                    # np.take gathers a C-ordered (block, |ci|, |cj|) stack
+                    # whatever the block's length; K[b, idx] is query-major
+                    # unless the block holds one query, and matmul takes
+                    # another path, with other bits, on each layout
+                    e = np.take(K[b], idx, axis=1) @ self.alphas[c][b, :, None]
                     self.K[b, at[r] + c] = np.sum(self.alphas[r][b] * e[:, :, 0], axis=1)
             self.done.append(i)
         if len(self.done) == len(self.children):

@@ -351,7 +351,10 @@ def reference_layers(M1, k1, K1, tree):
             M_next[:, r] = np.sum(a * M[:, c], axis=1)
             K_next[:, r, r] = np.sum(a * k[:, c], axis=1)
             for j in range(r):
-                e = K[:, c][:, :, nodes[j]] @ alphas[j][:, :, None]
+                # a C-ordered stack, as the package gathers: matmul's bits
+                # depend on the operand's layout
+                Kcj = np.ascontiguousarray(K[:, c][:, :, nodes[j]])
+                e = Kcj @ alphas[j][:, :, None]
                 K_next[:, r, j] = K_next[:, j, r] = np.sum(a * e[:, :, 0], axis=1)
         M, K = M_next, K_next
         k = np.diagonal(K, axis1=1, axis2=2)
@@ -437,3 +440,26 @@ def reference_kmeans(X, p, seed=0, keep_ties=True):
         if move < data.KMEANS_TOL:
             break
     return labels, repairs
+
+
+def reference_consistency_labels(n):
+    """Group labels of ``metrics.consistency_design(n)``, group by group.
+
+    k_n groups of c_n informative points, then groups of c_n cluster points
+    until the last of the p_n groups, which takes what is left.
+    """
+    p_n = int(np.ceil(n ** 0.8))
+    k_n = int(np.ceil(n ** 0.2))
+    c_n = (n - 1) // (p_n - 1)
+    labels = np.empty(n, dtype=int)
+    start = 0
+    for g in range(k_n):
+        labels[start:start + c_n] = g
+        start += c_n
+    g = k_n
+    while start < n:
+        size = c_n if g < p_n - 1 else n - start
+        labels[start:start + size] = g
+        start += size
+        g += 1
+    return labels

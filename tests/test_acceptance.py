@@ -412,8 +412,7 @@ def test_c09_lengthscale_recovery_and_variance_estimate():
         start = grid_profile_loglik(ds, part, "matern52", coarse)
         cfg = EstimationSettings(a=300.0, c=0.3, alpha=0.2, q=50, n_iter=300,
                                  seed=seed)
-        res = sgd_fit(ds, part, tree, cfg, start.lengthscales,
-                      family="matern52")
+        res = sgd_fit(ds, part, tree, cfg, start)
         if 0.025 <= float(res.theta[0]) <= 0.1:
             hits += 1
         # variance estimator judged under the correct correlation model

@@ -580,3 +580,44 @@ seed = 5
         payload = json.loads(out.read_text())
         assert payload["sigma2"] > 0
         assert len(payload["theta"]) == 1
+
+    def test_fit_and_loo_estimate_agree_at_any_variance(self, tmp_path):
+        # estimation runs at unit variance, so the configured variance moves
+        # neither the fitted length-scales nor sigma2
+        X = np.linspace(0.0, 1.0, 60)
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join(
+            ["x,y"] + [f"{repr(float(a))},{repr(float(np.sin(6 * a) + a))}"
+                       for a in X]) + "\n")
+        fitted = []
+        for variance in ("1.0", "3.7"):
+            cfg = tmp_path / f"est{variance}.cfg"
+            cfg.write_text(f"""
+[kernel]
+family = matern52
+variance = {variance}
+lengthscales = 0.2
+
+[partition]
+mode = consecutive
+p = 4
+
+[tree]
+mode = flat
+
+[estimation]
+enabled = true
+n_iter = 3
+q = 8
+""")
+            bundle = tmp_path / f"model{variance}.json"
+            assert main(["fit", "--config", str(cfg), "--train", str(train),
+                         "--out", str(bundle)]) == 0
+            fitted.append(load_bundle(str(bundle))["kernel"])
+        out = tmp_path / "est.json"
+        assert main(["loo-estimate", "--config", str(cfg), "--train",
+                     str(train), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert fitted[0] == fitted[1]
+        assert fitted[1] == nk.KernelSpec("matern52", payload["sigma2"],
+                                          tuple(payload["theta"]))

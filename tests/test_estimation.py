@@ -13,7 +13,7 @@ from nestedkrig.estimation import (LOO_VARIANCE_FLOOR, EstimationSettings,
                                    LooRecord, estimate, estimate_sigma2,
                                    grid_profile_loglik, loo_criterion,
                                    loo_predict, sgd_fit)
-from nestedkrig.exceptions import NotFactorizable
+from nestedkrig.exceptions import DimensionMismatch, NotFactorizable
 from nestedkrig.gpcore import SubModelBank
 from nestedkrig.linalg import factor_spd_stack
 from nestedkrig.tree import (PREDICT_CHUNK, AggregationTree, plan_tree,
@@ -271,8 +271,8 @@ class TestSgd:
     def test_zero_iterations_returns_start(self):
         ds = ex1_dataset()
         cfg = EstimationSettings(q=5, n_iter=0, seed=0)
-        res = sgd_fit(ds, EX1_PART, EX1_TREE, cfg, (0.17,),
-                      family="squared-exponential")
+        res = sgd_fit(ds, EX1_PART, EX1_TREE, cfg,
+                      EX1_KERNEL.with_lengthscales((0.17,)))
         np.testing.assert_allclose(res.theta, [0.17])
 
     def test_reproducible(self):
@@ -284,8 +284,9 @@ class TestSgd:
         part = nk.partition_consecutive(X, 8)
         tree = AggregationTree.flat(40, 8)
         cfg = EstimationSettings(a=5.0, alpha=0.2, q=20, n_iter=25, seed=77)
-        a = sgd_fit(ds, part, tree, cfg, (0.2,), family="matern32")
-        b = sgd_fit(ds, part, tree, cfg, (0.2,), family="matern32")
+        start = kern.with_lengthscales((0.2,))
+        a = sgd_fit(ds, part, tree, cfg, start)
+        b = sgd_fit(ds, part, tree, cfg, start)
         np.testing.assert_array_equal(a.theta, b.theta)
         assert a.history == b.history
 
@@ -304,7 +305,7 @@ class TestSgd:
             return loo_criterion(loo_predict(ds, part, tree, spec), f)
 
         cfg = EstimationSettings(a=30.0, alpha=0.2, q=n, n_iter=60, seed=1)
-        res = sgd_fit(ds, part, tree, cfg, (0.3,), family="matern52")
+        res = sgd_fit(ds, part, tree, cfg, kern.with_lengthscales((0.3,)))
         assert full_crit(float(res.theta[0])) <= full_crit(0.3)
 
     def test_overflowing_step_rejected(self):
@@ -313,15 +314,15 @@ class TestSgd:
         part = nk.partition_consecutive(X, 4)
         tree = AggregationTree.flat(40, 4)
         cfg = EstimationSettings(a=1e8, c=0.3, alpha=0.2, q=20, n_iter=5, seed=0)
-        res = sgd_fit(ds, part, tree, cfg, (0.1,), family="matern52")
+        res = sgd_fit(ds, part, tree, cfg,
+                      nk.KernelSpec("matern52", 1.0, (0.1,)))
         assert np.all(np.isfinite(res.theta)) and np.all(res.theta > 0.0)
         assert any(np.isnan(crit) for _, crit, _ in res.history)
 
     def test_two_phase_runs(self):
         ds = ex1_dataset()
         cfg = EstimationSettings(q=5, n_iter=6, seed=0, two_phase=True)
-        res = sgd_fit(ds, EX1_PART, EX1_TREE, cfg, (0.2,),
-                      family="squared-exponential")
+        res = sgd_fit(ds, EX1_PART, EX1_TREE, cfg, EX1_KERNEL)
         assert len(res.history) == 6
         assert res.theta[0] > 0.0
 
@@ -329,23 +330,25 @@ class TestSgd:
     def assert_two_explicit_descents(alpha):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (40, 1))
-        f = nk.sample_paths(nk.KernelSpec("matern32", 1.0, (0.1,)), X, 1, 3)[0]
+        kern = nk.KernelSpec("matern32", 1.0, (0.1,))
+        f = nk.sample_paths(kern, X, 1, 3)[0]
         ds = nk.Dataset(X=X, y=f)
         part = nk.partition_consecutive(X, 8)
         tree = AggregationTree.flat(40, 8)
         cfg = EstimationSettings(a=5.0, alpha=alpha, q=20, n_iter=9, seed=77,
                                  two_phase=True)
-        res = sgd_fit(ds, part, tree, cfg, (0.2,), family="matern32")
+        start = kern.with_lengthscales((0.2,))
+        res = sgd_fit(ds, part, tree, cfg, start)
         # both phases step with the A of the whole descent, n_iter / 10,
         # which is never written back to the settings
         assert cfg.A == -1.0
         first = EstimationSettings(a=5.0, A=0.9, alpha=0.2, q=20, n_iter=4,
                                    seed=77)
-        res1 = sgd_fit(ds, part, tree, first, (0.2,), family="matern32")
+        res1 = sgd_fit(ds, part, tree, first, start)
         second = EstimationSettings(a=5.0, A=0.9, alpha=alpha, q=20, n_iter=5,
                                     seed=78)
-        res2 = sgd_fit(ds, part, tree, second, tuple(res1.theta),
-                       family="matern32")
+        res2 = sgd_fit(ds, part, tree, second,
+                       start.with_lengthscales(res1.theta))
         assert not any(np.isnan(crit) for _, crit, _ in res.history)
         np.testing.assert_array_equal(res.theta, res2.theta)
         assert res.history == res1.history + res2.history
@@ -360,10 +363,15 @@ class TestSgd:
         ds = ex1_dataset()
         lines = []
         cfg = EstimationSettings(q=5, n_iter=3, seed=0)
-        sgd_fit(ds, EX1_PART, EX1_TREE, cfg, (0.2,),
-                family="squared-exponential", log_fn=lines.append)
+        sgd_fit(ds, EX1_PART, EX1_TREE, cfg, EX1_KERNEL, log_fn=lines.append)
         assert len(lines) == 3
         assert all("criterion=" in line and "theta=" in line for line in lines)
+
+    def test_kernel_dimension_must_match(self):
+        cfg = EstimationSettings(q=5, n_iter=1)
+        with pytest.raises(DimensionMismatch):
+            sgd_fit(ex1_dataset(), EX1_PART, EX1_TREE, cfg,
+                    EX1_KERNEL.with_lengthscales((0.2, 0.2)))
 
 
 def grid_case():
@@ -425,21 +433,31 @@ def test_grid_profile_loglik_propagates_other_errors(monkeypatch):
 @pytest.mark.parametrize("variance, grid_start", [(1.7, True), (1.0, True),
                                                   (1.0, False)])
 def test_estimate_is_grid_descent_and_loo_variance(variance, grid_start):
-    # fit passes the configured kernel, loo-estimate a unit-variance one
+    # the fit runs at unit variance whatever variance the kernel carries, so
+    # fit and loo-estimate agree at any configured variance
     ds, part = grid_case()
     tree = AggregationTree.flat(ds.n, part.p)
     kernel = nk.KernelSpec("matern52", variance, (0.1,))
     settings = EstimationSettings(a=30.0, c=0.3, alpha=0.2, q=20, n_iter=4,
                                   seed=3, grid_start=grid_start)
     lines = []
-    got, sigma2 = estimate(ds, part, tree, kernel, settings, lines.append)
-    start = (0.1,)
+    got = estimate(ds, part, tree, kernel, settings, lines.append)
+    start = kernel
     if grid_start:
         start = grid_profile_loglik(
             ds, part, "matern52",
-            [(0.1 * s,) for s in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
-        ).lengthscales
-    res = sgd_fit(ds, part, tree, settings, start, "matern52")
-    want = kernel.with_lengthscales(res.theta)
-    assert got == want and len(lines) == settings.n_iter
-    assert sigma2 == estimate_sigma2(loo_predict(ds, part, tree, want), ds.y)
+            [(0.1 * s,) for s in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)])
+    res = sgd_fit(ds, part, tree, settings, start)
+    unit = nk.KernelSpec("matern52", 1.0, tuple(res.theta))
+    assert got.lengthscales == unit.lengthscales
+    assert len(lines) == settings.n_iter
+    assert got.variance == estimate_sigma2(loo_predict(ds, part, tree, unit), ds.y)
+    assert got == estimate(ds, part, tree, kernel.with_variance(1.0), settings)
+
+
+def test_settings_checked_when_built_and_frozen():
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        EstimationSettings(q=0)
+    settings = EstimationSettings()
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        settings.q = 0

@@ -163,6 +163,15 @@ class TestSubModelBank:
         expert_mse = kern.variance - k ** 2 / np.einsum("qii->qi", K)
         assert np.all(v_full[:, None] <= expert_mse + 1e-8)
 
+    @pytest.mark.parametrize("responses", [42, 37])
+    def test_response_count_must_match_design(self, responses):
+        # too many responses were read as if the first 40 were all there
+        # was; too few failed with a bare IndexError
+        X = np.linspace(0.0, 1.0, 40).reshape(-1, 1)
+        part = nk.partition_consecutive(X, 4)
+        with pytest.raises(DimensionMismatch, match="row counts differ"):
+            SubModelBank(EX1_KERNEL, X, np.zeros(responses), part)
+
 
 @st.composite
 def fill_cases(draw):

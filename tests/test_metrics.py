@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from reference import run_benchmark_51
+from reference import reference_consistency_labels, run_benchmark_51
 
 from nestedkrig.exceptions import NonPositiveVariance
 from nestedkrig.metrics import (BENCH_METHODS, benchmark_instance,
@@ -96,6 +96,13 @@ class TestConsistencyDesign:
             assert part.p == p_n
             # prediction point is starved: nothing within the exclusion radius
             assert np.abs(X[:, 0] - 0.1).min() >= min(n ** -0.25, 0.1) - 1e-12
+
+    def test_labels_equal_group_by_group_reference(self):
+        for n in [*range(10, 600), 1000, 5000]:
+            _, part, _ = consistency_design(n)
+            want = reference_consistency_labels(n)
+            np.testing.assert_array_equal(part.labels, want)
+            assert part.p == want.max() + 1 == int(np.ceil(n ** 0.8))
 
     def test_cluster_accumulates(self):
         X, _, _ = consistency_design(200)
