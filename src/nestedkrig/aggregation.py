@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import DimensionMismatch
-from .gpcore import FullModel, SubModelBank
+from .gpcore import FullModel, SubModelBank, check_design, check_queries
 from .linalg import factor_spd, solve, solve_lower, solve_weights
 from .tree import AggregationTree, nested_design_weights
 
@@ -105,8 +105,7 @@ class AggregatedProcess:
     def prior_cov(self, Za, Zb) -> np.ndarray:
         """Prior covariance matrix of the aggregated process, (ma, mb)."""
         kernel, X = self.kernel, self.bank.X
-        Za = np.atleast_2d(np.asarray(Za, dtype=float))
-        Zb = np.atleast_2d(np.asarray(Zb, dtype=float))
+        Za, Zb = check_queries(kernel, Za), check_queries(kernel, Zb)
         la, kXa = self._design_weights(Za), kernels.cross_matrix(kernel, X, Za)
         if Zb.shape == Za.shape and np.array_equal(Za, Zb):
             lb, kXb = la, kXa
@@ -125,11 +124,9 @@ class AggregatedProcess:
         evaluation.
         """
         kernel, Xb = self.kernel, self.bank.X
-        X = Xb if X is None else np.atleast_2d(np.asarray(X, dtype=float))
-        f = self.bank.y if f is None else np.asarray(f, dtype=float).reshape(-1)
-        if X.shape[0] != f.shape[0]:
-            raise DimensionMismatch("conditioning X and f row counts differ")
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+        X, f = check_design(kernel, Xb if X is None else X,
+                            self.bank.y if f is None else f)
+        Xq = check_queries(kernel, Xq)
         KbX = kernels.cross_matrix(kernel, Xb, X)
         if X.shape == Xb.shape and np.array_equal(X, Xb):
             Kbb = KXX = KbX
@@ -195,7 +192,7 @@ def diagnostics_vs_full(full: FullModel, bank: SubModelBank, Xq,
     KXX = kernels.cross_matrix(bank.kernel, bank.X, bank.X)
     lam_X = process._design_weights(bank.X)
     return [_diagnostics_at(full, process, KXX, lam_X, x2)
-            for x2 in np.atleast_2d(np.asarray(Xq, dtype=float))[:, None]]
+            for x2 in check_queries(bank.kernel, Xq)[:, None]]
 
 
 def _diagnostics_at(full: FullModel, process: AggregatedProcess, KXX, lam_X,

@@ -27,7 +27,7 @@ from .estimation import estimate
 from .exceptions import (BundleError, CapExceeded, ConfigError, DimensionMismatch,
                          EmptyFile, InvalidGroupCount, InvalidHeight, InvalidTree,
                          NestedKrigError, OutputExists, ParseError)
-from .gpcore import FullModel, SubModelBank, sample_paths
+from .gpcore import FullModel, SubModelBank, check_queries, sample_paths
 from .tree import AggregationTree, map_chunks, nested_predict_batch, plan_tree
 # read as cli.PREDICT_CHUNK by perfbench/run.py's cost model; unused here
 from .tree import PREDICT_CHUNK  # noqa: F401
@@ -112,10 +112,7 @@ def _predict_arrays(bundle, method, Xq, threads, full_cap):
     one ``nested_predict_batch`` call per chunk."""
     kernel = bundle["kernel"]
     X, y = bundle["X"], bundle["y"]
-    if Xq.shape[1] != kernel.dim:
-        raise DimensionMismatch(
-            f"query dimension {Xq.shape[1]} does not match the model "
-            f"dimension {kernel.dim}")
+    Xq = check_queries(kernel, Xq)  # before any model is built
     if method == "full":
         if X.shape[0] > full_cap:
             raise CapExceeded(

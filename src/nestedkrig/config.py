@@ -132,6 +132,8 @@ def _validate(cfg: RunConfig):
             f"tree.height applies only to tree.mode = equilibrated or optimal")
     if cfg.partition.p < 0:
         raise ConfigError("partition.p must be nonnegative")
+    if cfg.partition.seed < 0:
+        raise ConfigError("partition.seed must be nonnegative")
     if cfg.partition.p > 0 and cfg.tree.mode != "flat":
         raise ConfigError(
             f"partition.p applies only to tree.mode = flat; tree.mode = "

@@ -143,8 +143,9 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
 
     Raises :class:`ParseError` with 1-based line/column positions on any
     cell that does not parse to a finite number, on a column name that
-    repeats and on a missing response column (at the header's line), and
-    :class:`EmptyFile` when there are no data rows.
+    repeats and on a missing response column or a header with no other
+    column (at the header's line), and :class:`EmptyFile` when there are no
+    data rows.
     """
     schema = schema or CsvSchema()
 
@@ -156,6 +157,9 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
         if response not in header:
             raise ParseError(line, 0, f"response column {response!r} not in header")
         features = [h for h in header if h != response]
+        if not features:
+            raise ParseError(line, 0, f"no coordinate column besides the "
+                                      f"response {response!r}")
         return [header.index(name) for name in features] + [header.index(response)]
 
     data = _read_columns(path, columns)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotFactorizable
-from .gpcore import SubModelBank
+from .exceptions import NotFactorizable
+from .gpcore import SubModelBank, check_design
 from .kernels import KernelSpec
 from .tree import AggregationTree, map_chunks, stream_layers
 
@@ -51,12 +51,10 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     indices go through :func:`tree.map_chunks`, the package's one query
     loop, on one thread, so memory grows with n, not n^2.
     """
-    X, y = dataset.X, dataset.y
-    n = X.shape[0]
-    if partition.n != n:
-        raise DimensionMismatch("partition length does not match the dataset")
+    X = dataset.X
+    bank = SubModelBank(kernel, X, dataset.y, partition)
     if indices is None:
-        indices = np.arange(n)
+        indices = np.arange(dataset.n)
     indices = np.asarray(indices, dtype=int)
 
     labels = partition.labels
@@ -69,8 +67,6 @@ def loo_predict(dataset, partition, tree: AggregationTree, kernel: KernelSpec,
     indices = indices[keep]
     if indices.size == 0:
         return []
-
-    bank = SubModelBank(kernel, X, y, partition)
 
     def chunk(deleted):
         s = stream_layers(bank, tree, X[deleted], deleted)
@@ -141,6 +137,8 @@ class EstimationSettings:
             raise ValueError("A must be finite")
         if self.q < 1 or self.n_iter < 0:
             raise ValueError("q must be >= 1 and n_iter >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -172,9 +170,8 @@ def sgd_fit(dataset, partition, tree: AggregationTree,
 
     ``log_fn`` receives one line per iteration.
     """
-    if kernel.dim != dataset.d:
-        raise DimensionMismatch(
-            "kernel length-scales must match the input dimension")
+    # a kernel of another dimension fails here, even at n_iter = 0
+    check_design(kernel, dataset.X, dataset.y)
     unit = kernel.with_variance(1.0)
     theta = np.asarray(kernel.lengthscales)
     q = min(settings.q, dataset.n)

@@ -6,7 +6,9 @@ and is the only place that turns a design into expert statistics: Kriging
 weight columns at any batch of points, and from them the expert means and
 expert/process covariances and, row by row, the expert cross-covariances.
 It solves no aggregation weights: the tree engine does, and the bank
-turns them back into one weight per design point.
+turns them back into one weight per design point.  Every model reads its
+design through :func:`check_design` and its query points through
+:func:`check_queries`, the one copy of each rule.
 """
 
 from __future__ import annotations
@@ -94,30 +96,36 @@ def fill_expert_cross_cov(kernel: KernelSpec, Xcat, starts, AT, out, offsets,
             row_done[g]()
 
 
+def check_design(kernel: KernelSpec, X, y):
+    """X and y as (n, d) and (n,) arrays; DimensionMismatch unless their row
+    counts agree and d is the kernel's dimension."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if X.shape[0] != y.shape[0]:
+        raise DimensionMismatch(f"X and y row counts differ: {len(X)} and {len(y)}")
+    if X.shape[1] != kernel.dim:
+        raise DimensionMismatch(f"design dimension {X.shape[1]} does not match "
+                                f"the model dimension {kernel.dim}")
+    return X, y
+
+
+def check_queries(kernel: KernelSpec, Xq):
+    """Xq as a (q, d) array; DimensionMismatch unless d is the kernel's dimension."""
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    if Xq.shape[1] != kernel.dim:
+        raise DimensionMismatch(f"query dimension {Xq.shape[1]} does not match "
+                                f"the model dimension {kernel.dim}")
+    return Xq
+
+
 class FullModel:
     """Exact zero-mean Gaussian-process regression on all n points."""
 
     def __init__(self, kernel: KernelSpec, X, y):
         self.kernel = kernel
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.y = np.asarray(y, dtype=float).reshape(-1)
-        if self.X.shape[0] != self.y.shape[0]:
-            raise DimensionMismatch("X and y row counts differ")
-        if self.X.shape[1] != kernel.dim:
-            raise DimensionMismatch("X dimension does not match the kernel")
+        self.X, self.y = check_design(kernel, X, y)
         self.factor: SpdFactor = factor_spd(kernels.cross_matrix(kernel, self.X, self.X))
         self.alpha = solve(self.factor, self.y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    def _queries(self, Xq):
-        """The query points as a checked (q, d) array."""
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        if Xq.shape[1] != self.kernel.dim:
-            raise DimensionMismatch("query dimension does not match the kernel")
-        return Xq
 
     def _condition(self, Xq):
         """The step both query methods share, at checked queries: the prior
@@ -133,7 +141,7 @@ class FullModel:
         its own triangular solve, so a query's bits come from its own tile,
         whatever the batch it comes in.
         """
-        Xq = self._queries(Xq)
+        Xq = check_queries(self.kernel, Xq)
         means, variances = np.empty(Xq.shape[0]), np.empty(Xq.shape[0])
         for lo in range(0, Xq.shape[0], QUERY_TILE):
             t = slice(lo, lo + QUERY_TILE)
@@ -145,7 +153,7 @@ class FullModel:
 
     def posterior(self, Xq):
         """Posterior means and covariance matrix, (q,) and (q, q)."""
-        Xq = self._queries(Xq)
+        Xq = check_queries(self.kernel, Xq)
         C, V = self._condition(Xq)
         cov = kernels.cross_matrix(self.kernel, Xq, Xq) - V.T @ V
         return C.T @ self.alpha, 0.5 * (cov + cov.T)
@@ -184,12 +192,7 @@ class SubModelBank:
 
     def __init__(self, kernel: KernelSpec, X, y, partition):
         self.kernel = kernel
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.y = np.asarray(y, dtype=float).reshape(-1)
-        if self.X.shape[0] != self.y.shape[0]:
-            raise DimensionMismatch("X and y row counts differ")
-        if self.X.shape[1] != kernel.dim:
-            raise DimensionMismatch("X dimension does not match the kernel")
+        self.X, self.y = check_design(kernel, X, y)
         if partition.n != self.X.shape[0]:
             raise DimensionMismatch("partition length does not match X")
         self.groups = partition.groups()
@@ -258,9 +261,7 @@ class SubModelBank:
         query tile: no entry depends on the group runs, and a query's bits
         come from its own tile, whatever the batch it comes in.
         """
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        if Xq.shape[1] != self.kernel.dim:
-            raise DimensionMismatch("query dimension does not match the kernel")
+        Xq = check_queries(self.kernel, Xq)
         p, q = self.p, Xq.shape[0]
         M = np.empty((p, q))
         kM = np.empty((p, q))
@@ -386,7 +387,7 @@ def sample_gaussian(mean, cov, count: int, seed, var_scale: float = 0.0) -> np.n
 
 def sample_paths(kernel: KernelSpec, Xgrid, count: int, seed) -> np.ndarray:
     """Zero-mean prior draws on a grid, shape (count, q)."""
-    Xgrid = np.atleast_2d(np.asarray(Xgrid, dtype=float))
+    Xgrid = check_queries(kernel, Xgrid)
     cov = kernels.cross_matrix(kernel, Xgrid, Xgrid)
     return sample_gaussian(np.zeros(Xgrid.shape[0]), cov, count, seed)
 

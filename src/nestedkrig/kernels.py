@@ -29,8 +29,8 @@ class KernelSpec:
     """A covariance function: family name, variance and per-dimension scales.
 
     ``variance`` is the process variance, so k(x, x) == variance for every x.
-    ``lengthscales`` has one entry per input dimension.  Both are positive
-    and finite.
+    ``lengthscales`` has one entry per input dimension, at least one.  Both
+    are positive and finite.
     """
 
     family: str
@@ -44,6 +44,8 @@ class KernelSpec:
         if not 0.0 < self.variance < np.inf:
             raise ValueError("variance must be positive and finite")
         ls = tuple(float(t) for t in np.atleast_1d(self.lengthscales))
+        if not ls:
+            raise ValueError("at least one lengthscale is required")
         if not all(0.0 < t < np.inf for t in ls):
             raise ValueError("all lengthscales must be positive and finite")
         object.__setattr__(self, "lengthscales", ls)
@@ -90,16 +92,15 @@ def _corr_2d(family: str, h: np.ndarray, poly: np.ndarray) -> np.ndarray:
         np.exp(h, out=h)
         np.multiply(h, poly, out=h)
         return h
-    if family == "matern52":
-        np.multiply(h, -_SQRT5, out=h)
-        np.multiply(h, h, out=poly)
-        np.multiply(poly, 1.0 / 3.0, out=poly)
-        poly -= h
-        poly += 1.0
-        np.exp(h, out=h)
-        np.multiply(h, poly, out=h)
-        return h
-    raise ValueError(f"unknown kernel family {family!r}")
+    # matern52, the one family left: KernelSpec checks the family
+    np.multiply(h, -_SQRT5, out=h)
+    np.multiply(h, h, out=poly)
+    np.multiply(poly, 1.0 / 3.0, out=poly)
+    poly -= h
+    poly += 1.0
+    np.exp(h, out=h)
+    np.multiply(h, poly, out=h)
+    return h
 
 
 def cross_matrix(spec: KernelSpec, A, B) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import baselines, kernels
 from .baselines import EXPERT_VARIANCE_FLOOR
 from .data import Partition, partition_consecutive, write_json, write_table
 from .exceptions import NonPositiveVariance
-from .gpcore import FullModel, SubModelBank, sample_gaussian
+from .gpcore import FullModel, SubModelBank, sample_paths
 from .kernels import KernelSpec
 from .linalg import solve
 from .tree import AggregationTree, nested_design_weights, stream_layers
@@ -97,9 +97,7 @@ def benchmark_instance(seed):
     rng = np.random.default_rng([int(seed), 0])
     X = rng.uniform(0.0, 1.0, size=(BENCH_N, 1))
     grid = np.linspace(0.0, 1.0, BENCH_GRID).reshape(-1, 1)
-    Z = np.vstack([X, grid])
-    cov = kernels.cross_matrix(BENCH_KERNEL, Z, Z)
-    path = sample_gaussian(np.zeros(Z.shape[0]), cov, 1, [int(seed), 1])[0]
+    path = sample_paths(BENCH_KERNEL, np.vstack([X, grid]), 1, [int(seed), 1])[0]
     fX, f_grid = path[:BENCH_N], path[BENCH_N:]
 
     full = FullModel(BENCH_KERNEL, X, fX)
@@ -191,10 +189,8 @@ def run_consistency_demo(n_sequence, method: str, replicates: int = 200,
     out = []
     for n in n_sequence:
         X, part, x0 = consistency_design(int(n))
-        Z = np.vstack([X, x0.reshape(1, -1)])
-        cov = kernels.cross_matrix(kernel, Z, Z)
-        draws = sample_gaussian(np.zeros(Z.shape[0]), cov, replicates,
-                                [seed, int(n)])
+        draws = sample_paths(kernel, np.vstack([X, x0.reshape(1, -1)]),
+                             replicates, [seed, int(n)])
         fX, y0 = draws[:, :-1], draws[:, -1]
 
         # every predictor is linear in the data: one weight per design point

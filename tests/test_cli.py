@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import nestedkrig as nk
-from nestedkrig import baselines, cli, metrics
+from nestedkrig import baselines, cli, gpcore, metrics
 from nestedkrig.bundle import load_bundle
 from nestedkrig.cli import main
 from nestedkrig.config import RunSettings
-from nestedkrig.exceptions import BundleError
+from nestedkrig.exceptions import BundleError, DimensionMismatch, NotFactorizable
 from nestedkrig.tree import PREDICT_CHUNK
 
 EX1_X = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -253,6 +253,35 @@ class TestErrors:
         assert "line 1, column 2: repeated column name 'x'" in capsys.readouterr().err
         assert not bundle.exists()
 
+    def test_design_without_coordinate_is_io_error(self, tmp_path, capsys):
+        # a response column alone made a design of no coordinate: fit died
+        # with an IndexError traceback in the kernel evaluation
+        train = tmp_path / "t.csv"
+        train.write_text("y\n1.0\n2.0\n3.0\n")
+        bundle = tmp_path / "m.json"
+        for command in (["fit", "--out", str(bundle)], ["loo-estimate"]):
+            assert main(command + ["--train", str(train)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: line 1, column 0: no coordinate column")
+            assert "Traceback" not in err
+        assert not bundle.exists()
+
+    def test_numerical_failure_exits_3(self, ex1_files, monkeypatch, capsys):
+        def not_factorizable(stack):
+            raise NotFactorizable("group covariance is not positive definite")
+
+        monkeypatch.setattr(gpcore, "factor_spd_stack", not_factorizable)
+        tmp, train, config = ex1_files
+        config.write_text(EX1_CONFIG + "[estimation]\nenabled = true\n"
+                          "grid_start = false\nn_iter = 1\nq = 2\n")
+        bundle = tmp / "model.json"
+        assert main(["fit", "--config", str(config), "--train", str(train),
+                     "--out", str(bundle)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical error: group covariance is not positive "
+                       "definite\n")
+        assert not bundle.exists()
+
     def test_unknown_method_is_usage_error(self, ex1_files):
         tmp, train, config = ex1_files
         bundle = tmp / "model.json"
@@ -283,6 +312,8 @@ class TestErrors:
         "[partition]\np = 4\n",
         "[tree]\nheight = 4\n",
         "[tree]\nmode = flat\nheight = 4\n",
+        "[partition]\nseed = -1\n",
+        "[estimation]\nseed = -1\n",
     ])
     def test_config_problems_exit_2_before_partitioning(self, tmp_path,
                                                         monkeypatch, capsys,
@@ -384,6 +415,40 @@ class TestErrors:
         query.write_text("a,b\n0.1,0.2\n")
         assert main(["predict", "--bundle", str(bundle), "--query", str(query),
                      "--out", str(tmp / "o.csv")]) == 1
+
+    def test_wrong_query_width_has_one_message(self, ex1_files, monkeypatch,
+                                               capsys):
+        # the exact model, the bank and predict name both dimensions in the
+        # same words, and predict refuses before it builds any model
+        tmp, train, config = ex1_files
+        bundle = tmp / "model.json"
+        main(["fit", "--config", str(config), "--train", str(train),
+              "--out", str(bundle)])
+        kernel = load_bundle(str(bundle))["kernel"]
+        part = nk.partition_consecutive(EX1_X, 2)
+        Xq = np.array([[0.1, 0.2]])
+        messages = set()
+        for evaluate in (nk.FullModel(kernel, EX1_X, EX1_F).predict,
+                         nk.SubModelBank(kernel, EX1_X, EX1_F, part).layer1):
+            with pytest.raises(DimensionMismatch) as err:
+                evaluate(Xq)
+            messages.add(str(err.value))
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("built a model before checking the queries")
+
+        monkeypatch.setattr(cli, "FullModel", no_model)
+        monkeypatch.setattr(cli, "SubModelBank", no_model)
+        query = tmp / "q.csv"
+        query.write_text("a,b\n0.1,0.2\n")
+        for method in ("nested", "full", "rbcm"):
+            capsys.readouterr()
+            assert main(["predict", "--bundle", str(bundle), "--query",
+                         str(query), "--out", str(tmp / "o.csv"),
+                         "--method", method]) == 1
+            messages.add(capsys.readouterr().err.removeprefix("error: ").strip())
+        assert messages == {"query dimension 2 does not match the model dimension 1"}
+        assert not (tmp / "o.csv").exists()
 
 
 def test_run_settings_come_from_the_config_alone():

@@ -108,10 +108,21 @@ def test_values_parse_by_field_type(tmp_path):
     "[run]\nthreads = -3\n",
     "[run]\nthreads = two\n",
     "[run]\nfull_cap = 0\n",
+    "[partition]\nseed = -1\n",
+    "[partition]\nmode = consecutive\nseed = -1\n",
+    "[estimation]\nseed = -1\n",
+    "[partition]\nmode = grid\n",
+    "[tree]\nmode = deep\n",
+    "[tree]\nheight = 1\n",
+    "[partition]\np = -1\n",
+    pytest.param(None, id="unreadable file"),
 ])
 def test_malformed_or_invalid_files_raise_config_error(tmp_path, text):
     with pytest.raises(ConfigError):
-        load_text(tmp_path, text)
+        if text is None:  # a directory: no config file can be read there
+            load_config(str(tmp_path))
+        else:
+            load_text(tmp_path, text)
 
 
 def test_group_count_only_for_flat_trees(tmp_path):

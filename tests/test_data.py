@@ -52,6 +52,15 @@ class TestLoadCsv:
             with pytest.raises(ParseError) as err:
                 load(path)
             assert err.value.line == 3 and err.value.column == 1
+        # a short or a long row is refused at its line, the column being
+        # the count of cells it holds
+        for text, line, column in (("x,y\n0.1,1.0\n0.2\n", 3, 1),
+                                   ("x,y\n0.1,1.0,7.0\n0.2,2.0\n", 2, 3)):
+            path.write_text(text)
+            for load in (load_csv, load_points_csv):
+                with pytest.raises(ParseError, match="expected 2 columns") as err:
+                    load(path)
+                assert (err.value.line, err.value.column) == (line, column)
 
     def test_comment_lines_skipped_with_physical_line_numbers(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -127,6 +136,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="'out' not in header") as err:
             load_csv(path, CsvSchema(response="out"))
         assert (err.value.line, err.value.column) == (3, 0)
+
+    def test_header_without_coordinate_refused(self, tmp_path):
+        # a response column alone made a design of no coordinate, which
+        # failed much later with a bare IndexError
+        path = tmp_path / "d.csv"
+        for text, schema, line in (("y\n1.0\n2.0\n", None, 1),
+                                   ("# a\n\nout\n1.0\n", CsvSchema(response="out"), 3)):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="no coordinate column") as err:
+                load_csv(path, schema)
+            assert (err.value.line, err.value.column) == (line, 0)
+        np.testing.assert_array_equal(load_points_csv(path), [[1.0]])
 
     def test_points_csv(self, tmp_path):
         path = tmp_path / "q.csv"

@@ -23,6 +23,14 @@ def test_spec_validation():
             KernelSpec("matern32", variance, lengthscales)
 
 
+def test_at_least_one_lengthscale():
+    # a kernel of dimension 0 gave every pair of points the full variance
+    with pytest.raises(ValueError, match="at least one lengthscale"):
+        KernelSpec("matern52", 1.0, ())
+    with pytest.raises(ValueError, match="at least one lengthscale"):
+        KernelSpec("matern52", 1.0, (0.1,)).for_dim(0)
+
+
 def test_stationarity_any_family():
     rng = np.random.default_rng(0)
     for family in FAMILIES:

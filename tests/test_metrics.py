@@ -104,6 +104,25 @@ class TestConsistencyDesign:
             np.testing.assert_array_equal(part.labels, want)
             assert part.p == want.max() + 1 == int(np.ceil(n ** 0.8))
 
+    def test_large_design_has_points_left_of_the_ball(self):
+        # above n = 10**4 the excluded ball of radius n**(-1/4) around x0
+        # no longer reaches 0, and the informative points split between its
+        # two sides in proportion to their lengths
+        n = 20000
+        X, part, x0 = consistency_design(n)
+        delta = n ** -0.25
+        p_n, k_n = int(np.ceil(n ** 0.8)), int(np.ceil(n ** 0.2))
+        c_n = (n - 1) // (p_n - 1)
+        np.testing.assert_array_equal(part.labels, reference_consistency_labels(n))
+        sizes = np.bincount(part.labels)
+        assert part.p == p_n and np.all(sizes[:-1] == c_n) and sizes[-1] >= 1
+        assert np.abs(X[:, 0] - x0[0]).min() >= delta - 1e-12
+        informative = X[:k_n * c_n, 0]
+        left = informative < x0[0]
+        lo = x0[0] - delta
+        assert left.sum() == round(k_n * c_n * lo / (lo + 1.0 - (x0[0] + delta)))
+        assert left.sum() > 0 and informative[left].max() < lo
+
     def test_cluster_accumulates(self):
         X, _, _ = consistency_design(200)
         in_cluster = np.abs(X[:, 0] - 0.9) <= 0.05
